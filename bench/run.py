@@ -40,30 +40,35 @@ import numpy as np  # noqa: E402
 import checks  # noqa: E402
 import inputs  # noqa: E402
 
-#: ``setup_s`` is the median of fresh-interpreter imports: this many at the
-#: start of a run, after one untimed, and two after every round, so that its
+#: Shares of a run's wall time given to fresh-interpreter samples taken
+#: between operations: REFERENCE_SHARE to ``reference.py`` (see below) and
+#: SETUP_SHARE to ``import uncrel`` for ``setup_s``.  After each operation
+#: the run samples until each has had its share of the time so far, so the
 #: samples spread over the run like the operations do.
-SETUP_SAMPLES = 3
+REFERENCE_SHARE = 0.2
+SETUP_SHARE = 0.2
 #: ``latency_p90_s`` is printed only with ten samples beyond it.
 P90_MIN_SAMPLES = 100
-#: The shared host's speed drifts by a third for minutes at a time, which
-#: would swamp any regression bound.  So a fixed program, ``reference.py``,
-#: runs in a fresh interpreter whenever this long has passed since it last
-#: ran, and every end-to-end time is scaled by REFERENCE_NOMINAL_S over its
-#: mean wall time in the run: times are stated at the host speed at which
-#: the reference takes REFERENCE_NOMINAL_S (the fast state of a 2-core
-#: Xeon with Python 3.11.7 and numpy 2.4.6).
-REFERENCE_EVERY_S = 1.0
+#: The shared host switches between a fast and a slow state, in stretches
+#: of seconds to minutes, and both the operations and a fixed program,
+#: ``reference.py``, take about half as long again in the slow state.  So
+#: every end-to-end time is scaled by REFERENCE_NOMINAL_S over the mean
+#: wall time of the REFERENCE_NEIGHBOURS reference runs nearest to it in
+#: time: times are stated at the host speed at which the reference takes
+#: REFERENCE_NOMINAL_S (the fast state of a 2-core Xeon with Python 3.11.7
+#: and numpy 2.4.6).
 REFERENCE_NOMINAL_S = 0.25
+REFERENCE_NEIGHBOURS = 4
 
 
 class Outcome:
-    """What one operation did: exit code, wall time, stderr, output."""
+    """What one operation did: exit code, wall time and its midpoint, stderr, output."""
 
-    def __init__(self, op: dict, returncode: int, wall: float, stderr: str, rss_mb: float = 0.0):
+    def __init__(self, op: dict, returncode: int, wall: float, stderr: str, rss_mb: float = 0.0, at: float = 0.0):
         self.op = op
         self.returncode = returncode
         self.wall = wall
+        self.at = at
         self.stderr = stderr
         self.rss_mb = rss_mb
         path = output_path(op)
@@ -96,51 +101,54 @@ finally:
 
 
 class SubprocessRunner:
-    """Runs each operation in a child interpreter."""
+    """Runs each operation in a child interpreter, with the samples between them."""
+
+    REFERENCE = [str(BENCH_DIR / "reference.py")]
+    SETUP = ["-c", "import uncrel"]
 
     def __init__(self, root: Path, workdir: Path):
         self.env = _child_env(root)
         self.log = workdir / "stderr.log"
         self.rss = workdir / "rss_kb"
-        self.references = []
-        self.reference()
+        self.sample(self.SETUP)  # untimed: fills the file cache
+        self.start = perf_counter()
+        self.references = [self.sample(self.REFERENCE)]
+        self.setups = [self.sample(self.SETUP)]
 
-    def child(self, argv: list[str]) -> tuple[int, float]:
-        """Run one child interpreter; returns (exit code, wall seconds)."""
+    def child(self, argv: list[str]) -> tuple[int, float, float]:
+        """Run one child interpreter; returns (exit code, wall seconds, midpoint time)."""
         with open(self.log, "wb") as err:
             start = perf_counter()
             proc = subprocess.run([sys.executable, *argv], stdout=subprocess.DEVNULL, stderr=err, env=self.env)
-            return proc.returncode, perf_counter() - start
+            wall = perf_counter() - start
+            return proc.returncode, wall, start + wall / 2.0
+
+    def sample(self, argv: list[str]) -> tuple[float, float]:
+        """(midpoint time, wall seconds) of a child that must succeed."""
+        code, wall, at = self.child(argv)
+        if code != 0:
+            raise RuntimeError(f"{argv} failed: {self.log.read_text()[-500:]}")
+        return at, wall
 
     def __call__(self, op: dict) -> Outcome:
         output_path(op).unlink(missing_ok=True)
-        code, wall = self.child(["-c", CHILD, str(self.rss), *op["argv"]])
-        outcome = Outcome(op, code, wall, self.log.read_text(), int(self.rss.read_text()) / 1024.0)
-        if perf_counter() - self.last_reference >= REFERENCE_EVERY_S:
-            self.reference()
-        return outcome
+        code, wall, at = self.child(["-c", CHILD, str(self.rss), *op["argv"]])
+        outcome = Outcome(op, code, wall, self.log.read_text(), int(self.rss.read_text()) / 1024.0, at)
+        while True:
+            elapsed = perf_counter() - self.start
+            ref_due = REFERENCE_SHARE * elapsed - sum(w for _, w in self.references)
+            setup_due = SETUP_SHARE * elapsed - sum(w for _, w in self.setups)
+            if max(ref_due, setup_due) <= 0.0:
+                return outcome
+            if ref_due >= setup_due:
+                self.references.append(self.sample(self.REFERENCE))
+            else:
+                self.setups.append(self.sample(self.SETUP))
 
-    def reference(self) -> None:
-        code, wall = self.child([str(BENCH_DIR / "reference.py")])
-        if code != 0:
-            raise RuntimeError(f"reference program failed: {self.log.read_text()[-500:]}")
-        self.references.append(wall)
-        self.last_reference = perf_counter()
-
-    @property
-    def scale(self) -> float:
-        """Nominal over measured reference time: multiplies times, divides rates."""
-        return REFERENCE_NOMINAL_S / statistics.mean(self.references)
-
-    def setup(self, count: int) -> list[float]:
-        """Wall times of fresh interpreters importing uncrel."""
-        times = []
-        for _ in range(count):
-            code, wall = self.child(["-c", "import uncrel"])
-            if code != 0:
-                raise RuntimeError(f"import uncrel failed: {self.log.read_text()[-500:]}")
-            times.append(wall)
-        return times
+    def scaled(self, at: float, wall: float) -> float:
+        """``wall``, measured around time ``at``, at the nominal host speed."""
+        nearest = sorted(self.references, key=lambda ref: abs(ref[0] - at))[:REFERENCE_NEIGHBOURS]
+        return wall * REFERENCE_NOMINAL_S / statistics.mean(w for _, w in nearest)
 
 
 class InProcessRunner:
@@ -208,53 +216,62 @@ class Ledger:
 
 
 def run_rounds(seconds: float, round_fn) -> int:
-    """Run whole rounds until the next one would overrun ``seconds``."""
+    """Run whole rounds for about ``seconds``: stop once one more round
+    would end further past it than the rounds so far end short of it."""
     start = perf_counter()
     durations = []
     while True:
         t = perf_counter()
         round_fn()
         durations.append(perf_counter() - t)
-        if perf_counter() - start + statistics.median(durations) > seconds:
+        if perf_counter() - start + statistics.median(durations) / 2.0 >= seconds:
             return len(durations)
 
 
 def end_to_end(ops, ledger: Ledger, runner: SubprocessRunner, seconds: float) -> tuple[dict, list[str]]:
-    runner.setup(1)
-    setup = runner.setup(SETUP_SAMPLES)
+    """Times count only completed operations that cannot reach a known fault."""
     peak = [0.0]
 
     def one_round():
         outcomes = [runner(op) for op in ops]
         peak[0] = max(peak[0], *(o.rss_mb for o in outcomes))
         ledger.record(ops, outcomes)
-        setup.extend(runner.setup(2))
 
     rounds = run_rounds(seconds, one_round)
-    walls = [o.wall for o in ledger.completed]
-    if not walls:
-        raise RuntimeError("no operation completed")
-    raw = {
-        "setup_s": statistics.median(setup),
-        "items_per_s": sum(o.op["items"] for o in ledger.completed) / sum(walls),
-        "latency_p50_s": statistics.median(walls),
-    }
-    scale = runner.scale
+    timed = [o for o in ledger.completed if o.op.get("timed", True)]
+    if not timed:
+        raise RuntimeError("no timed operation completed")
+
+    def figures(scale) -> dict:
+        walls = [scale(o.at, o.wall) for o in timed]
+        per_op = {}
+        for o, wall in zip(timed, walls):
+            per_op.setdefault(o.op["name"], []).append(wall)
+        return {
+            "setup_s": statistics.median(scale(at, wall) for at, wall in runner.setups),
+            "items_per_s": sum(o.op["items"] for o in timed) / sum(walls),
+            "latency_p50_s": statistics.median(statistics.median(w) for w in per_op.values()),
+        }
+
+    scaled = figures(runner.scaled)
+    raw = figures(lambda at, wall: wall)
+    references = [w for _, w in runner.references]
     notes = [
-        f"rounds = {rounds}, completed operations = {len(walls)}, setup samples = {len(setup)}",
-        f"reference program: mean {statistics.mean(runner.references):.4f} s over "
-        f"{len(runner.references)} runs, nominal {REFERENCE_NOMINAL_S} s; times scaled by {scale:.4f}",
+        f"rounds = {rounds}, timed operations = {len(timed)} of {len(ledger.completed)} completed, "
+        f"setup samples = {len(runner.setups)}",
+        f"reference program: {len(references)} runs, median {statistics.median(references):.4f} s, "
+        f"range {min(references):.4f}-{max(references):.4f} s, nominal {REFERENCE_NOMINAL_S} s",
         "unscaled: " + ", ".join(f"{k} = {v:.6g}" for k, v in raw.items()),
     ]
-    if len(walls) >= P90_MIN_SAMPLES:
-        p90 = float(np.percentile(walls, 90))
-        notes.append(f"latency_p90_s = {p90 * scale:.6g} s (unscaled {p90:.6g}) over {len(walls)} operations")
+    if len(timed) >= P90_MIN_SAMPLES:
+        p90 = float(np.percentile([runner.scaled(o.at, o.wall) for o in timed], 90))
+        notes.append(f"latency_p90_s = {p90:.6g} s over {len(timed)} operations")
     else:
-        notes.append(f"latency_p90_s not reported: {len(walls)} operations, {P90_MIN_SAMPLES} needed")
+        notes.append(f"latency_p90_s not reported: {len(timed)} operations, {P90_MIN_SAMPLES} needed")
     metrics = {
-        "setup_s": (raw["setup_s"] * scale, "s"),
-        "items_per_s": (raw["items_per_s"] / scale, "1/s"),
-        "latency_p50_s": (raw["latency_p50_s"] * scale, "s"),
+        "setup_s": (scaled["setup_s"], "s"),
+        "items_per_s": (scaled["items_per_s"], "1/s"),
+        "latency_p50_s": (scaled["latency_p50_s"], "s"),
         "peak_rss_mb": (peak[0], "MB"),
     }
     return metrics, notes
