@@ -10,7 +10,7 @@ import path; the run reports the end-to-end metrics.  With ``--trace 1``
 the same operations call ``uncrel.cli.main`` in this process, alternating
 an untraced round with a round traced by :mod:`tracing`; the run reports
 the per-layer metrics.  Either way the run repeats whole rounds of the
-workload's operations until ``--seconds`` is spent, checks the outputs
+workload's operations for about ``--seconds``, checks the outputs
 (:mod:`checks`), and prints as its last line one JSON object with the keys
 ``correct``, ``attempted``, ``failed`` and ``metrics``.  See README.md.
 """
