@@ -72,9 +72,12 @@ def _positive_int(text: str) -> int:
 
 def _int_list(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in text.split(",") if part.strip())
+        values = tuple(int(part) for part in text.split(",") if part.strip())
     except ValueError:
+        values = ()
+    if not values:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -274,11 +277,13 @@ def _load_state(path: str) -> QuantumState:
         return DensityMatrix(_complex_entries(payload["density"], "density"))
     if "stokes" in payload:
         values = payload["stokes"]
-        if len(values) != 4:
+        if not isinstance(values, list) or len(values) != 4:
             raise ValueError("stokes form needs [s0, s1, s2, s3]")
-        return stokes_to_density(StokesVector(*[float(v) for v in values]))
+        return stokes_to_density(StokesVector(*[_number(v) for v in values]))
     if "bloch" in payload:
         angles = payload["bloch"]
+        if not isinstance(angles, dict):
+            raise ValueError('bloch form needs {"theta": ..., "phi": ...}')
         theta = _angle_field(angles.get("theta", 0.0))
         phi = _angle_field(angles.get("phi", 0.0))
         return bloch_to_state(BlochAngles(theta, phi))
@@ -287,10 +292,16 @@ def _load_state(path: str) -> QuantumState:
     )
 
 
+def _number(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _angle_field(value) -> float:
     if isinstance(value, str):
         return parse_angle(value)
-    return float(value)
+    return _number(value)
 
 
 def _load_observables(path: str | None, state: QuantumState) -> ObservableSet:

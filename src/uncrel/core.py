@@ -3,7 +3,9 @@
 Everything here is dense double-precision numpy.  Observables and states are
 immutable after construction and validated eagerly, so downstream code can
 assume Hermiticity, normalization and matching dimensions without re-checking.
-All functions are pure.
+:func:`moment_table` gives the means and second moments of a stack of
+observables, the one table every relation is computed from.  All functions
+are pure.
 """
 from __future__ import annotations
 
@@ -24,7 +26,9 @@ TRACE_ATOL = 1e-12
 PSD_ATOL = 1e-10
 
 # Run-time tolerances for quantities that are real or non-negative up to
-# round-off.  Residues beyond these indicate corrupted inputs, not noise.
+# round-off, relative to max(1, largest second moment) so they hold at any
+# scale of the observables.  Residues beyond these indicate corrupted
+# inputs, not noise.
 IMAG_RESIDUE_ATOL = 1e-10
 VARIANCE_CLAMP_ATOL = 1e-10
 
@@ -33,8 +37,15 @@ VARIANCE_CLAMP_ATOL = 1e-10
 DEVIATION_NORM_FLOOR = 1e-12
 
 
+def _is_hermitian(m: np.ndarray) -> bool:
+    # Entrywise within HERMITICITY_ATOL, as np.allclose(rtol=0) but cheaper.
+    return np.abs(m - m.conj().T).max() <= HERMITICITY_ATOL
+
+
 def _as_square_complex(values, what: str) -> np.ndarray:
     m = np.asarray(values, dtype=complex)
+    if not np.isfinite(m).all():
+        raise ValueError(f"{what} has non-finite entries")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{what} must be a square matrix, got shape {m.shape}")
     if m.shape[0] < 2:
@@ -46,7 +57,7 @@ def _as_square_complex(values, what: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Observable:
-    """A Hermitian matrix on a d-dimensional system, d >= 2.
+    """A Hermitian matrix of finite entries on a d-dimensional system, d >= 2.
 
     The stored array is a read-only copy of the input; Hermiticity is
     enforced entrywise at construction within ``HERMITICITY_ATOL``.
@@ -56,7 +67,7 @@ class Observable:
 
     def __post_init__(self) -> None:
         m = _as_square_complex(self.matrix, "observable")
-        if not np.allclose(m, m.conj().T, rtol=0.0, atol=HERMITICITY_ATOL):
+        if not _is_hermitian(m):
             raise ValueError("observable matrix is not Hermitian within 1e-12")
         m = m.copy()
         m.flags.writeable = False
@@ -91,7 +102,7 @@ class Observable:
 
 @dataclass(frozen=True, eq=False)
 class PureState:
-    """A normalized state vector.
+    """A normalized state vector of finite amplitudes.
 
     Invariant: the squared amplitudes sum to 1 within ``NORMALIZATION_ATOL``.
     """
@@ -105,7 +116,9 @@ class PureState:
                 f"state vector must have dimension >= 2, got {v.size}"
             )
         norm_sq = float(np.vdot(v, v).real)
-        if abs(norm_sq - 1.0) > NORMALIZATION_ATOL:
+        # Written so that a NaN or infinite amplitude, which makes the norm
+        # non-finite, fails it too.
+        if not abs(norm_sq - 1.0) <= NORMALIZATION_ATOL:
             raise ValueError(
                 f"state vector is not normalized: sum of |amplitude|^2 = {norm_sq!r}"
             )
@@ -128,7 +141,7 @@ class PureState:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """A mixed state: Hermitian, unit trace, positive semidefinite.
+    """A mixed state: finite, Hermitian, unit trace, positive semidefinite.
 
     Positivity is checked through the eigenvalue spectrum; the smallest
     eigenvalue may sit below zero by at most ``PSD_ATOL`` to absorb
@@ -139,7 +152,7 @@ class DensityMatrix:
 
     def __post_init__(self) -> None:
         m = _as_square_complex(self.matrix, "density matrix")
-        if not np.allclose(m, m.conj().T, rtol=0.0, atol=HERMITICITY_ATOL):
+        if not _is_hermitian(m):
             raise ValueError("density matrix is not Hermitian within 1e-12")
         trace = complex(np.trace(m))
         if abs(trace - 1.0) > TRACE_ATOL:
@@ -170,109 +183,91 @@ def _check_same_dim(*dims: int) -> None:
         raise DimensionError(f"dimension mismatch: {dims}")
 
 
-def _real_part(value: complex, what: str) -> float:
-    if abs(value.imag) >= IMAG_RESIDUE_ATOL:
+def state_array(state: QuantumState) -> np.ndarray:
+    """The amplitudes of a pure state or the matrix of a mixed one."""
+    if isinstance(state, PureState):
+        return state.amplitudes
+    if isinstance(state, DensityMatrix):
+        return state.matrix
+    raise TypeError(f"not a quantum state: {state!r}")
+
+
+def moment_table(
+    mats: np.ndarray, state: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Means ``m_i`` and second moments ``G_ij = <A_i A_j>`` of stacked observables.
+
+    ``mats`` is an ``(n, d, d)`` stack of Hermitian matrices and ``state`` a
+    ket of shape ``(d,)`` or a density matrix of shape ``(d, d)``.  For a
+    ket, ``W = A psi`` holds one row per observable, ``m = Re(W psi*)`` and
+    ``G = W* W^T``; for a density matrix ``G_ij = Tr(rho A_i A_j)`` and
+    ``W`` is None.  Returns ``(m, G, W)``.
+
+    Two residues are checked against the scale ``max(1, max_i G_ii)``: an
+    imaginary part of a mean at or above ``IMAG_RESIDUE_ATOL`` times it, and
+    a variance ``G_ii - m_i^2`` below ``-VARIANCE_CLAMP_ATOL`` times it.
+    Either means corrupted input, not noise, and raises
+    :class:`ConsistencyError`.
+    """
+    if state.ndim == 1:
+        W = mats @ state
+        mean = W @ state.conj()
+        # einsum forms each product directly, so commuting observables get
+        # an exactly real G; a BLAS product can leave round-off in Im G.
+        G = np.einsum("ik,jk->ij", W.conj(), W)
+    else:
+        W = None
+        rho_a = state @ mats
+        mean = np.trace(rho_a, axis1=1, axis2=2)
+        G = np.einsum("iab,jba->ij", rho_a, mats)
+    second = G.real.diagonal()
+    scale = max(1.0, second.max())
+    residue = np.abs(mean.imag).max()
+    if residue >= IMAG_RESIDUE_ATOL * scale:
         raise ConsistencyError(
-            f"{what} has imaginary residue {value.imag!r} beyond tolerance"
+            f"expectation value has imaginary residue {float(residue)!r} beyond tolerance"
         )
-    return float(value.real)
+    m = mean.real
+    lowest = (second - m * m).min()
+    if lowest < -VARIANCE_CLAMP_ATOL * scale:
+        raise ConsistencyError(f"variance {float(lowest)!r} is negative beyond round-off")
+    return m, G, W
 
 
-def _clamp_variance(raw: float) -> float:
-    if raw >= 0.0:
-        return raw
-    if raw > -VARIANCE_CLAMP_ATOL:
-        return 0.0
-    raise ConsistencyError(f"variance {raw!r} is negative beyond round-off")
-
-
-# Raw-array workhorses.  These skip wrapper validation and are shared by the
-# relation engine, which extracts the underlying arrays once per call.
-
-def _expect_vec(m: np.ndarray, psi: np.ndarray) -> float:
-    return _real_part(complex(np.vdot(psi, m @ psi)), "expectation value")
-
-
-def _expect_rho(m: np.ndarray, rho: np.ndarray) -> float:
-    return _real_part(complex(np.trace(rho @ m)), "expectation value")
-
-
-def _var_vec(m: np.ndarray, psi: np.ndarray) -> float:
-    w = m @ psi
-    mean = _real_part(complex(np.vdot(psi, w)), "expectation value")
-    # <A^2> = |A psi|^2 for Hermitian A, so one matrix-vector product suffices.
-    second = float(np.vdot(w, w).real)
-    return _clamp_variance(second - mean * mean)
-
-
-def _var_rho(m: np.ndarray, rho: np.ndarray) -> float:
-    mean = _expect_rho(m, rho)
-    second = _expect_rho(m @ m, rho)
-    return _clamp_variance(second - mean * mean)
-
-
-def _comm_vec(a: np.ndarray, b: np.ndarray, psi: np.ndarray) -> complex:
-    value = complex(np.vdot(psi, a @ (b @ psi)) - np.vdot(psi, b @ (a @ psi)))
-    if abs(value.real) >= IMAG_RESIDUE_ATOL:
-        raise ConsistencyError(
-            f"commutator expectation has real residue {value.real!r}"
-        )
-    return value
-
-
-def _comm_rho(a: np.ndarray, b: np.ndarray, rho: np.ndarray) -> complex:
-    value = complex(np.trace(rho @ (a @ b)) - np.trace(rho @ (b @ a)))
-    if abs(value.real) >= IMAG_RESIDUE_ATOL:
-        raise ConsistencyError(
-            f"commutator expectation has real residue {value.real!r}"
-        )
-    return value
+def _table(observables, state: QuantumState):
+    _check_same_dim(*(o.dim for o in observables), state.dim)
+    return moment_table(np.array([o.matrix for o in observables]), state_array(state))
 
 
 def expectation(obs: Observable, state: QuantumState) -> float:
     """Mean value of ``obs`` in ``state``.
 
     Returns ``<psi|A|psi>`` for a pure state and ``Tr(rho A)`` for a mixed
-    one.  The result of either contraction is real for a Hermitian matrix;
-    an imaginary residue at or above ``IMAG_RESIDUE_ATOL`` raises
-    :class:`ConsistencyError`.
+    one, as checked by :func:`moment_table`.
     """
-    _check_same_dim(obs.dim, state.dim)
-    if isinstance(state, PureState):
-        return _expect_vec(obs.matrix, state.amplitudes)
-    if isinstance(state, DensityMatrix):
-        return _expect_rho(obs.matrix, state.matrix)
-    raise TypeError(f"not a quantum state: {state!r}")
+    m, _, _ = _table((obs,), state)
+    return float(m[0])
 
 
 def variance(obs: Observable, state: QuantumState) -> float:
     """Variance ``<A^2> - <A>^2`` of ``obs`` in ``state``.
 
-    Exact zeros (eigenstates) may round to small negative values; results in
-    ``(-VARIANCE_CLAMP_ATOL, 0)`` are clamped to 0.0, anything lower raises
-    :class:`ConsistencyError`.
+    Exact zeros (eigenstates) may round to small negative values; those
+    within the tolerance of :func:`moment_table` are clamped to 0.0.
     """
-    _check_same_dim(obs.dim, state.dim)
-    if isinstance(state, PureState):
-        return _var_vec(obs.matrix, state.amplitudes)
-    if isinstance(state, DensityMatrix):
-        return _var_rho(obs.matrix, state.matrix)
-    raise TypeError(f"not a quantum state: {state!r}")
+    m, G, _ = _table((obs,), state)
+    return max(float(G[0, 0].real - m[0] * m[0]), 0.0)
 
 
 def commutator_expectation(a: Observable, b: Observable, state: QuantumState) -> complex:
     """Expectation of the commutator ``[A, B] = AB - BA``.
 
-    For Hermitian ``A`` and ``B`` this is purely imaginary; the real part is
-    checked against ``IMAG_RESIDUE_ATOL`` and the full complex value is
-    returned so callers can take magnitudes or signed combinations.
+    For Hermitian ``A`` and ``B`` this is ``2i Im <AB>``, purely imaginary
+    by construction; it is returned as a complex number so callers can
+    take magnitudes or signed combinations.
     """
-    _check_same_dim(a.dim, b.dim, state.dim)
-    if isinstance(state, PureState):
-        return _comm_vec(a.matrix, b.matrix, state.amplitudes)
-    if isinstance(state, DensityMatrix):
-        return _comm_rho(a.matrix, b.matrix, state.matrix)
-    raise TypeError(f"not a quantum state: {state!r}")
+    _, G, _ = _table((a, b), state)
+    return complex(0.0, 2.0 * G[0, 1].imag)
 
 
 def deviation_state(obs: Observable, psi: PureState) -> tuple[float, PureState | None]:
@@ -285,11 +280,8 @@ def deviation_state(obs: Observable, psi: PureState) -> tuple[float, PureState |
     """
     if not isinstance(psi, PureState):
         raise TypeError(f"deviation_state needs a PureState, got {psi!r}")
-    _check_same_dim(obs.dim, psi.dim)
-    v = psi.amplitudes
-    w = obs.matrix @ v
-    mean = _real_part(complex(np.vdot(v, w)), "expectation value")
-    residual = w - mean * v
+    m, _, W = _table((obs,), psi)
+    residual = W[0] - m[0] * psi.amplitudes
     norm = float(np.linalg.norm(residual))
     if norm < DEVIATION_NORM_FLOOR:
         return norm, None

@@ -19,7 +19,6 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field, replace
-from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +28,7 @@ from .core import PureState, random_observable, random_pure_state
 from .qubit import (
     BlochAngles,
     bloch_to_state,
-    closed_form_lhs,
-    closed_form_rhs,
+    closed_form_bounds,
     moments_from_angles,
     pauli_triple,
 )
@@ -42,7 +40,7 @@ from .relations import (
     SUM_FORM_RELATIONS,
     SkippedRelation,
     evaluate_all,
-    maccone_pati_orthogonal,
+    holds,
 )
 from .shots import (
     EstimateWithError,
@@ -129,34 +127,33 @@ class OutputRow:
 def run_sweep(spec: SweepSpec, *, resamples: int = 1000) -> list[OutputRow]:
     """Evaluate the requested bounds at every grid point of the sweep.
 
-    Exact sweeps use the closed forms directly.  Simulated sweeps draw
-    counts for each point from a child seed of ``spec.shots.seed`` keyed by
-    the point index, so any sub-grid of points reproduces the full sweep's
-    values, then bootstrap ``resamples`` replicates for the error bars.
+    Exact sweeps evaluate the closed forms over the whole grid at once.
+    Simulated sweeps draw counts for each point from a child seed of
+    ``spec.shots.seed`` keyed by the point index, so any sub-grid of points
+    reproduces the full sweep's values, then bootstrap ``resamples``
+    replicates for the error bars.
     """
-    rows = []
-    for index, angles in enumerate(spec.grid()):
-        if spec.shots is None:
-            rows.append(_exact_row(angles, spec.relations))
-        else:
-            rows.append(
-                _simulated_row(angles, spec, index, resamples)
-            )
-    return rows
+    grid = spec.grid()
+    if spec.shots is None:
+        return _exact_rows(grid, spec.relations)
+    return [
+        _simulated_row(angles, spec, index, resamples)
+        for index, angles in enumerate(grid)
+    ]
 
 
-def _exact_row(angles: BlochAngles, relations) -> OutputRow:
-    moments = moments_from_angles(angles)
-    lhs = closed_form_lhs(moments)
-    bounds = {}
-    holds = {}
-    for rel in relations:
-        rhs = closed_form_rhs(moments, rel)
-        bounds[rel] = EstimateWithError(rhs, 0.0)
-        holds[rel] = lhs - rhs >= -HOLDS_ATOL
-    return OutputRow(
-        angles.theta, angles.phi, EstimateWithError(lhs, 0.0), bounds, holds, False
-    )
+def _exact_rows(grid: list[BlochAngles], relations) -> list[OutputRow]:
+    e = np.array([(m.ex, m.ey, m.ez) for m in map(moments_from_angles, grid)])
+    lhs, bounds = closed_form_bounds(*e.T, relations)
+    columns = [(rel, bounds[rel].tolist(), holds(lhs, bounds[rel]).tolist()) for rel in relations]
+    return [
+        OutputRow(
+            angles.theta, angles.phi, EstimateWithError(value, 0.0),
+            {rel: EstimateWithError(rhs[k], 0.0) for rel, rhs, _ in columns},
+            {rel: ok[k] for rel, _, ok in columns}, False,
+        )
+        for k, (angles, value) in enumerate(zip(grid, lhs.tolist()))
+    ]
 
 
 def _simulated_row(
@@ -172,10 +169,8 @@ def _simulated_row(
     )
     lhs = next(iter(estimates.values()))[0]
     bounds = {rel: pair[1] for rel, pair in estimates.items()}
-    holds = {
-        rel: lhs.value - bounds[rel].value >= -HOLDS_ATOL for rel in spec.relations
-    }
-    return OutputRow(angles.theta, angles.phi, lhs, bounds, holds, True)
+    ok = {rel: bool(holds(lhs.value, bounds[rel].value)) for rel in spec.relations}
+    return OutputRow(angles.theta, angles.phi, lhs, bounds, ok, True)
 
 
 # -- randomized verification --------------------------------------------------
@@ -299,27 +294,15 @@ def run_verify(
                             for i in range(n)
                         )
                     )
-                results = evaluate_all(
-                    obs_set, state, include_pairwise=not use_paulis
-                )
+                perp = None
                 if not use_paulis and dim > 2:
-                    results.extend(
-                        _orthogonal_reports(obs_set, state, derive_seed(seed, trial, dim, n, 99))
-                    )
+                    perp = _random_orthogonal(state, derive_seed(seed, trial, dim, n, 99))
+                results = evaluate_all(
+                    obs_set, state, include_pairwise=not use_paulis, psi_perp=perp
+                )
                 summary.total_instances += 1
                 _digest_instance(summary, tallies, instance_key, results)
     return summary
-
-
-def _orthogonal_reports(
-    obs_set: ObservableSet, state: PureState, perp_seed: int
-) -> list[BoundReport]:
-    perp = _random_orthogonal(state, perp_seed)
-    reports = []
-    for i, j in combinations(range(obs_set.count), 2):
-        rep = maccone_pati_orthogonal(obs_set[i], obs_set[j], state, perp)
-        reports.append(replace(rep, pair=(i, j)))
-    return reports
 
 
 def _random_orthogonal(state: PureState, seed: int) -> PureState:
@@ -584,9 +567,18 @@ def _render_reports(reports, fmt: str, meta: dict) -> str:
     return buffer.getvalue()
 
 
+def _quant_all(value):
+    """``value`` with every float in it rounded by :func:`_quant`."""
+    if isinstance(value, dict):
+        return {key: _quant_all(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_quant_all(item) for item in value]
+    return _quant(value) if isinstance(value, float) else value
+
+
 def _render_summary(summary: VerificationSummary, fmt: str, meta: dict) -> str:
     if fmt == "json":
-        return _json_dump({"metadata": meta, "summary": summary.to_dict()})
+        return _json_dump({"metadata": meta, "summary": _quant_all(summary.to_dict())})
     buffer = io.StringIO()
     buffer.write(_comment_block(meta))
     buffer.write(

@@ -1,11 +1,13 @@
 """Closed forms for a qubit measured along the three Pauli axes.
 
 For a qubit all nine bounds reduce to algebra in the Pauli expectations
-``(ex, ey, ez)``.  This module derives those moments from Bloch angles,
-raw expectation triples, or Stokes parameters, and evaluates the sum-form
-bounds without touching matrices.  The matrix engine in
-:mod:`uncrel.relations` computes the same numbers the long way round; the
-two routes cross-check each other in the test suite.
+``(ex, ey, ez)``.  This module derives those expectations from Bloch
+angles, raw expectation triples, or Stokes parameters, and evaluates the
+sum-form bounds without touching matrices: the Pauli algebra gives the
+moment table ``G_ij = delta_ij + i eps_ijk e_k`` directly, and the formulas
+of :mod:`uncrel.relations` run on it unchanged.  The matrix engine shares
+those formulas and differs only in building ``G`` from matrices and a
+state; the two constructions cross-check each other in the test suite.
 
 For every state the sum of the three Pauli variances is ``3 - v`` with
 ``v = ex^2 + ey^2 + ez^2``, so pure states (``v = 1``) pin the left-hand
@@ -15,15 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .core import DensityMatrix, Observable, PureState
 from .errors import InvalidMomentsError, UnsupportedRelationError
-from .relations import ObservableSet, Relation, SUM_FORM_RELATIONS
-
-_SQRT3 = math.sqrt(3.0)
-_SQRT2 = math.sqrt(2.0)
+from .relations import ObservableSet, Relation, SUM_FORM_RELATIONS, bound_values
 
 PAULI_AXES = ("x", "y", "z")
 
@@ -35,9 +35,13 @@ _PAULI = {
 
 # Estimated moments may spill slightly outside the Bloch ball from shot
 # noise.  Up to this much excess in v is silently fine, beyond it the
-# moments get flagged, and past HARD_BALL_LIMIT they are rejected.
+# moments get flagged, and past HARD_BALL_LIMIT QubitMoments rejects them.
+# Sweeps and the bootstrap evaluate the closed forms directly and tabulate
+# such estimates instead.
 BALL_EXCESS_ATOL = 1e-6
 HARD_BALL_LIMIT = 1.05
+
+_CHUNK = 4096
 
 
 def pauli(axis: str) -> Observable:
@@ -79,89 +83,66 @@ def bloch_to_state(angles: BlochAngles) -> PureState:
     )
 
 
+def pauli_table(ex, ey, ez) -> tuple[np.ndarray, np.ndarray]:
+    """The moment table of the Pauli triple at given expectations.
+
+    ``m = (ex, ey, ez)`` and ``G_ij = <sigma_i sigma_j> = delta_ij +
+    i eps_ijk e_k``, elementwise over same-shape arrays or floats.  The
+    relations evaluate on it exactly as on a table built from matrices.
+    """
+    # Built with the Pauli axes first, the layout bound_values works in.
+    e = np.array((ex, ey, ez), dtype=float)
+    g = np.zeros((3, 3) + e.shape[1:], dtype=complex)
+    g.real[(0, 1, 2), (0, 1, 2)] = 1.0
+    # sigma_y sigma_z = i sigma_x, cyclically: G_12, G_20, G_01 = i (ex, ey, ez)
+    g.imag[(1, 2, 0), (2, 0, 1)] = e
+    g.imag[(2, 0, 1), (1, 2, 0)] = -e
+    batch = tuple(range(1, e.ndim))
+    return e.transpose(batch + (0,)), g.transpose(tuple(k + 1 for k in batch) + (0, 1))
+
+
 @dataclass(frozen=True)
 class QubitMoments:
-    """Pauli expectations and every derived quantity the closed forms use.
+    """Pauli expectations of one qubit state, estimated or exact.
 
-    ``v`` is the squared Bloch length, ``d`` the sum of pairwise expectation
-    products, ``e`` the magnitude of the summed expectations and ``h`` the
-    sum of their magnitudes.  ``lp/lm``, ``mp/mm`` and ``np/nm`` are the
-    standard deviations of the pair sums and differences for the (x, y),
-    (y, z) and (z, x) axis pairs respectively.  ``outside_ball`` marks
+    Each expectation must lie in ``[-1 - 1e-9, 1 + 1e-9]``, and the
+    squared Bloch length ``v = ex^2 + ey^2 + ez^2`` may not exceed
+    ``HARD_BALL_LIMIT``: such a triple signals broken estimates rather than
+    noise and raises :class:`InvalidMomentsError`.  ``outside_ball`` marks
     noisy estimates whose ``v`` exceeds 1 by more than ``BALL_EXCESS_ATOL``.
     """
 
     ex: float
     ey: float
     ez: float
-    v: float
-    d: float
-    e: float
-    h: float
-    lp: float
-    lm: float
-    mp: float
-    mm: float
-    np: float
-    nm: float
-    outside_ball: bool = False
 
     def __post_init__(self) -> None:
-        if abs(self.v - (self.ex**2 + self.ey**2 + self.ez**2)) > 1e-9:
-            raise InvalidMomentsError("v does not match ex^2 + ey^2 + ez^2")
-        if self.v > HARD_BALL_LIMIT + 1e-12:
-            raise InvalidMomentsError(
-                f"squared Bloch length {self.v!r} exceeds the hard limit {HARD_BALL_LIMIT}"
-            )
-        if self.h < self.e - 1e-12:
-            raise InvalidMomentsError("h (sum of magnitudes) cannot be below e")
-        for name in ("lp", "lm", "mp", "mm", "np", "nm"):
+        for name in ("ex", "ey", "ez"):
             value = getattr(self, name)
-            if not -1e-12 <= value <= _SQRT2 + 1e-12:
-                raise InvalidMomentsError(f"{name} = {value!r} is out of range [0, sqrt 2]")
+            if not -1.0 - 1e-9 <= value <= 1.0 + 1e-9:
+                raise InvalidMomentsError(f"{name} = {value!r} is outside [-1, 1]")
+        if self._v > HARD_BALL_LIMIT:
+            raise InvalidMomentsError(
+                f"squared Bloch length {self._v!r} exceeds {HARD_BALL_LIMIT}; "
+                "the expectation triple is not credible"
+            )
 
+    @property
+    def _v(self) -> float:
+        return self.ex**2 + self.ey**2 + self.ez**2
 
-def _derived(ex, ey, ez):
-    """All derived moments; works elementwise on floats or numpy arrays."""
-    v = ex * ex + ey * ey + ez * ez
-    d = ex * ey + ey * ez + ez * ex
-    e = np.abs(ex + ey + ez)
-    h = np.abs(ex) + np.abs(ey) + np.abs(ez)
-    # Pair variances 2 - (ei +/- ej)^2 can round below zero for edge states.
-    lp = np.sqrt(np.clip(2.0 - (ex + ey) ** 2, 0.0, None))
-    lm = np.sqrt(np.clip(2.0 - (ex - ey) ** 2, 0.0, None))
-    mp = np.sqrt(np.clip(2.0 - (ey + ez) ** 2, 0.0, None))
-    mm = np.sqrt(np.clip(2.0 - (ey - ez) ** 2, 0.0, None))
-    np_ = np.sqrt(np.clip(2.0 - (ez + ex) ** 2, 0.0, None))
-    nm = np.sqrt(np.clip(2.0 - (ez - ex) ** 2, 0.0, None))
-    return v, d, e, h, lp, lm, mp, mm, np_, nm
+    @property
+    def outside_ball(self) -> bool:
+        return self._v > 1.0 + BALL_EXCESS_ATOL
+
+    @cached_property
+    def _bounds(self) -> dict:
+        return bound_values(*pauli_table(self.ex, self.ey, self.ez))
 
 
 def moments_from_expectations(ex: float, ey: float, ez: float) -> QubitMoments:
-    """Build :class:`QubitMoments` from a measured or exact Pauli triple.
-
-    Each input must lie in ``[-1 - 1e-9, 1 + 1e-9]``.  Estimates may land a
-    little outside the Bloch ball; ``v`` beyond ``1 + BALL_EXCESS_ATOL`` is
-    tolerated up to ``HARD_BALL_LIMIT`` but flagged, and anything past the
-    hard limit raises :class:`InvalidMomentsError` since such a triple
-    signals broken estimates rather than noise.
-    """
-    ex, ey, ez = float(ex), float(ey), float(ez)
-    for name, value in (("ex", ex), ("ey", ey), ("ez", ez)):
-        if not -1.0 - 1e-9 <= value <= 1.0 + 1e-9:
-            raise InvalidMomentsError(f"{name} = {value!r} is outside [-1, 1]")
-    v, d, e, h, lp, lm, mp, mm, np_, nm = _derived(ex, ey, ez)
-    if v > HARD_BALL_LIMIT:
-        raise InvalidMomentsError(
-            f"squared Bloch length {float(v)!r} exceeds {HARD_BALL_LIMIT}; "
-            "the expectation triple is not credible"
-        )
-    return QubitMoments(
-        ex, ey, ez,
-        float(v), float(d), float(e), float(h),
-        float(lp), float(lm), float(mp), float(mm), float(np_), float(nm),
-        outside_ball=bool(v > 1.0 + BALL_EXCESS_ATOL),
-    )
+    """Build :class:`QubitMoments` from a measured or exact Pauli triple."""
+    return QubitMoments(float(ex), float(ey), float(ez))
 
 
 def moments_from_angles(angles: BlochAngles) -> QubitMoments:
@@ -174,43 +155,23 @@ def moments_from_angles(angles: BlochAngles) -> QubitMoments:
     )
 
 
-def _rhs_formula(relation: Relation, v, d, e, h, lp, lm, mp, mm, np_, nm):
-    """Closed-form rhs; scalar or array arguments both work."""
-    if relation is Relation.TRIPLE_SUM:
-        return (3.0 - v - 2.0 * d) / 3.0 + (2.0 * _SQRT3 / 3.0) * e
-    if relation is Relation.TRIPLE_COMMUTATOR:
-        return (2.0 * _SQRT3 / 3.0) * h
-    if relation is Relation.TRIPLE_PAIRWISE:
-        return h
-    if relation is Relation.SUM_PLUS:
-        return 0.5 * (3.0 - v - d)
-    if relation is Relation.SUM_MINUS:
-        return 0.5 * (3.0 - v + d)
-    if relation is Relation.CHEN_FEI:
-        return 2.0 * (3.0 - v - d) - 0.25 * (lp + mp + np_) ** 2
-    if relation is Relation.SONG:
-        return (3.0 - v - 2.0 * d) / 3.0 + (lm + mm + nm) ** 2 / 9.0
-    raise UnsupportedRelationError(
-        f"no closed form for {relation.value}; only sum-form relations reduce "
-        "to Pauli moments"
-    )
+def _require_sum_form(relations) -> None:
+    bad = [rel.value for rel in relations if rel not in SUM_FORM_RELATIONS]
+    if bad:
+        raise UnsupportedRelationError(
+            f"no closed form for {bad}; only sum-form relations reduce to Pauli moments"
+        )
 
 
 def closed_form_lhs(moments: QubitMoments) -> float:
     """Sum of the three Pauli variances, ``3 - v``."""
-    return 3.0 - moments.v
+    return float(moments._bounds[Relation.SONG][0])
 
 
 def closed_form_rhs(moments: QubitMoments, relation: Relation) -> float:
     """Closed-form bound for one sum-form relation at the given moments."""
-    return float(
-        _rhs_formula(
-            relation,
-            moments.v, moments.d, moments.e, moments.h,
-            moments.lp, moments.lm, moments.mp, moments.mm,
-            moments.np, moments.nm,
-        )
-    )
+    _require_sum_form((relation,))
+    return float(moments._bounds[relation][1])
 
 
 def closed_form_bounds(ex, ey, ez, relations=SUM_FORM_RELATIONS):
@@ -226,17 +187,17 @@ def closed_form_bounds(ex, ey, ez, relations=SUM_FORM_RELATIONS):
         validation happens here; radicands are clamped at zero so noisy
         bootstrap replicates cannot produce NaNs.
     """
-    v, d, e, h, lp, lm, mp, mm, np_, nm = _derived(
-        np.asarray(ex, dtype=float),
-        np.asarray(ey, dtype=float),
-        np.asarray(ez, dtype=float),
-    )
-    lhs = 3.0 - v
-    bounds = {
-        rel: _rhs_formula(rel, v, d, e, h, lp, lm, mp, mm, np_, nm)
-        for rel in relations
-    }
-    return lhs, bounds
+    _require_sum_form(relations)
+    e = np.array((ex, ey, ez), dtype=float)
+    flat = e.reshape(3, -1)
+    out = np.empty((1 + len(relations), flat.shape[1]))
+    # Slices of _CHUNK states keep every temporary small enough to be
+    # reused from cache rather than drawn from fresh pages.
+    for k in range(0, flat.shape[1], _CHUNK):
+        values = bound_values(*pauli_table(*flat[:, k : k + _CHUNK]))
+        out[:, k : k + _CHUNK] = [values[Relation.SONG][0], *(values[r][1] for r in relations)]
+    lhs, *rhs = out.reshape((-1,) + e.shape[1:])
+    return lhs, dict(zip(relations, rhs))
 
 
 @dataclass(frozen=True)
@@ -280,28 +241,10 @@ def stokes_to_density(stokes: StokesVector) -> DensityMatrix:
 
 
 def moments_from_stokes(stokes: StokesVector) -> QubitMoments:
-    """Derived moments straight from Stokes parameters.
-
-    The Pauli expectations are the normalized Stokes components
-    ``s_i / s0``; each derived moment is computed from its own Stokes
-    expression rather than by delegating to
-    :func:`moments_from_expectations`, which keeps the two construction
-    routes independent enough to cross-check.
-    """
-    s0, s1, s2, s3 = stokes.s0, stokes.s1, stokes.s2, stokes.s3
-    s0_sq = s0 * s0
-    ex, ey, ez = s1 / s0, s2 / s0, s3 / s0
-    v = (s1 * s1 + s2 * s2 + s3 * s3) / s0_sq
-    d = (s1 * s2 + s2 * s3 + s3 * s1) / s0_sq
-    e = abs((s1 + s2 + s3) / s0)
-    h = abs(s1 / s0) + abs(s2 / s0) + abs(s3 / s0)
-    lp = math.sqrt(max(2.0 - (s1 / s0 + s2 / s0) ** 2, 0.0))
-    lm = math.sqrt(max(2.0 - (s1 / s0 - s2 / s0) ** 2, 0.0))
-    mp = math.sqrt(max(2.0 - (s2 / s0 + s3 / s0) ** 2, 0.0))
-    mm = math.sqrt(max(2.0 - (s2 / s0 - s3 / s0) ** 2, 0.0))
-    np_ = math.sqrt(max(2.0 - (s3 / s0 + s1 / s0) ** 2, 0.0))
-    nm = math.sqrt(max(2.0 - (s3 / s0 - s1 / s0) ** 2, 0.0))
-    return QubitMoments(ex, ey, ez, v, d, e, h, lp, lm, mp, mm, np_, nm)
+    """Moments from Stokes parameters: the expectations are ``s_i / s0``."""
+    return moments_from_expectations(
+        stokes.s1 / stokes.s0, stokes.s2 / stokes.s0, stokes.s3 / stokes.s0
+    )
 
 
 def density_to_stokes(rho: DensityMatrix) -> StokesVector:

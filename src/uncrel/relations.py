@@ -2,22 +2,30 @@
 
 Each relation compares a measured left-hand side against a state-dependent
 lower bound and reports the slack between them.  A relation "holds" when the
-slack is no worse than ``-HOLDS_ATOL``; exact theory can sit right on the
-bound, so a little room for round-off is required.
+slack is no worse than ``-HOLDS_ATOL * max(1, |lhs|)``; exact theory can sit
+right on the bound, so a little room for round-off is required.
 
 Two families are covered.  Pairwise relations bound either the product of
 two variances (Robertson) or their sum (the two Maccone-Pati forms, pure
 states only).  Sum-form relations bound the total variance of three or more
 observables through pair combinations, commutator means, or the variance of
 the summed observable.
+
+Every relation is a function of two things only: the means ``m_i`` and the
+second moments ``G_ij = <A_i A_j>`` (plus, for the orthogonal-state form, the
+overlaps ``<psi|A_i|psi_perp>``).  :func:`uncrel.core.moment_table` builds
+that table once per instance and :func:`bound_values` holds the one formula
+set, batched over any leading shape; the public per-relation functions and
+:func:`evaluate_all` are thin callers, and :mod:`uncrel.qubit` evaluates the
+same formulas on the Pauli table.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from enum import Enum, unique
-from itertools import combinations
-from typing import Callable
+from functools import lru_cache
+from itertools import combinations, repeat
 
 import numpy as np
 
@@ -30,8 +38,9 @@ from .errors import (
     UnsupportedStateError,
 )
 
-# A report may undershoot its bound by this much before it counts as a
-# violation; anything worse is a genuine failure, not round-off.
+# A report may undershoot its bound by this much, times max(1, |lhs|),
+# before it counts as a violation; anything worse is a genuine failure, not
+# round-off.
 HOLDS_ATOL = 1e-9
 
 _SQRT3 = math.sqrt(3.0)
@@ -51,6 +60,10 @@ class Relation(Enum):
     SUM_MINUS = "sum_minus"
     CHEN_FEI = "chen_fei"
     SONG = "song"
+
+    # Members are singletons, so identity hashing is exact; it spares the
+    # Python-level Enum.__hash__ on every dict lookup keyed by a relation.
+    __hash__ = object.__hash__
 
     @property
     def label(self) -> str:
@@ -98,7 +111,7 @@ RELATION_BY_LABEL = {r.label: r for r in Relation}
 class BoundReport:
     """One evaluated relation instance.
 
-    ``slack = lhs - rhs``; ``holds`` is ``slack >= -HOLDS_ATOL``.  ``mid``
+    ``slack = lhs - rhs``; ``holds`` follows :func:`holds`.  ``mid``
     carries the pairwise-product middle term of the chained triple relation
     and is ``None`` elsewhere.  ``pair`` identifies the observable indices
     for pairwise relations.
@@ -121,23 +134,36 @@ class SkippedRelation:
     reason: str
 
 
-def _report(
-    relation: Relation,
-    lhs: float,
-    rhs: float,
-    *,
-    mid: float | None = None,
-    pair: tuple[int, int] | None = None,
-) -> BoundReport:
-    slack = lhs - rhs
-    return BoundReport(relation, lhs, rhs, slack, slack >= -HOLDS_ATOL, mid, pair)
+def holds(lhs, rhs):
+    """Whether ``lhs >= rhs`` up to round-off: ``slack >= -HOLDS_ATOL * max(1, |lhs|)``.
+
+    Every relation is homogeneous in the observables, so the allowance
+    grows with the lhs and a verdict does not change when they are
+    rescaled.  Works elementwise on floats or numpy arrays.
+    """
+    return lhs - rhs >= -HOLDS_ATOL * np.maximum(1.0, np.abs(lhs))
+
+
+def _reports(relations, lhs, rhs, mids, pairs) -> list[BoundReport]:
+    """Reports from same-shape value arrays, judged together by :func:`holds`."""
+    verdicts = holds(lhs, rhs).tolist()
+    return [
+        BoundReport(rel, a, b, a - b, ok, mid, pair)
+        for rel, a, b, ok, mid, pair in zip(
+            relations, lhs.tolist(), rhs.tolist(), verdicts, mids, pairs
+        )
+    ]
 
 
 @dataclass(frozen=True, eq=False)
 class ObservableSet:
-    """An ordered collection of two or more same-dimension observables."""
+    """An ordered collection of two or more same-dimension observables.
+
+    ``stack`` holds their matrices as one ``(n, d, d)`` array, built once.
+    """
 
     observables: tuple[Observable, ...]
+    stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         obs = tuple(self.observables)
@@ -150,7 +176,10 @@ class ObservableSet:
         dims = {o.dim for o in obs}
         if len(dims) > 1:
             raise DimensionError(f"observables have mixed dimensions: {sorted(dims)}")
+        stack = np.stack([o.matrix for o in obs])
+        stack.flags.writeable = False
         object.__setattr__(self, "observables", obs)
+        object.__setattr__(self, "stack", stack)
 
     @property
     def dim(self) -> int:
@@ -170,58 +199,116 @@ class ObservableSet:
         return self.observables[index]
 
 
-# -- shared raw-array plumbing ------------------------------------------------
+# -- the formula set ----------------------------------------------------------
 
-def _accessors(
-    state: QuantumState,
-) -> tuple[
-    Callable[[np.ndarray], float],
-    Callable[[np.ndarray], float],
-    Callable[[np.ndarray, np.ndarray], complex],
-]:
-    """Bind (expect, var, comm) closures to the underlying state array."""
-    if isinstance(state, PureState):
-        psi = state.amplitudes
-        return (
-            lambda m: core._expect_vec(m, psi),
-            lambda m: core._var_vec(m, psi),
-            lambda a, b: core._comm_vec(a, b, psi),
+@lru_cache(maxsize=None)
+def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    # Row-major i < j, the order of itertools.combinations(range(n), 2).
+    return np.triu_indices(n, 1)
+
+
+_PURE_ONLY = (Relation.MACCONE_PATI_ORTHOGONAL, Relation.MACCONE_PATI_DEVIATION)
+
+_SIGNS = np.array([1.0, -1.0])
+
+# Rows and columns of G_12, G_20, G_01.
+_CYCLIC_ROWS, _CYCLIC_COLUMNS = np.array([1, 2, 0]), np.array([2, 0, 1])
+
+
+def bound_values(m: np.ndarray, G: np.ndarray, X: np.ndarray | None = None) -> dict:
+    """Every relation that applies, from means ``m`` ``(..., n)`` and second
+    moments ``G_ij = <A_i A_j>`` ``(..., n, n)`` over any leading batch shape.
+
+    ``X`` holds ``<psi|A_i|psi_perp>`` ``(..., n)``; without it the
+    orthogonal-state bound is left out.  Variances are ``Re G_ii - m_i^2``,
+    ``Var(A_i +/- A_j) = Re(G_ii + G_jj +/- 2 G_ij) - (m_i +/- m_j)^2``
+    (clamped at 0) and ``<[A_i, A_j]> = 2i Im G_ij``.  Returns ``relation ->
+    (lhs, rhs)``, plus the middle term for the chained triple bound.
+    Pairwise entries add a trailing axis over the pairs ``i < j`` in
+    ``itertools.combinations`` order.  The triple bounds need exactly 3
+    observables and the cross-term bound at least 3; otherwise they are absent.
+    """
+    n = m.shape[-1]
+    i, j = _pair_index(n)
+    # .T puts the observable axes first, so every per-observable term is a
+    # whole row and sums over observables add rows.  It also reverses the
+    # batch axes, which the .T on the way out undoes; G.T[b, a] is G_ab.
+    second = np.ascontiguousarray(G.real.diagonal(0, -2, -1).T)
+    m, g = np.ascontiguousarray(m.T), G.T
+    g_ij = g[j, i]
+    var = second - m * m
+    lhs = var.sum(0)
+    v_i, v_j = var[i], var[j]
+    # Var(A_i + A_j) and Var(A_i - A_j) at once, along a leading sign axis.
+    sign = _SIGNS.reshape((2,) + (1,) * g_ij.ndim)
+    pair = np.maximum(
+        (second[i] + second[j]) + sign * (2.0 * g_ij.real) - (m[i] + sign * m[j]) ** 2, 0.0
+    )
+    plus_sum, minus_sum = pair.sum(1)
+    sum_stds, diff_stds = np.sqrt(pair).sum(1)
+    total = second.sum(0) + 2.0 * g_ij.real.sum(0) - m.sum(0) ** 2
+    values = {
+        Relation.ROBERTSON: (v_i * v_j, g_ij.imag**2),
+        Relation.MACCONE_PATI_DEVIATION: (v_i + v_j, 0.5 * pair[0]),
+        Relation.SUM_PLUS: (lhs, plus_sum / (2.0 * (n - 1))),
+        Relation.SUM_MINUS: (lhs, minus_sum / (2.0 * (n - 1))),
+        Relation.SONG: (lhs, total / n + 2.0 * diff_stds**2 / (n * n * (n - 1))),
+    }
+    if n >= 3:
+        rhs = plus_sum / (n - 2) - sum_stds**2 / ((n - 1) ** 2 * (n - 2))
+        values[Relation.CHEN_FEI] = (lhs, rhs)
+    if n == 3:
+        # <[B,C]>, <[C,A]>, <[A,B]> divided by i
+        comm = 2.0 * g.imag[_CYCLIC_COLUMNS, _CYCLIC_ROWS]
+        mags = np.abs(comm).sum(0)
+        a, b, c = np.sqrt(np.maximum(var, 0.0))
+        values[Relation.TRIPLE_SUM] = (lhs, total / 3.0 + (_SQRT3 / 3.0) * np.abs(comm.sum(0)))
+        values[Relation.TRIPLE_COMMUTATOR] = (lhs, (_SQRT3 / 3.0) * mags)
+        values[Relation.TRIPLE_PAIRWISE] = (lhs, 0.5 * mags, a * b + b * c + c * a)
+    if X is not None:
+        # i<[A,B]> = -2 Im G_ij picks the branch; at zero take the larger.
+        signed = -2.0 * g_ij.imag
+        x_i, x_j = X.T[i], X.T[j]
+        up = signed + np.abs(x_i + 1j * x_j) ** 2
+        down = np.abs(x_i - 1j * x_j) ** 2 - signed
+        rhs = np.where(signed > 0.0, up, np.where(signed < 0.0, down, np.maximum(up, down)))
+        values[Relation.MACCONE_PATI_ORTHOGONAL] = (v_i + v_j, rhs)
+    if m.ndim == 1:
+        return values
+    return {rel: tuple([v.T for v in entry]) for rel, entry in values.items()}
+
+
+def _values(observables: ObservableSet, state: QuantumState, psi_perp=None) -> dict:
+    array = core.state_array(state)
+    core._check_same_dim(observables.dim, state.dim)
+    m, G, W = core.moment_table(observables.stack, array)
+    if psi_perp is None:
+        return bound_values(m, G)
+    if not isinstance(psi_perp, PureState):
+        raise TypeError(f"psi_perp must be a PureState, got {psi_perp!r}")
+    core._check_same_dim(state.dim, psi_perp.dim)
+    overlap = abs(complex(np.vdot(state.amplitudes, psi_perp.amplitudes)))
+    if overlap > 1e-10:
+        raise OrthogonalityError(
+            f"psi_perp has overlap {overlap!r} with psi, expected orthogonal"
         )
-    if isinstance(state, DensityMatrix):
-        rho = state.matrix
-        return (
-            lambda m: core._expect_rho(m, rho),
-            lambda m: core._var_rho(m, rho),
-            lambda a, b: core._comm_rho(a, b, rho),
-        )
-    raise TypeError(f"not a quantum state: {state!r}")
+    return bound_values(m, G, W.conj() @ psi_perp.amplitudes)
 
 
-def _pair_variances(
-    var: Callable[[np.ndarray], float], mats: list[np.ndarray], sign: float
-) -> list[float]:
-    return [var(mats[i] + sign * mats[j]) for i, j in combinations(range(len(mats)), 2)]
-
-
-def _require_pure(state: QuantumState, relation: Relation) -> PureState:
-    if isinstance(state, PureState):
-        return state
-    if isinstance(state, DensityMatrix):
-        raise UnsupportedStateError(
-            f"{relation.value} is defined for pure states only"
-        )
-    raise TypeError(f"not a quantum state: {state!r}")
+def _single(relation: Relation, observables, state, psi_perp=None) -> BoundReport:
+    """One relation's report (of the first pair, for a pairwise one)."""
+    if relation in _PURE_ONLY and isinstance(state, DensityMatrix):
+        raise UnsupportedStateError(f"{relation.value} is defined for pure states only")
+    values = _values(observables, state, psi_perp)[relation]
+    lhs, rhs, *mid = [np.ravel(v)[0].item() for v in values]
+    return BoundReport(relation, lhs, rhs, lhs - rhs, bool(holds(lhs, rhs)), *mid)
 
 
 # -- pairwise relations -------------------------------------------------------
 
 def robertson(a: Observable, b: Observable, state: QuantumState) -> BoundReport:
     """Product bound: Var(A) Var(B) >= |<[A, B]>/2|^2."""
-    core._check_same_dim(a.dim, b.dim, state.dim)
-    _, var, comm = _accessors(state)
-    lhs = var(a.matrix) * var(b.matrix)
-    rhs = (0.5 * abs(comm(a.matrix, b.matrix))) ** 2
-    return _report(Relation.ROBERTSON, lhs, rhs)
+    return _single(Relation.ROBERTSON, ObservableSet((a, b)), state)
 
 
 def maccone_pati_orthogonal(
@@ -238,33 +325,7 @@ def maccone_pati_orthogonal(
     bound is reported.  Pure states only; ``psi_perp`` must be orthogonal
     to ``psi`` within 1e-10.
     """
-    psi = _require_pure(psi, Relation.MACCONE_PATI_ORTHOGONAL)
-    if not isinstance(psi_perp, PureState):
-        raise TypeError(f"psi_perp must be a PureState, got {psi_perp!r}")
-    core._check_same_dim(a.dim, b.dim, psi.dim, psi_perp.dim)
-    v = psi.amplitudes
-    v_perp = psi_perp.amplitudes
-    overlap = abs(complex(np.vdot(v, v_perp)))
-    if overlap > 1e-10:
-        raise OrthogonalityError(
-            f"psi_perp has overlap {overlap!r} with psi, expected orthogonal"
-        )
-    _, var, comm = _accessors(psi)
-    lhs = var(a.matrix) + var(b.matrix)
-    # i<[A,B]> is real for Hermitian A, B.
-    signed_comm = float((1j * comm(a.matrix, b.matrix)).real)
-
-    def branch(sign: float) -> float:
-        cross = complex(np.vdot(v, (a.matrix + sign * 1j * b.matrix) @ v_perp))
-        return sign * signed_comm + abs(cross) ** 2
-
-    if signed_comm > 0.0:
-        rhs = branch(1.0)
-    elif signed_comm < 0.0:
-        rhs = branch(-1.0)
-    else:
-        rhs = max(branch(1.0), branch(-1.0))
-    return _report(Relation.MACCONE_PATI_ORTHOGONAL, lhs, rhs)
+    return _single(Relation.MACCONE_PATI_ORTHOGONAL, ObservableSet((a, b)), psi, psi_perp)
 
 
 def maccone_pati_deviation(
@@ -273,33 +334,14 @@ def maccone_pati_deviation(
     """Sum bound through the deviation direction of A + B.
 
     rhs = |<d|(A+B)|psi>|^2 / 2 where ``d`` is the normalized deviation
-    state of ``A + B``; this equals half the variance of ``A + B``.  When
-    ``psi`` is an eigenstate of ``A + B`` the bound degenerates to zero.
+    state of ``A + B``; this equals half the variance of ``A + B``, which
+    is how it is computed.  It is zero when ``psi`` is an eigenstate of
+    ``A + B``.
     """
-    psi = _require_pure(psi, Relation.MACCONE_PATI_DEVIATION)
-    core._check_same_dim(a.dim, b.dim, psi.dim)
-    _, var, _ = _accessors(psi)
-    lhs = var(a.matrix) + var(b.matrix)
-    total = Observable(a.matrix + b.matrix)
-    _, direction = core.deviation_state(total, psi)
-    if direction is None:
-        rhs = 0.0
-    else:
-        cross = complex(
-            np.vdot(direction.amplitudes, total.matrix @ psi.amplitudes)
-        )
-        rhs = 0.5 * abs(cross) ** 2
-    return _report(Relation.MACCONE_PATI_DEVIATION, lhs, rhs)
+    return _single(Relation.MACCONE_PATI_DEVIATION, ObservableSet((a, b)), psi)
 
 
 # -- triple relations ---------------------------------------------------------
-
-def _triple_prep(a, b, c, state):
-    core._check_same_dim(a.dim, b.dim, c.dim, state.dim)
-    _, var, comm = _accessors(state)
-    mats = [a.matrix, b.matrix, c.matrix]
-    return var, comm, mats
-
 
 def triple_sum(
     a: Observable, b: Observable, c: Observable, state: QuantumState
@@ -309,27 +351,14 @@ def triple_sum(
     rhs = Var(A+B+C)/3 + (sqrt(3)/3) |<[A,B]> + <[B,C]> + <[C,A]>| with the
     magnitude taken of the complex sum.
     """
-    var, comm, mats = _triple_prep(a, b, c, state)
-    lhs = var(mats[0]) + var(mats[1]) + var(mats[2])
-    total_var = var(mats[0] + mats[1] + mats[2])
-    comm_sum = comm(mats[0], mats[1]) + comm(mats[1], mats[2]) + comm(mats[2], mats[0])
-    rhs = total_var / 3.0 + (_SQRT3 / 3.0) * abs(comm_sum)
-    return _report(Relation.TRIPLE_SUM, lhs, rhs)
+    return _single(Relation.TRIPLE_SUM, ObservableSet((a, b, c)), state)
 
 
 def triple_commutator(
     a: Observable, b: Observable, c: Observable, state: QuantumState
 ) -> BoundReport:
     """Commutator-only bound: rhs = (sqrt(3)/3) * sum of |<[.,.]>|."""
-    var, comm, mats = _triple_prep(a, b, c, state)
-    lhs = var(mats[0]) + var(mats[1]) + var(mats[2])
-    mags = (
-        abs(comm(mats[0], mats[1]))
-        + abs(comm(mats[1], mats[2]))
-        + abs(comm(mats[2], mats[0]))
-    )
-    rhs = (_SQRT3 / 3.0) * mags
-    return _report(Relation.TRIPLE_COMMUTATOR, lhs, rhs)
+    return _single(Relation.TRIPLE_COMMUTATOR, ObservableSet((a, b, c)), state)
 
 
 def triple_pairwise(
@@ -341,43 +370,19 @@ def triple_pairwise(
     rhs is half the summed commutator magnitudes.  The report keeps the
     middle term so callers can check both links of the chain.
     """
-    var, comm, mats = _triple_prep(a, b, c, state)
-    variances = [var(m) for m in mats]
-    lhs = sum(variances)
-    da, db, dc = (math.sqrt(x) for x in variances)
-    mid = da * db + db * dc + dc * da
-    mags = (
-        abs(comm(mats[0], mats[1]))
-        + abs(comm(mats[1], mats[2]))
-        + abs(comm(mats[2], mats[0]))
-    )
-    rhs = 0.5 * mags
-    return _report(Relation.TRIPLE_PAIRWISE, lhs, rhs, mid=mid)
+    return _single(Relation.TRIPLE_PAIRWISE, ObservableSet((a, b, c)), state)
 
 
 # -- N-observable relations ---------------------------------------------------
 
-def _nary_prep(observables: ObservableSet, state: QuantumState):
-    core._check_same_dim(observables.dim, state.dim)
-    _, var, _ = _accessors(state)
-    mats = [o.matrix for o in observables]
-    return var, mats
-
-
 def sum_plus(observables: ObservableSet, state: QuantumState) -> BoundReport:
     """Pair-sum bound: rhs = sum over i<j of Var(A_i + A_j) / (2(N-1))."""
-    var, mats = _nary_prep(observables, state)
-    lhs = sum(var(m) for m in mats)
-    rhs = sum(_pair_variances(var, mats, +1.0)) / (2.0 * (len(mats) - 1))
-    return _report(Relation.SUM_PLUS, lhs, rhs)
+    return _single(Relation.SUM_PLUS, observables, state)
 
 
 def sum_minus(observables: ObservableSet, state: QuantumState) -> BoundReport:
     """Pair-difference bound: rhs = sum over i<j of Var(A_i - A_j) / (2(N-1))."""
-    var, mats = _nary_prep(observables, state)
-    lhs = sum(var(m) for m in mats)
-    rhs = sum(_pair_variances(var, mats, -1.0)) / (2.0 * (len(mats) - 1))
-    return _report(Relation.SUM_MINUS, lhs, rhs)
+    return _single(Relation.SUM_MINUS, observables, state)
 
 
 def chen_fei(observables: ObservableSet, state: QuantumState) -> BoundReport:
@@ -390,14 +395,7 @@ def chen_fei(observables: ObservableSet, state: QuantumState) -> BoundReport:
         raise UnsupportedCountError(
             f"this relation needs at least 3 observables, got {observables.count}"
         )
-    var, mats = _nary_prep(observables, state)
-    n = len(mats)
-    lhs = sum(var(m) for m in mats)
-    pair_vars = _pair_variances(var, mats, +1.0)
-    s2 = sum(pair_vars)
-    s1 = sum(math.sqrt(x) for x in pair_vars)
-    rhs = s2 / (n - 2) - s1 * s1 / ((n - 1) ** 2 * (n - 2))
-    return _report(Relation.CHEN_FEI, lhs, rhs)
+    return _single(Relation.CHEN_FEI, observables, state)
 
 
 def song(observables: ObservableSet, state: QuantumState) -> BoundReport:
@@ -406,13 +404,7 @@ def song(observables: ObservableSet, state: QuantumState) -> BoundReport:
     rhs = Var(sum A_i)/N + 2 D^2 / (N^2 (N-1)) where D sums the standard
     deviations of all pairwise differences A_i - A_j, i < j.
     """
-    var, mats = _nary_prep(observables, state)
-    n = len(mats)
-    lhs = sum(var(m) for m in mats)
-    total_var = var(sum(mats[1:], start=mats[0]))
-    diff_stds = sum(math.sqrt(x) for x in _pair_variances(var, mats, -1.0))
-    rhs = total_var / n + 2.0 * diff_stds * diff_stds / (n * n * (n - 1))
-    return _report(Relation.SONG, lhs, rhs)
+    return _single(Relation.SONG, observables, state)
 
 
 # -- batch evaluation ---------------------------------------------------------
@@ -422,6 +414,7 @@ def evaluate_all(
     state: QuantumState,
     *,
     include_pairwise: bool = False,
+    psi_perp: PureState | None = None,
 ) -> list[BoundReport | SkippedRelation]:
     """Evaluate every applicable relation on one observable set and state.
 
@@ -429,121 +422,44 @@ def evaluate_all(
     :class:`SkippedRelation` markers where the observable count rules one
     out.  With ``include_pairwise`` the pairwise relations follow, one
     report per observable pair; the Maccone-Pati forms are skipped for
-    mixed states, and the orthogonal form is additionally skipped above
-    dimension 2 where no canonical orthogonal state exists.
+    mixed states.  The orthogonal form uses ``psi_perp`` when given, the
+    canonical :func:`~uncrel.core.orthogonal_qubit` companion in dimension
+    2, and is skipped above dimension 2 otherwise.
 
-    All sum-form reports share one lhs value (the total of the single
-    variances), computed once.
+    Every relation comes from one moment table of the state, and all
+    sum-form reports share one lhs value (the total of the single
+    variances).
     """
-    core._check_same_dim(observables.dim, state.dim)
-    _, var, comm = _accessors(state)
-    mats = [o.matrix for o in observables]
-    n = len(mats)
-
-    variances = [var(m) for m in mats]
-    lhs = sum(variances)
-    plus_vars = _pair_variances(var, mats, +1.0)
-    minus_vars = _pair_variances(var, mats, -1.0)
-    total_var = var(sum(mats[1:], start=mats[0]))
-
-    results: list[BoundReport | SkippedRelation] = []
-
-    if n == 3:
-        comms = [
-            comm(mats[0], mats[1]),
-            comm(mats[1], mats[2]),
-            comm(mats[2], mats[0]),
-        ]
-        mags = sum(abs(c) for c in comms)
-        results.append(
-            _report(
-                Relation.TRIPLE_SUM,
-                lhs,
-                total_var / 3.0 + (_SQRT3 / 3.0) * abs(sum(comms)),
-            )
-        )
-        results.append(
-            _report(Relation.TRIPLE_COMMUTATOR, lhs, (_SQRT3 / 3.0) * mags)
-        )
-        stds = [math.sqrt(x) for x in variances]
-        mid = stds[0] * stds[1] + stds[1] * stds[2] + stds[2] * stds[0]
-        results.append(_report(Relation.TRIPLE_PAIRWISE, lhs, 0.5 * mags, mid=mid))
-    else:
-        reason = f"needs exactly 3 observables, got {n}"
-        for rel in (
-            Relation.TRIPLE_SUM,
-            Relation.TRIPLE_COMMUTATOR,
-            Relation.TRIPLE_PAIRWISE,
-        ):
-            results.append(SkippedRelation(rel, reason))
-
-    results.append(
-        _report(Relation.SUM_PLUS, lhs, sum(plus_vars) / (2.0 * (n - 1)))
+    pure = isinstance(state, PureState)
+    if not (include_pairwise and pure):
+        psi_perp = None
+    elif psi_perp is None and observables.dim == 2:
+        psi_perp = core.orthogonal_qubit(state)
+    values = _values(observables, state, psi_perp)
+    n = observables.count
+    summed = [rel for rel in SUM_FORM_RELATIONS if rel in values]
+    reports = _reports(
+        summed,
+        np.full(len(summed), values[Relation.SONG][0]),
+        np.array([values[rel][1] for rel in summed]),
+        [values[rel][2].tolist() if len(values[rel]) > 2 else None for rel in summed],
+        repeat(None),
     )
-    results.append(
-        _report(Relation.SUM_MINUS, lhs, sum(minus_vars) / (2.0 * (n - 1)))
-    )
-
-    if n >= 3:
-        s1 = sum(math.sqrt(x) for x in plus_vars)
-        rhs = sum(plus_vars) / (n - 2) - s1 * s1 / ((n - 1) ** 2 * (n - 2))
-        results.append(_report(Relation.CHEN_FEI, lhs, rhs))
-    else:
-        results.append(
-            SkippedRelation(Relation.CHEN_FEI, f"needs at least 3 observables, got {n}")
-        )
-
-    diff_stds = sum(math.sqrt(x) for x in minus_vars)
-    results.append(
-        _report(
-            Relation.SONG,
-            lhs,
-            total_var / n + 2.0 * diff_stds * diff_stds / (n * n * (n - 1)),
-        )
-    )
-
-    if include_pairwise:
-        results.extend(_pairwise_reports(observables, state))
-    return results
-
-
-def _pairwise_reports(
-    observables: ObservableSet, state: QuantumState
-) -> list[BoundReport | SkippedRelation]:
-    results: list[BoundReport | SkippedRelation] = []
-    pairs = list(combinations(range(observables.count), 2))
-    for i, j in pairs:
-        results.append(replace(robertson(observables[i], observables[j], state), pair=(i, j)))
-    if not isinstance(state, PureState):
-        results.append(
-            SkippedRelation(
-                Relation.MACCONE_PATI_ORTHOGONAL, "defined for pure states only"
-            )
-        )
-        results.append(
-            SkippedRelation(
-                Relation.MACCONE_PATI_DEVIATION, "defined for pure states only"
-            )
-        )
+    by_relation = dict(zip(summed, reports))
+    results: list[BoundReport | SkippedRelation] = [
+        by_relation.get(rel)
+        or SkippedRelation(rel, f"needs {'at least' if rel is Relation.CHEN_FEI else 'exactly'} "
+                           f"3 observables, got {n}")
+        for rel in SUM_FORM_RELATIONS
+    ]
+    if not include_pairwise:
         return results
-    if observables.dim == 2:
-        perp = core.orthogonal_qubit(state)
-        for i, j in pairs:
-            results.append(
-                replace(
-                    maccone_pati_orthogonal(observables[i], observables[j], state, perp),
-                    pair=(i, j),
-                )
-            )
-    else:
-        results.append(
-            SkippedRelation(
-                Relation.MACCONE_PATI_ORTHOGONAL,
-                "no canonical orthogonal state above dimension 2",
-            )
-        )
-    for i, j in pairs:
-        results.append(
-            replace(maccone_pati_deviation(observables[i], observables[j], state), pair=(i, j))
-        )
+    pairs = list(combinations(range(n), 2))
+    for rel in PAIRWISE_RELATIONS:
+        if rel in _PURE_ONLY and not pure:
+            results.append(SkippedRelation(rel, "defined for pure states only"))
+        elif rel in values:
+            results.extend(_reports(repeat(rel), *values[rel], repeat(None), pairs))
+        else:
+            results.append(SkippedRelation(rel, "no canonical orthogonal state above dimension 2"))
     return results

@@ -18,13 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .qubit import (
-    closed_form_bounds,
-    closed_form_lhs,
-    closed_form_rhs,
-    moments_from_expectations,
-    pauli,
-)
+from .qubit import closed_form_bounds, pauli
 from .core import QuantumState, expectation
 from .relations import Relation, SUM_FORM_RELATIONS
 
@@ -156,7 +150,8 @@ def bootstrap_bounds(
     """Point estimates and bootstrap error bars for closed-form bounds.
 
     Needs one record per Pauli basis.  Point values plug the estimated
-    expectations into the closed forms; they do not depend on ``resamples``.
+    expectations into the closed forms, also when they lie outside the
+    Bloch ball; they do not depend on ``resamples``.
     Error bars are the sample standard deviations over ``resamples``
     parametric replicates, each drawn by redrawing every basis count from a
     binomial at its estimated success probability.
@@ -177,30 +172,21 @@ def bootstrap_bounds(
     if missing:
         raise ValueError(f"records missing for bases {missing}")
 
-    point = {b: estimate_expectation(by_basis[b]) for b in BASIS_ORDER}
-    moments = moments_from_expectations(
-        point["x"].value, point["y"].value, point["z"].value
-    )
-    lhs_point = closed_form_lhs(moments)
-    rhs_point = {rel: closed_form_rhs(moments, rel) for rel in relations}
-
+    # Row 0 holds the point estimate and rows 1.. the replicates, so both
+    # go through one batched evaluation and no estimate is rejected for
+    # lying outside the Bloch ball.
     rng = np.random.default_rng(seed)
-    replicate_means = {}
+    means = []
     for basis in BASIS_ORDER:
         n = by_basis[basis].total
-        p_up = (1.0 + point[basis].value) / 2.0
+        point = estimate_expectation(by_basis[basis]).value
+        p_up = (1.0 + point) / 2.0
         counts = rng.binomial(n, min(max(p_up, 0.0), 1.0), size=resamples)
-        replicate_means[basis] = (2.0 * counts - n) / n
+        means.append(np.concatenate(([point], (2.0 * counts - n) / n)))
 
-    lhs_reps, rhs_reps = closed_form_bounds(
-        replicate_means["x"], replicate_means["y"], replicate_means["z"], relations
-    )
-    lhs_err = float(np.std(lhs_reps, ddof=1))
-    lhs_estimate = EstimateWithError(lhs_point, lhs_err)
-    return {
-        rel: (
-            lhs_estimate,
-            EstimateWithError(rhs_point[rel], float(np.std(rhs_reps[rel], ddof=1))),
-        )
-        for rel in relations
-    }
+    def estimate(values) -> EstimateWithError:
+        return EstimateWithError(float(values[0]), float(np.std(values[1:], ddof=1)))
+
+    lhs, rhs = closed_form_bounds(*means, relations)
+    lhs_estimate = estimate(lhs)
+    return {rel: (lhs_estimate, estimate(rhs[rel])) for rel in relations}

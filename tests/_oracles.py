@@ -154,3 +154,50 @@ ANCHOR_M1 = 1.0
 ANCHOR_M2 = 1.0
 ANCHOR_M3 = 4.0 - 0.25 * SQ                    # 1.0857864376269049
 ANCHOR_M4 = 2.0 / 3.0 + SQ / 9.0               # 1.9618726944102973
+
+
+# -- the qubit closed forms in the paper's moment notation --------------------
+
+def bloch_density(ex: float, ey: float, ez: float) -> np.ndarray:
+    return 0.5 * (np.eye(2) + ex * PX + ey * PY + ez * PZ)
+
+
+def pauli_moments(ex: float, ey: float, ez: float) -> dict:
+    """The moments the closed forms are written in, from raw matrices.
+
+    ``v`` is the squared Bloch length, ``d`` the sum of pairwise
+    expectation products, ``e`` the magnitude of the summed expectations
+    and ``h`` the sum of their magnitudes.  ``lp/lm``, ``mp/mm`` and
+    ``np_/nm`` are the standard deviations of the pair sums and differences
+    for the (x, y), (y, z) and (z, x) axis pairs.
+    """
+    rho = bloch_density(ex, ey, ez)
+    x, y, z = (expect(p, rho) for p in PAULIS)
+
+    def std(a, b, sign):
+        return math.sqrt(max(var(a + sign * b, rho), 0.0))
+
+    return {
+        "v": x * x + y * y + z * z,
+        "d": x * y + y * z + z * x,
+        "e": abs(x + y + z),
+        "h": abs(x) + abs(y) + abs(z),
+        "lp": std(PX, PY, 1.0), "lm": std(PX, PY, -1.0),
+        "mp": std(PY, PZ, 1.0), "mm": std(PY, PZ, -1.0),
+        "np_": std(PZ, PX, 1.0), "nm": std(PZ, PX, -1.0),
+    }
+
+
+def pauli_closed_forms(v, d, e, h, lp, lm, mp, mm, np_, nm) -> dict:
+    """The lhs and the seven sum-form bounds of the Pauli triple, by label."""
+    r = 2.0 * math.sqrt(3.0) / 3.0
+    return {
+        "lhs": 3.0 - v,
+        "T1": (3.0 - v - 2.0 * d) / 3.0 + r * e,
+        "T2": r * h,
+        "T3": h,
+        "M1": 0.5 * (3.0 - v - d),
+        "M2": 0.5 * (3.0 - v + d),
+        "M3": 2.0 * (3.0 - v - d) - 0.25 * (lp + mp + np_) ** 2,
+        "M4": (3.0 - v - 2.0 * d) / 3.0 + (lm + mm + nm) ** 2 / 9.0,
+    }

@@ -96,6 +96,17 @@ def test_density_matrix_rejects_negative_eigenvalue():
         DensityMatrix(np.diag([1.5, -0.5]))
 
 
+def test_constructors_reject_non_finite_entries():
+    with pytest.raises(ValueError):
+        PureState(np.array([np.nan, 1.0]))
+    with pytest.raises(ValueError):
+        PureState(np.array([complex(0.0, np.inf), 0.0]))
+    with pytest.raises(ValueError, match="non-finite"):
+        Observable(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="non-finite"):
+        DensityMatrix(np.array([[np.inf, 0.0], [0.0, 0.0]]))
+
+
 def test_density_matrix_rejects_non_hermitian():
     m = np.array([[0.5, 0.5], [0.0, 0.5]])
     with pytest.raises(ValueError, match="Hermitian"):
@@ -300,8 +311,8 @@ def test_random_observable_deterministic_and_hermitian():
 def test_variance_consistency_error_on_corrupt_input():
     # A non-normalized vector smuggled past validation would produce a
     # negative "variance" far beyond round-off; the guard must catch it.
-    from uncrel.core import _var_vec
+    from uncrel.core import moment_table
 
     bad = np.array([2.0, 0.0], dtype=complex)
     with pytest.raises(ConsistencyError):
-        _var_vec(o.PZ, bad)
+        moment_table(o.PZ[None], bad)

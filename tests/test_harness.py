@@ -421,6 +421,63 @@ def test_cli_bounds_missing_state_key(tmp_path, capsys):
     assert "needs one of" in capsys.readouterr().err
 
 
+def test_cli_shot_sweep_tabulates_estimates_outside_the_ball(tmp_path):
+    # At 2400 shots seed 0 puts some theta-sweep estimates outside the
+    # Bloch ball; they are tabulated with their error bars, not rejected.
+    target = tmp_path / "shots.csv"
+    code = main([
+        "sweep", "--mode", "theta", "--shots", "2400", "--seed", "0",
+        "--out", str(target),
+    ])
+    assert code == 0
+    rows = list(csv.DictReader(data_lines(target.read_text())))
+    assert len(rows) == 13
+    within = sum(abs(float(r["lhs"]) - 2.0) <= 3.0 * float(r["lhs_err"]) for r in rows)
+    assert within >= 12
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"amplitudes": [[math.nan, 0.0], [1.0, 0.0]]},
+        {"density": [[[math.nan, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]},
+        {"bloch": 5},
+        {"bloch": {"theta": None}},
+        {"stokes": 3},
+        {"stokes": [1.0, None, 0.0, 0.0]},
+    ],
+)
+def test_cli_bounds_rejects_malformed_state(tmp_path, capsys, payload):
+    state_file = tmp_path / "state.json"
+    state_file.write_text(json.dumps(payload))
+    assert main(["bounds", "--state-file", str(state_file)]) == 1
+    err = capsys.readouterr().err
+    assert "error" in err and "Traceback" not in err
+
+
+def test_cli_verify_refuses_empty_lists(capsys):
+    for flag in ("--dim", "--n-observables"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", flag, ""])
+        assert exc.value.code == 1
+        assert "expected comma-separated integers" in capsys.readouterr().err
+
+
+def test_verify_json_rounds_every_float_to_12_digits():
+    summary = run_verify(10, dims=(2, 3), counts=(2, 3), seed=4)
+    floats = []
+    json.loads(
+        emit(summary, "json", None),
+        parse_float=lambda text: floats.append(float(text)) or float(text),
+    )
+    assert floats
+    for value in floats:
+        assert value == float(f"{value:.12g}")
+    # the summary object itself keeps full precision
+    slack = summary.tallies[Relation.ROBERTSON].min_slack
+    assert summary.to_dict()["tallies"]["robertson"]["min_slack"] == slack
+
+
 def test_cli_version(capsys):
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(["--version"])

@@ -28,7 +28,8 @@ from uncrel import (
     stokes_to_density,
     variance,
 )
-from uncrel.relations import SkippedRelation
+from uncrel.qubit import pauli_table
+from uncrel.relations import SkippedRelation, bound_values
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -114,13 +115,27 @@ def test_pauli_axis_mapping_dual_path(a):
 
 # -- moments ------------------------------------------------------------------
 
+def check_moments(m, **stated):
+    """The stated moment values hold at ``m`` and fix its closed forms.
+
+    The values are pinned on the raw-matrix oracle, which then feeds the
+    paper's closed forms; the library's lhs and seven bounds must match.
+    """
+    moments = o.pauli_moments(m.ex, m.ey, m.ez)
+    for name, value in stated.items():
+        assert moments[name] == pytest.approx(value, abs=1e-12), name
+    expected = o.pauli_closed_forms(**moments)
+    assert closed_form_lhs(m) == pytest.approx(expected["lhs"], abs=1e-12)
+    for rel in SUM_FORM_RELATIONS:
+        assert closed_form_rhs(m, rel) == pytest.approx(
+            expected[rel.label], abs=1e-12
+        ), rel.label
+
+
 def test_moments_from_angles_pole():
     m = moments_from_angles(BlochAngles(0.0, 0.0))
     assert (m.ex, m.ey, m.ez) == pytest.approx((0.0, 0.0, 1.0), abs=1e-12)
-    assert m.v == pytest.approx(1.0, abs=1e-12)
-    assert m.d == pytest.approx(0.0, abs=1e-12)
-    assert m.e == pytest.approx(1.0, abs=1e-12)
-    assert m.h == pytest.approx(1.0, abs=1e-12)
+    check_moments(m, v=1.0, d=0.0, e=1.0, h=1.0)
 
 
 def test_moments_from_angles_equator_points():
@@ -129,37 +144,28 @@ def test_moments_from_angles_equator_points():
     m = moments_from_angles(BlochAngles(math.pi / 2, math.pi / 4))
     assert m.ex == pytest.approx(SQRT2 / 2.0, abs=1e-12)
     assert m.ey == pytest.approx(SQRT2 / 2.0, abs=1e-12)
-    assert m.v == pytest.approx(1.0, abs=1e-12)
+    check_moments(m, v=1.0)
 
 
 def test_moments_from_expectations_x_axis():
     m = moments_from_expectations(1.0, 0.0, 0.0)
-    assert m.d == pytest.approx(0.0, abs=1e-12)
-    assert m.e == pytest.approx(1.0, abs=1e-12)
-    assert m.h == pytest.approx(1.0, abs=1e-12)
-    assert m.lp == pytest.approx(1.0, abs=1e-12)
-    assert m.lm == pytest.approx(1.0, abs=1e-12)
-    assert m.mp == pytest.approx(SQRT2, abs=1e-12)
-    assert m.mm == pytest.approx(SQRT2, abs=1e-12)
-    assert m.np == pytest.approx(1.0, abs=1e-12)
-    assert m.nm == pytest.approx(1.0, abs=1e-12)
+    check_moments(
+        m, d=0.0, e=1.0, h=1.0,
+        lp=1.0, lm=1.0, mp=SQRT2, mm=SQRT2, np_=1.0, nm=1.0,
+    )
     assert not m.outside_ball
 
 
 def test_moments_from_expectations_center():
     m = moments_from_expectations(0.0, 0.0, 0.0)
-    assert m.v == 0.0
-    for name in ("lp", "lm", "mp", "mm", "np", "nm"):
-        assert getattr(m, name) == pytest.approx(SQRT2, abs=1e-12)
+    assert closed_form_lhs(m) == 3.0  # v == 0 exactly
+    check_moments(m, **{name: SQRT2 for name in ("lp", "lm", "mp", "mm", "np_", "nm")})
 
 
 def test_moments_from_expectations_diagonal():
     r = 1.0 / SQRT3
     m = moments_from_expectations(r, r, r)
-    assert m.v == pytest.approx(1.0, abs=1e-12)
-    assert m.d == pytest.approx(1.0, abs=1e-12)
-    assert m.e == pytest.approx(SQRT3, abs=1e-12)
-    assert m.h == pytest.approx(SQRT3, abs=1e-12)
+    check_moments(m, v=1.0, d=1.0, e=SQRT3, h=SQRT3)
 
 
 def test_moments_reject_out_of_range_component():
@@ -192,9 +198,20 @@ def test_moment_triangle_and_ranges(ex, ey, ez):
     if length > 1.0:
         ex, ey, ez = ex / length, ey / length, ez / length
     m = moments_from_expectations(ex, ey, ez)
-    assert m.h >= m.e - 1e-12
-    for name in ("lp", "lm", "mp", "mm", "np", "nm"):
-        assert -1e-12 <= getattr(m, name) <= SQRT2 + 1e-12
+    # h and e, read back out of the library's T3 and T1 bounds given v and d
+    # from the oracle
+    oracle = o.pauli_moments(ex, ey, ez)
+    base = 3.0 - oracle["v"] - 2.0 * oracle["d"]
+    h = closed_form_rhs(m, Relation.TRIPLE_PAIRWISE)
+    e = (closed_form_rhs(m, Relation.TRIPLE_SUM) - base / 3.0) * SQRT3 / 2.0
+    assert h >= e - 1e-12
+    # the six pair deviations from the same formula set: Var(A_i + A_j) is
+    # twice the deviation bound, Var(A_i - A_j) follows by the parallelogram law
+    pair_lhs, half_plus = bound_values(*pauli_table(ex, ey, ez))[
+        Relation.MACCONE_PATI_DEVIATION
+    ]
+    for var in (*(2.0 * half_plus), *(2.0 * (pair_lhs - half_plus))):
+        assert -1e-12 <= math.sqrt(max(var, 0.0)) <= SQRT2 + 1e-12
 
 
 # -- closed forms -------------------------------------------------------------
@@ -306,15 +323,11 @@ def test_stokes_expectations_recovered():
 
 def test_moments_from_stokes_examples():
     m = moments_from_stokes(StokesVector(1.0, 1.0, 0.0, 0.0))
-    assert m.v == pytest.approx(1.0, abs=1e-12)
-    assert m.h == pytest.approx(1.0, abs=1e-12)
+    check_moments(m, v=1.0, h=1.0)
     m = moments_from_stokes(StokesVector(1.0, 0.0, 0.0, 0.0))
-    assert (m.v, m.e, m.h) == pytest.approx((0.0, 0.0, 0.0), abs=1e-12)
+    check_moments(m, v=0.0, e=0.0, h=0.0)
     m = moments_from_stokes(StokesVector(2.0, 1.0, 1.0, 1.0))
-    assert m.v == pytest.approx(0.75, abs=1e-12)
-    assert m.d == pytest.approx(0.75, abs=1e-12)
-    assert m.e == pytest.approx(1.5, abs=1e-12)
-    assert m.h == pytest.approx(1.5, abs=1e-12)
+    check_moments(m, v=0.75, d=0.75, e=1.5, h=1.5)
 
 
 def test_moments_from_stokes_dual_path():
@@ -325,11 +338,19 @@ def test_moments_from_stokes_dual_path():
         s0 = rng.uniform(0.5, 5.0)
         s = StokesVector(s0, *(s0 * direction))
         via_stokes = moments_from_stokes(s)
-        via_expect = moments_from_expectations(*direction)
-        for name in ("ex", "ey", "ez", "v", "d", "e", "h", "lp", "lm", "mp", "mm", "np", "nm"):
-            assert getattr(via_stokes, name) == pytest.approx(
-                getattr(via_expect, name), abs=1e-12
-            ), name
+        assert (via_stokes.ex, via_stokes.ey, via_stokes.ez) == pytest.approx(
+            tuple(direction), abs=1e-12
+        )
+        # the density-matrix route through the matrix engine
+        reports = [
+            r for r in evaluate_all(pauli_triple(), stokes_to_density(s))
+            if not isinstance(r, SkippedRelation)
+        ]
+        for rep in reports:
+            assert closed_form_lhs(via_stokes) == pytest.approx(rep.lhs, abs=1e-12)
+            assert closed_form_rhs(via_stokes, rep.relation) == pytest.approx(
+                rep.rhs, abs=1e-12
+            ), rep.relation.label
 
 
 def test_stokes_round_trip():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import _oracles as o
 from uncrel import (
@@ -460,3 +462,31 @@ def test_commutator_ratio_between_triple_bounds():
         t3 = triple_pairwise(SX, SY, SZ, psi)
         if t3.rhs > 1e-12:
             assert t2.rhs == pytest.approx((2.0 / math.sqrt(3.0)) * t3.rhs, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.sampled_from((2, 3)),
+    st.sampled_from((2, 3)),
+    st.integers(min_value=-2, max_value=3),
+)
+def test_rescaled_observables_scale_every_relation(seed, dim, n, k):
+    # Every relation is homogeneous in the observables, of degree 2 (4 for
+    # the product bound), so scaling them by 10^k scales both sides alike
+    # and cannot change a verdict.
+    obs, psi = random_instance(dim, n, seed)
+    factor = 10.0**k
+    unit = evaluate_all(obs, psi, include_pairwise=True)
+    scaled = evaluate_all(
+        ObservableSet(tuple(factor * ob for ob in obs)), psi, include_pairwise=True
+    )
+    assert [type(r) for r in scaled] == [type(r) for r in unit]
+    for a, b in zip(unit, scaled):
+        if isinstance(a, SkippedRelation):
+            continue
+        power = factor ** (4 if a.relation is Relation.ROBERTSON else 2)
+        size = power * max(abs(a.lhs), abs(a.rhs))
+        assert abs(b.lhs - power * a.lhs) <= 1e-9 * size, a.relation
+        assert abs(b.rhs - power * a.rhs) <= 1e-9 * size, a.relation
+        assert a.holds and b.holds, a.relation

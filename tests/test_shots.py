@@ -199,7 +199,7 @@ def test_bootstrap_point_values_are_plug_in():
     for rel in SUM_FORM_RELATIONS:
         lhs_est, rhs_est = estimates[rel]
         assert rhs_est.value == pytest.approx(closed_form_rhs(moments, rel), abs=1e-12)
-        assert lhs_est.value == pytest.approx(3.0 - moments.v, abs=1e-12)
+        assert lhs_est.value == pytest.approx(3.0 - (0.5**2 + 0.8**2), abs=1e-12)
         assert rhs_est.std_error > 0.0
 
 
