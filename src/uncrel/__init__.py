@@ -7,6 +7,8 @@ in :mod:`uncrel.qubit`, finite-shot simulation in :mod:`uncrel.shots`,
 and sweep/verification drivers plus serialization in
 :mod:`uncrel.harness`.  The ``uncrel`` command wraps the drivers.
 """
+from types import ModuleType as _ModuleType
+
 from ._version import __version__
 from .core import (
     DensityMatrix,
@@ -85,70 +87,8 @@ from .shots import (
     simulate_counts,
 )
 
-__all__ = [
-    "__version__",
-    "BlochAngles",
-    "BoundReport",
-    "ConsistencyError",
-    "ContractError",
-    "DensityMatrix",
-    "DimensionError",
-    "EstimateWithError",
-    "InvalidMomentsError",
-    "MeasurementRecord",
-    "Observable",
-    "ObservableSet",
-    "OrthogonalityError",
-    "OutputRow",
-    "PAIRWISE_RELATIONS",
-    "PureState",
-    "QuantumState",
-    "QubitMoments",
-    "Relation",
-    "SUM_FORM_RELATIONS",
-    "ShotPlan",
-    "SkippedRelation",
-    "StokesVector",
-    "SweepSpec",
-    "UnsupportedCountError",
-    "UnsupportedDimensionError",
-    "UnsupportedRelationError",
-    "UnsupportedStateError",
-    "VerificationSummary",
-    "bloch_to_state",
-    "bootstrap_bounds",
-    "chen_fei",
-    "closed_form_bounds",
-    "closed_form_lhs",
-    "closed_form_rhs",
-    "commutator_expectation",
-    "density_to_stokes",
-    "derive_seed",
-    "deviation_state",
-    "emit",
-    "estimate_expectation",
-    "evaluate_all",
-    "expectation",
-    "maccone_pati_deviation",
-    "maccone_pati_orthogonal",
-    "moments_from_angles",
-    "moments_from_expectations",
-    "moments_from_stokes",
-    "orthogonal_qubit",
-    "pauli",
-    "pauli_triple",
-    "random_observable",
-    "random_pure_state",
-    "robertson",
-    "run_sweep",
-    "run_verify",
-    "simulate_counts",
-    "song",
-    "stokes_to_density",
-    "sum_minus",
-    "sum_plus",
-    "triple_commutator",
-    "triple_pairwise",
-    "triple_sum",
-    "variance",
-]
+# The public names are exactly the ones imported above.
+__all__ = ["__version__"] + sorted(
+    name for name, value in globals().items()
+    if not (name.startswith("_") or isinstance(value, _ModuleType))
+)

@@ -6,6 +6,8 @@ Exit codes:
 * 1 - usage error or invalid input data
 * 2 - a bound violation beyond tolerance was found
 * 3 - I/O failure
+* 4 - a numerical consistency check failed: the input is too large for
+  double precision, or its moments are inconsistent beyond round-off
 
 Angles are radians by default; append ``deg`` to give degrees, e.g.
 ``--fixed 60deg``.
@@ -21,7 +23,7 @@ import numpy as np
 
 from ._version import __version__
 from .core import DensityMatrix, Observable, PureState, QuantumState
-from .errors import ContractError
+from .errors import ConsistencyError
 from .harness import SweepSpec, emit, run_sweep, run_verify
 from .qubit import BlochAngles, StokesVector, bloch_to_state, pauli_triple, stokes_to_density
 from .relations import (
@@ -32,6 +34,10 @@ from .relations import (
     evaluate_all,
 )
 from .shots import ShotPlan
+
+
+#: Exit status per error a command may end in; ContractError is a ValueError.
+_EXIT_CODES = {OSError: 3, ConsistencyError: 4, ValueError: 1}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -261,7 +267,10 @@ def _load_json(path: str) -> dict:
 
 def _complex_entries(data, what: str) -> np.ndarray:
     """Convert nested ``[re, im]`` pairs into a complex array."""
-    arr = np.asarray(data, dtype=float)
+    try:
+        arr = np.asarray(data, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{what} must be nested lists of numbers") from None
     if arr.ndim < 1 or arr.shape[-1] != 2:
         raise ValueError(f"{what} must use [re, im] pairs, got shape {arr.shape}")
     return arr[..., 0] + 1j * arr[..., 1]
@@ -293,8 +302,10 @@ def _load_state(path: str) -> QuantumState:
 
 
 def _number(value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"expected a number, got {value!r}")
+    # The bound also refuses NaN, infinities and ints too large for a float.
+    finite = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    if isinstance(value, bool) or not finite:
+        raise ValueError(f"expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -330,12 +341,9 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.handler(args)
-    except OSError as err:
+    except tuple(_EXIT_CODES) as err:
         print(f"{parser.prog}: error: {err}", file=sys.stderr)
-        return 3
-    except (ContractError, ValueError) as err:
-        print(f"{parser.prog}: error: {err}", file=sys.stderr)
-        return 1
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(err, kind))
 
 
 def run() -> None:

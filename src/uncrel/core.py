@@ -4,8 +4,8 @@ Everything here is dense double-precision numpy.  Observables and states are
 immutable after construction and validated eagerly, so downstream code can
 assume Hermiticity, normalization and matching dimensions without re-checking.
 :func:`moment_table` gives the means and second moments of a stack of
-observables, the one table every relation is computed from.  All functions
-are pure.
+observables, the one table every relation is computed from, for one state or
+a whole batch at once.  All functions are pure.
 """
 from __future__ import annotations
 
@@ -31,6 +31,10 @@ PSD_ATOL = 1e-10
 # inputs, not noise.
 IMAG_RESIDUE_ATOL = 1e-10
 VARIANCE_CLAMP_ATOL = 1e-10
+
+# Second moments above this are refused: the product bound multiplies two
+# variances, which would overflow double precision.
+MOMENT_SCALE_LIMIT = 1e150
 
 # Deviation vectors shorter than this are treated as exactly zero, i.e. the
 # state is an eigenstate and no normalized deviation direction exists.
@@ -197,40 +201,47 @@ def moment_table(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Means ``m_i`` and second moments ``G_ij = <A_i A_j>`` of stacked observables.
 
-    ``mats`` is an ``(n, d, d)`` stack of Hermitian matrices and ``state`` a
-    ket of shape ``(d,)`` or a density matrix of shape ``(d, d)``.  For a
-    ket, ``W = A psi`` holds one row per observable, ``m = Re(W psi*)`` and
-    ``G = W* W^T``; for a density matrix ``G_ij = Tr(rho A_i A_j)`` and
-    ``W`` is None.  Returns ``(m, G, W)``.
+    ``mats`` is an ``(..., n, d, d)`` stack of Hermitian matrices and
+    ``state`` a ket ``(..., d)`` or a density matrix ``(..., d, d)``; batch
+    axes broadcast, so a shared stack serves a batch of kets as
+    ``stack[None]``.  For a ket, ``W = A psi`` holds one row per observable,
+    ``m = Re(W psi*)`` and ``G = W* W^T``; for a density matrix ``G_ij =
+    Tr(rho A_i A_j)`` and ``W`` is None.  Returns ``(m, G, W)``.
 
-    Two residues are checked against the scale ``max(1, max_i G_ii)``: an
-    imaginary part of a mean at or above ``IMAG_RESIDUE_ATOL`` times it, and
-    a variance ``G_ii - m_i^2`` below ``-VARIANCE_CLAMP_ATOL`` times it.
-    Either means corrupted input, not noise, and raises
-    :class:`ConsistencyError`.
+    Each instance is judged on its own scale ``max(1, max_i G_ii)``.  A
+    scale above ``MOMENT_SCALE_LIMIT`` or not finite, an imaginary part of a
+    mean at or above ``IMAG_RESIDUE_ATOL`` times it, or a variance
+    ``G_ii - m_i^2`` below ``-VARIANCE_CLAMP_ATOL`` times it raises
+    :class:`ConsistencyError`: the input is beyond double precision or
+    corrupted.  Overflow is left to that check, so no arithmetic warns.
     """
-    if state.ndim == 1:
-        W = mats @ state
-        mean = W @ state.conj()
-        # einsum forms each product directly, so commuting observables get
-        # an exactly real G; a BLAS product can leave round-off in Im G.
-        G = np.einsum("ik,jk->ij", W.conj(), W)
-    else:
-        W = None
-        rho_a = state @ mats
-        mean = np.trace(rho_a, axis1=1, axis2=2)
-        G = np.einsum("iab,jba->ij", rho_a, mats)
-    second = G.real.diagonal()
-    scale = max(1.0, second.max())
-    residue = np.abs(mean.imag).max()
-    if residue >= IMAG_RESIDUE_ATOL * scale:
-        raise ConsistencyError(
-            f"expectation value has imaginary residue {float(residue)!r} beyond tolerance"
-        )
-    m = mean.real
-    lowest = (second - m * m).min()
-    if lowest < -VARIANCE_CLAMP_ATOL * scale:
-        raise ConsistencyError(f"variance {float(lowest)!r} is negative beyond round-off")
+    with np.errstate(all="ignore"):
+        if state.ndim == mats.ndim - 2:  # a ket; a density matrix has one more axis
+            W = (mats @ state[..., None, :, None])[..., 0]
+            mean = (W @ state.conj()[..., None])[..., 0]
+            # einsum forms each product directly, so commuting observables get
+            # an exactly real G; a BLAS product can leave round-off in Im G.
+            G = np.einsum("...ik,...jk->...ij", W.conj(), W)
+        else:
+            W = None
+            rho_a = state[..., None, :, :] @ mats
+            mean = np.trace(rho_a, axis1=-2, axis2=-1)
+            G = np.einsum("...iab,...jba->...ij", rho_a, mats)
+        m = mean.real
+        second = G.real.diagonal(0, -2, -1)
+        scale = second.max(-1, initial=1.0)
+        residue = np.abs(mean.imag).max(-1)
+        lowest = (second - m * m).min(-1)
+    for failing, value, message in (
+        (~(scale <= MOMENT_SCALE_LIMIT), scale, "second moment {!r} is not finite or exceeds {:g}"),
+        (residue >= IMAG_RESIDUE_ATOL * scale, residue,
+         "expectation value has imaginary residue {!r} beyond tolerance"),
+        (lowest < -VARIANCE_CLAMP_ATOL * scale, lowest, "variance {!r} is negative beyond round-off"),
+    ):
+        if failing.any():
+            # The first failing instance's value; only the scale message uses the limit.
+            first = np.ravel(value)[np.ravel(failing)][0]
+            raise ConsistencyError(message.format(float(first), MOMENT_SCALE_LIMIT))
     return m, G, W
 
 

@@ -2,9 +2,10 @@
 
 Caller-side contract violations derive from :class:`ContractError` (a
 ``ValueError``), so sloppy inputs fail loudly at the boundary.  Internal
-numerical invariants that fail beyond round-off raise
-:class:`ConsistencyError` instead; those indicate a bug or a corrupted
-input matrix, never a recoverable condition.
+numerical invariants that fail beyond round-off, and moments too large for
+double precision, raise :class:`ConsistencyError` instead: the input is
+corrupted or beyond double precision, or there is a bug.  It is never a
+recoverable condition; the ``uncrel`` command exits with status 4 on it.
 """
 
 
@@ -41,4 +42,4 @@ class OrthogonalityError(ContractError):
 
 
 class ConsistencyError(ArithmeticError):
-    """An internal numerical invariant failed beyond round-off tolerance."""
+    """A numerical invariant failed beyond round-off, or moments overflow."""

@@ -5,7 +5,8 @@ Three entry points sit behind the CLI:
 * :func:`run_sweep` walks a one-parameter family of qubit states and
   tabulates the sum-form bounds, either exactly or from simulated counts.
 * :func:`run_verify` hammers the relation engine with seeded random states
-  and observables and tallies any bound violations beyond tolerance.
+  and observables, evaluated in blocks of trials from one batched moment
+  table each, and tallies any bound violations beyond tolerance.
 * :func:`emit` renders rows, reports, or a verification summary as CSV or
   JSON, to stdout or a file.
 
@@ -19,12 +20,13 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field, replace
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 
 from ._version import __version__
-from .core import PureState, random_observable, random_pure_state
+from .core import moment_table, random_observable, random_pure_state
 from .qubit import (
     BlochAngles,
     bloch_to_state,
@@ -35,11 +37,11 @@ from .qubit import (
 from .relations import (
     HOLDS_ATOL,
     BoundReport,
-    ObservableSet,
+    PAIRWISE_RELATIONS,
     Relation,
     SUM_FORM_RELATIONS,
     SkippedRelation,
-    evaluate_all,
+    bound_values,
     holds,
 )
 from .shots import (
@@ -52,6 +54,13 @@ from .shots import (
 
 _TWO_PI = 2.0 * math.pi
 _RATIO_T2_OVER_T3 = 2.0 / math.sqrt(3.0)
+
+#: Trials drawn and evaluated together for one (dim, n) of a campaign.
+_BLOCK_TRIALS = 512
+_MAX_WITNESSES = 20
+_MAX_EXAMPLES = 3
+#: The one note that also counts its hits per dimension.
+_TOTAL_SUM_NOTE = "total_sum_bound_not_dominant"
 
 
 @dataclass(frozen=True)
@@ -269,6 +278,11 @@ def run_verify(
     Above dimension 2 the orthogonal-state sum bound gets a random
     orthogonal companion built by Gram-Schmidt, since no canonical choice
     exists there.
+
+    Each ``(dim, n)`` runs up to 512 trials (``_BLOCK_TRIALS``) at a time
+    through one moment table and one :func:`~uncrel.relations.bound_values`
+    call, yet witnesses, examples and the order of every map follow the
+    instance order ``(trial, dim, n)`` as if instances ran one by one.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -277,126 +291,131 @@ def run_verify(
     if use_paulis and (dims != (2,) or counts != (3,)):
         raise ValueError("Pauli campaigns fix dims=(2,) and counts=(3,)")
     summary = VerificationSummary(trials, dims, counts, seed, use_paulis)
-    tallies = summary.tallies
-    pauli_set = pauli_triple() if use_paulis else None
-
-    for trial in range(trials):
-        for dim in dims:
-            for n in counts:
-                instance_key = (trial, dim, n)
-                state = random_pure_state(dim, derive_seed(seed, trial, dim, n, 0))
-                if use_paulis:
-                    obs_set = pauli_set
-                else:
-                    obs_set = ObservableSet(
-                        tuple(
-                            random_observable(dim, derive_seed(seed, trial, dim, n, 1 + i))
-                            for i in range(n)
-                        )
-                    )
-                perp = None
-                if not use_paulis and dim > 2:
-                    perp = _random_orthogonal(state, derive_seed(seed, trial, dim, n, 99))
-                results = evaluate_all(
-                    obs_set, state, include_pairwise=not use_paulis, psi_perp=perp
-                )
-                summary.total_instances += 1
-                _digest_instance(summary, tallies, instance_key, results)
+    combos = [(dim, n) for dim in dims for n in counts]
+    for start in range(0, trials, _BLOCK_TRIALS):
+        block = np.arange(start, min(start + _BLOCK_TRIALS, trials))
+        findings = []
+        for position, (dim, n) in enumerate(combos):
+            values = _block_values(seed, block, dim, n, use_paulis)
+            instances = (block * len(combos) + position).tolist()
+            findings += _digest_block(summary, values, block, instances, dim, n)
+        _merge_findings(summary, findings)
+    summary.total_instances = trials * len(combos)
     return summary
 
 
-def _random_orthogonal(state: PureState, seed: int) -> PureState:
-    """A seeded random state orthogonal to ``state`` (dimension >= 2)."""
-    psi = state.amplitudes
+def _digest_block(
+    summary: VerificationSummary, values: dict, block: np.ndarray, instances: list, dim: int, n: int
+) -> list:
+    """Count one block's reports into ``summary`` and return its findings.
+
+    A finding is ``((instance, rank, pair), kind, target, record)``: the
+    smallest slack and the earliest violations of each relation, and the
+    earliest examples of each note, the first of which carries the count of
+    all the block's hits of that note.  ``rank`` orders the findings of one
+    instance as its reports are ordered.
+    """
+    reported = SUM_FORM_RELATIONS + (() if summary.use_paulis else PAIRWISE_RELATIONS)
+    pairs = list(combinations(range(n), 2))
+    findings = []
+    for rank, rel in enumerate(rel for rel in reported if rel in values):
+        # One row per trial, one column per pair (a single one if not pairwise).
+        lhs, rhs = (v.reshape(block.size, -1) for v in values[rel][:2])
+        failed = np.flatnonzero(~holds(lhs, rhs))
+        tally = summary.tallies.setdefault(rel, RelationTally())
+        tally.evaluated += lhs.size
+        tally.violations += failed.size
+        candidates = [("min", np.argmin(lhs - rhs))]
+        candidates += [("violation", k) for k in failed[:_MAX_WITNESSES]]
+        for kind, k in candidates:
+            b, p = divmod(int(k), lhs.shape[1])
+            record = {"trial": int(block[b]), "dim": dim, "n_observables": n,
+                      "pair": list(pairs[p]) if rel.pairwise else None,
+                      "lhs": float(lhs[b, p]), "rhs": float(rhs[b, p])}
+            findings.append(((instances[b], rank, p), kind, rel, record))
+    rhs = {rel: entry[1] for rel, entry in values.items()}
+    if n == 3:
+        t2, t3 = rhs[Relation.TRIPLE_COMMUTATOR], rhs[Relation.TRIPLE_PAIRWISE]
+        errors = np.abs(t2 - _RATIO_T2_OVER_T3 * t3)[t3 > 1e-12]
+        summary.ratio_max_error = max([summary.ratio_max_error, *errors.tolist()])
+    for rank, (name, hit, columns) in enumerate(_notes(rhs)):
+        found = np.flatnonzero(hit)
+        for j, b in enumerate(found[:_MAX_EXAMPLES]):
+            example = {"trial": int(block[b]), "dim": dim, "n_observables": n}
+            example.update((key, float(column[b])) for key, column in columns.items())
+            count = 0 if j else found.size
+            findings.append(((instances[b], rank, 0), "note", (name, dim, count), example))
+    return findings
+
+
+def _block_values(seed: int, block: np.ndarray, dim: int, n: int, use_paulis: bool) -> dict:
+    """:func:`bound_values` of one block of trials at one ``(dim, n)``."""
+    kets = np.array([
+        random_pure_state(dim, derive_seed(seed, trial, dim, n, 0)).amplitudes for trial in block
+    ])
+    if use_paulis:
+        m, G, _ = moment_table(pauli_triple().stack[None], kets)
+        return bound_values(m, G)
+    mats = np.array([
+        [random_observable(dim, derive_seed(seed, trial, dim, n, 1 + i)).matrix for i in range(n)]
+        for trial in block
+    ])
+    if dim == 2:  # the canonical companion of core.orthogonal_qubit
+        perps = np.stack([-kets[:, 1].conj(), kets[:, 0].conj()], axis=-1)
+    else:
+        perps = np.array([
+            _random_orthogonal(psi, derive_seed(seed, trial, dim, n, 99))
+            for trial, psi in zip(block, kets)
+        ])
+    m, G, W = moment_table(mats, kets)
+    return bound_values(m, G, (W.conj() @ perps[..., None])[..., 0])
+
+
+def _random_orthogonal(psi: np.ndarray, seed: int) -> np.ndarray:
+    """A seeded random unit vector orthogonal to the unit vector ``psi``."""
     rng = np.random.default_rng(seed)
     while True:
         v = rng.standard_normal(psi.size) + 1j * rng.standard_normal(psi.size)
         v = v - complex(np.vdot(psi, v)) * psi
         norm = float(np.linalg.norm(v))
         if norm > 1e-6:
-            return PureState(v / norm)
+            return v / norm
 
 
-def _digest_instance(summary, tallies, instance_key, results) -> None:
-    by_relation = {}
-    for item in results:
-        if isinstance(item, SkippedRelation):
+def _notes(rhs: dict) -> list:
+    """The notes of :class:`VerificationSummary` on a block's bounds, in the
+    order they are checked: ``(name, hit mask, example columns)``."""
+    m1, m2, m3, m4 = map(rhs.get, (Relation.SUM_PLUS, Relation.SUM_MINUS,
+                                   Relation.CHEN_FEI, Relation.SONG))
+    best_other = np.max([m for m in (m1, m2, m3) if m is not None], axis=0)
+    notes = [(_TOTAL_SUM_NOTE, m4 < best_other - HOLDS_ATOL,
+              {"m4_rhs": m4, "best_other_rhs": best_other})]
+    if m3 is not None:
+        notes.insert(0, ("cross_term_bound_below_pair_difference", m3 < m2 - 1e-12,
+                         {"m2_rhs": m2, "m3_rhs": m3}))
+    return notes
+
+
+def _merge_findings(summary: VerificationSummary, findings: list) -> None:
+    """Add one block's findings to ``summary`` in instance order, so a note
+    or a dimension of its ``by_dim`` map is added at its first hit."""
+    for _, kind, target, record in sorted(findings, key=lambda finding: finding[0]):
+        if kind == "note":
+            name, dim, count = target
+            by_dim = {"by_dim": {}} if name == _TOTAL_SUM_NOTE else {}
+            note = summary.notes.setdefault(name, {"count": 0, **by_dim, "examples": []})
+            note["count"] += count
+            if "by_dim" in note:
+                note["by_dim"][dim] = note["by_dim"].get(dim, 0) + count
+            if len(note["examples"]) < _MAX_EXAMPLES:
+                note["examples"].append(record)
             continue
-        tally = tallies.setdefault(item.relation, RelationTally())
-        tally.evaluated += 1
-        if item.slack < tally.min_slack:
-            tally.min_slack = item.slack
-            trial, dim, n = instance_key
-            tally.min_slack_witness = {
-                "trial": trial,
-                "dim": dim,
-                "n_observables": n,
-                "pair": list(item.pair) if item.pair else None,
-                "lhs": item.lhs,
-                "rhs": item.rhs,
-            }
-        if not item.holds:
-            tally.violations += 1
-            if len(summary.violation_witnesses) < 20:
-                trial, dim, n = instance_key
-                summary.violation_witnesses.append(
-                    {
-                        "relation": item.relation.value,
-                        "trial": trial,
-                        "dim": dim,
-                        "n_observables": n,
-                        "pair": list(item.pair) if item.pair else None,
-                        "lhs": item.lhs,
-                        "rhs": item.rhs,
-                        "slack": item.slack,
-                    }
-                )
-        if item.pair is None:
-            by_relation[item.relation] = item
-
-    t2 = by_relation.get(Relation.TRIPLE_COMMUTATOR)
-    t3 = by_relation.get(Relation.TRIPLE_PAIRWISE)
-    if t2 is not None and t3 is not None and t3.rhs > 1e-12:
-        error = abs(t2.rhs - _RATIO_T2_OVER_T3 * t3.rhs)
-        if error > summary.ratio_max_error:
-            summary.ratio_max_error = error
-
-    m2 = by_relation.get(Relation.SUM_MINUS)
-    m3 = by_relation.get(Relation.CHEN_FEI)
-    if m2 is not None and m3 is not None and m3.rhs < m2.rhs - 1e-12:
-        note = summary.notes.setdefault(
-            "cross_term_bound_below_pair_difference", {"count": 0, "examples": []}
-        )
-        note["count"] += 1
-        if len(note["examples"]) < 3:
-            trial, dim, n = instance_key
-            note["examples"].append(
-                {"trial": trial, "dim": dim, "n_observables": n,
-                 "m2_rhs": m2.rhs, "m3_rhs": m3.rhs}
-            )
-
-    m4 = by_relation.get(Relation.SONG)
-    others = [
-        r.rhs
-        for r in (
-            by_relation.get(Relation.SUM_PLUS),
-            by_relation.get(Relation.SUM_MINUS),
-            by_relation.get(Relation.CHEN_FEI),
-        )
-        if r is not None
-    ]
-    if m4 is not None and others and m4.rhs < max(others) - HOLDS_ATOL:
-        trial, dim, n = instance_key
-        note = summary.notes.setdefault(
-            "total_sum_bound_not_dominant", {"count": 0, "by_dim": {}, "examples": []}
-        )
-        note["count"] += 1
-        note["by_dim"][dim] = note["by_dim"].get(dim, 0) + 1
-        if len(note["examples"]) < 3:
-            note["examples"].append(
-                {"trial": trial, "dim": dim, "n_observables": n,
-                 "m4_rhs": m4.rhs, "best_other_rhs": max(others)}
-            )
+        slack = record["lhs"] - record["rhs"]
+        tally = summary.tallies[target]
+        if kind == "min" and slack < tally.min_slack:
+            tally.min_slack, tally.min_slack_witness = slack, record
+        if kind == "violation" and len(summary.violation_witnesses) < _MAX_WITNESSES:
+            summary.violation_witnesses.append({"relation": target.value, **record, "slack": slack})
 
 
 # -- serialization ------------------------------------------------------------

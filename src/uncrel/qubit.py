@@ -218,10 +218,11 @@ class StokesVector:
     def __post_init__(self) -> None:
         if not self.s0 > 0.0:
             raise ValueError(f"s0 must be positive, got {self.s0!r}")
-        polarized = self.s1**2 + self.s2**2 + self.s3**2
-        if polarized > self.s0**2 * (1.0 + 1e-9):
+        # Products, not **, which raises OverflowError on huge values.
+        polarized = self.s1 * self.s1 + self.s2 * self.s2 + self.s3 * self.s3
+        if polarized > self.s0 * self.s0 * (1.0 + 1e-9):
             raise ValueError(
-                f"polarized intensity {polarized!r} exceeds s0^2 = {self.s0**2!r}"
+                f"polarized intensity {polarized!r} exceeds s0^2 = {self.s0 * self.s0!r}"
             )
 
 

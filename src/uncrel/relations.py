@@ -14,10 +14,11 @@ the summed observable.
 Every relation is a function of two things only: the means ``m_i`` and the
 second moments ``G_ij = <A_i A_j>`` (plus, for the orthogonal-state form, the
 overlaps ``<psi|A_i|psi_perp>``).  :func:`uncrel.core.moment_table` builds
-that table once per instance and :func:`bound_values` holds the one formula
-set, batched over any leading shape; the public per-relation functions and
-:func:`evaluate_all` are thin callers, and :mod:`uncrel.qubit` evaluates the
-same formulas on the Pauli table.
+that table, for one instance or a batch, and :func:`bound_values` holds the
+one formula set, batched over any leading shape; the public per-relation
+functions and :func:`evaluate_all` are thin callers, the randomized campaign
+of :mod:`uncrel.harness` calls both on whole blocks, and :mod:`uncrel.qubit`
+evaluates the same formulas on the Pauli table.
 """
 from __future__ import annotations
 
@@ -246,16 +247,18 @@ def bound_values(m: np.ndarray, G: np.ndarray, X: np.ndarray | None = None) -> d
     )
     plus_sum, minus_sum = pair.sum(1)
     sum_stds, diff_stds = np.sqrt(pair).sum(1)
-    total = second.sum(0) + 2.0 * g_ij.real.sum(0) - m.sum(0) ** 2
+    # np.square squares as x * x also for the scalars of one instance, where
+    # ** 2 calls pow(), so one instance and a batch agree bit for bit.
+    total = second.sum(0) + 2.0 * g_ij.real.sum(0) - np.square(m.sum(0))
     values = {
         Relation.ROBERTSON: (v_i * v_j, g_ij.imag**2),
         Relation.MACCONE_PATI_DEVIATION: (v_i + v_j, 0.5 * pair[0]),
         Relation.SUM_PLUS: (lhs, plus_sum / (2.0 * (n - 1))),
         Relation.SUM_MINUS: (lhs, minus_sum / (2.0 * (n - 1))),
-        Relation.SONG: (lhs, total / n + 2.0 * diff_stds**2 / (n * n * (n - 1))),
+        Relation.SONG: (lhs, total / n + 2.0 * np.square(diff_stds) / (n * n * (n - 1))),
     }
     if n >= 3:
-        rhs = plus_sum / (n - 2) - sum_stds**2 / ((n - 1) ** 2 * (n - 2))
+        rhs = plus_sum / (n - 2) - np.square(sum_stds) / ((n - 1) ** 2 * (n - 2))
         values[Relation.CHEN_FEI] = (lhs, rhs)
     if n == 3:
         # <[B,C]>, <[C,A]>, <[A,B]> divided by i
@@ -414,7 +417,6 @@ def evaluate_all(
     state: QuantumState,
     *,
     include_pairwise: bool = False,
-    psi_perp: PureState | None = None,
 ) -> list[BoundReport | SkippedRelation]:
     """Evaluate every applicable relation on one observable set and state.
 
@@ -422,18 +424,17 @@ def evaluate_all(
     :class:`SkippedRelation` markers where the observable count rules one
     out.  With ``include_pairwise`` the pairwise relations follow, one
     report per observable pair; the Maccone-Pati forms are skipped for
-    mixed states.  The orthogonal form uses ``psi_perp`` when given, the
-    canonical :func:`~uncrel.core.orthogonal_qubit` companion in dimension
-    2, and is skipped above dimension 2 otherwise.
+    mixed states.  The orthogonal form uses the canonical
+    :func:`~uncrel.core.orthogonal_qubit` companion in dimension 2 and is
+    skipped above it, where no canonical choice exists.
 
     Every relation comes from one moment table of the state, and all
     sum-form reports share one lhs value (the total of the single
     variances).
     """
     pure = isinstance(state, PureState)
-    if not (include_pairwise and pure):
-        psi_perp = None
-    elif psi_perp is None and observables.dim == 2:
+    psi_perp = None
+    if include_pairwise and pure and observables.dim == 2:
         psi_perp = core.orthogonal_qubit(state)
     values = _values(observables, state, psi_perp)
     n = observables.count

@@ -316,3 +316,115 @@ def test_variance_consistency_error_on_corrupt_input():
     bad = np.array([2.0, 0.0], dtype=complex)
     with pytest.raises(ConsistencyError):
         moment_table(o.PZ[None], bad)
+
+
+def test_batched_moment_table_equals_per_instance_tables():
+    from uncrel.core import moment_table
+
+    kets = np.array([random_pure_state(3, seed=s).amplitudes for s in range(40)])
+    rhos = np.array([np.outer(k, k.conj()) * 0.6 + np.eye(3) * 0.4 / 3 for k in kets])
+    mats = np.array([
+        [random_observable(3, seed=100 * s + i).matrix for i in range(4)] for s in range(40)
+    ])
+    pauli_kets = np.array([random_pure_state(2, seed=s).amplitudes for s in range(40)])
+    stack = np.array(o.PAULIS)
+    cases = [(mats, kets), (mats, rhos), (stack[None], pauli_kets)]
+    for batch_mats, states in cases:
+        m, G, W = moment_table(batch_mats, states)
+        assert m.shape == (40, batch_mats.shape[1])
+        assert G.shape == (40, batch_mats.shape[1], batch_mats.shape[1])
+        for b, state in enumerate(states):
+            one = moment_table(batch_mats[min(b, len(batch_mats) - 1)], state)
+            assert np.array_equal(one[0], m[b])
+            assert np.array_equal(one[1], G[b])
+            assert (W is None and one[2] is None) or np.array_equal(one[2], W[b])
+
+
+def test_batched_moment_table_raises_on_one_corrupt_instance():
+    from uncrel.core import moment_table
+
+    kets = np.array([random_pure_state(2, seed=s).amplitudes for s in range(10)])
+    stack = np.array(o.PAULIS)[None]
+    moment_table(stack, kets)
+    kets[7] *= 2.0  # a non-normalized vector: negative variance beyond round-off
+    with pytest.raises(ConsistencyError, match="variance"):
+        moment_table(stack, kets)
+    kets[7] /= 2.0
+    kets[3] = [np.inf, 0.0]
+    with pytest.raises(ConsistencyError, match="second moment"):
+        moment_table(stack, kets)
+
+
+def test_package_exports_the_public_api():
+    # __all__ is computed from the package's imports; this pins it.
+    import uncrel
+
+    assert sorted(uncrel.__all__) == sorted([
+        "BlochAngles",
+        "BoundReport",
+        "ConsistencyError",
+        "ContractError",
+        "DensityMatrix",
+        "DimensionError",
+        "EstimateWithError",
+        "InvalidMomentsError",
+        "MeasurementRecord",
+        "Observable",
+        "ObservableSet",
+        "OrthogonalityError",
+        "OutputRow",
+        "PAIRWISE_RELATIONS",
+        "PureState",
+        "QuantumState",
+        "QubitMoments",
+        "Relation",
+        "SUM_FORM_RELATIONS",
+        "ShotPlan",
+        "SkippedRelation",
+        "StokesVector",
+        "SweepSpec",
+        "UnsupportedCountError",
+        "UnsupportedDimensionError",
+        "UnsupportedRelationError",
+        "UnsupportedStateError",
+        "VerificationSummary",
+        "__version__",
+        "bloch_to_state",
+        "bootstrap_bounds",
+        "chen_fei",
+        "closed_form_bounds",
+        "closed_form_lhs",
+        "closed_form_rhs",
+        "commutator_expectation",
+        "density_to_stokes",
+        "derive_seed",
+        "deviation_state",
+        "emit",
+        "estimate_expectation",
+        "evaluate_all",
+        "expectation",
+        "maccone_pati_deviation",
+        "maccone_pati_orthogonal",
+        "moments_from_angles",
+        "moments_from_expectations",
+        "moments_from_stokes",
+        "orthogonal_qubit",
+        "pauli",
+        "pauli_triple",
+        "random_observable",
+        "random_pure_state",
+        "robertson",
+        "run_sweep",
+        "run_verify",
+        "simulate_counts",
+        "song",
+        "stokes_to_density",
+        "sum_minus",
+        "sum_plus",
+        "triple_commutator",
+        "triple_pairwise",
+        "triple_sum",
+        "variance",
+    ])
+    for name in uncrel.__all__:
+        assert getattr(uncrel, name) is not None

@@ -1,28 +1,43 @@
+import contextlib
 import csv
+import functools
 import io
 import json
 import math
+import tempfile
+import warnings
+from dataclasses import replace
+from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import _oracles as o
 from uncrel import (
     BlochAngles,
+    BoundReport,
+    PureState,
     Relation,
     SUM_FORM_RELATIONS,
     ShotPlan,
     SweepSpec,
+    derive_seed,
     emit,
     evaluate_all,
+    maccone_pati_orthogonal,
     pauli_triple,
     random_observable,
     random_pure_state,
     run_sweep,
     run_verify,
 )
+from uncrel import harness
 from uncrel.cli import build_parser, main, parse_angle
-from uncrel.relations import ObservableSet
+from uncrel.harness import _random_orthogonal
+from uncrel.relations import ObservableSet, holds
 
 EXPECTED_HEADER = (
     "theta,phi,lhs,lhs_err,T1,T1_err,T2,T2_err,T3,T3_err,M1,M1_err,"
@@ -483,3 +498,242 @@ def test_cli_version(capsys):
         build_parser().parse_args(["--version"])
     assert exc.value.code == 0
     assert "uncrel" in capsys.readouterr().out
+
+
+def test_cli_consistency_error_exits_4_with_one_line(tmp_path, capsys):
+    # The smallest eigenvalue sits inside the PSD tolerance, so the state is
+    # accepted; its z variance is then negative beyond round-off.
+    state_file = tmp_path / "state.json"
+    state_file.write_text(
+        '{"density": [[[1.0000000000990,0],[0,0]],[[0,0],[-0.99e-10,0]]]}'
+    )
+    assert main(["bounds", "--state-file", str(state_file)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "uncrel: error: variance -3.959997885161215e-10 is negative beyond round-off"
+    ]
+
+
+def test_cli_bounds_refuses_moments_beyond_double_precision(tmp_path, capsys):
+    state_file = tmp_path / "state.json"
+    state_file.write_text(json.dumps({"amplitudes": [[0.6, 0.0], [0.8, 0.0]]}))
+    big = 1e160
+    obs_file = tmp_path / "obs.json"
+    obs_file.write_text(json.dumps([
+        [[[big, 0.0], [big, 0.0]], [[big, 0.0], [-big, 0.0]]],
+        [[[big, 0.0], [0.0, -big]], [[0.0, big], [0.0, 0.0]]],
+    ]))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([
+            "bounds", "--state-file", str(state_file),
+            "--observables-file", str(obs_file), "--pairwise",
+        ])
+    assert code == 4
+    assert not caught
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["uncrel: error: second moment inf is not finite or exceeds 1e+150"]
+
+
+# -- fuzzed bounds inputs -----------------------------------------------------
+
+_json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(10**400), max_value=10**400),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([1e-320, 1e-160, 1e160, 1e300, -1e300]),
+    st.text(max_size=4),
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.sampled_from(["theta", "phi", "observables", "x"]), inner, max_size=2),
+    ),
+    max_leaves=24,
+)
+
+
+def _pairs(z) -> list:
+    """A complex array as nested [re, im] pairs."""
+    z = np.asarray(z)
+    return np.stack([z.real, z.imag], axis=-1).tolist()
+
+
+_scales = st.integers(-320, 300).map(lambda k: 10.0**k)
+_state_scales = st.sampled_from([1.0, 1.0, 1.0, 1.0 + 1e-9, 2.0])
+
+
+@st.composite
+def _bounds_inputs(draw):
+    """A state payload and an observables payload (None for the default).
+
+    Most are well formed, at any scale; the rest put arbitrary JSON in
+    place of a field or of the whole file.
+    """
+    dim = draw(st.sampled_from([2, 2, 3, 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    form = draw(st.sampled_from(["amplitudes", "density", "stokes", "bloch", "other"]))
+    if draw(st.integers(0, 4)) == 0:
+        state = {form: draw(_json_values)} if draw(st.booleans()) else draw(_json_values)
+    elif form == "amplitudes":
+        state = {form: _pairs(draw(_state_scales) * z[0] / np.linalg.norm(z[0]))}
+    elif form == "density":
+        rho = z @ z.conj().T
+        state = {form: _pairs(draw(_state_scales) * rho / np.trace(rho).real)}
+    elif form == "stokes":
+        state = {form: [draw(st.one_of(st.floats(-2, 2), _scales, _json_scalars)) for _ in range(4)]}
+    else:
+        angles = st.one_of(st.floats(0, 3.2), _json_scalars)
+        state = {form: {"theta": draw(angles), "phi": draw(angles)}}
+    if draw(st.booleans()):
+        return state, None
+    if draw(st.integers(0, 4)) == 0:
+        return state, draw(_json_values)
+    count = draw(st.sampled_from([2, 3, 3, 4, 1]))
+    size = draw(st.sampled_from([dim, dim, dim + 1]))
+    observables = []
+    for _ in range(count):
+        g = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+        hermitian = draw(st.integers(0, 5)) > 0
+        scale = draw(st.one_of(st.just(1.0), _scales))
+        observables.append(_pairs(scale * (g + g.conj().T if hermitian else g)))
+    return state, {"observables": observables} if draw(st.booleans()) else observables
+
+
+@settings(max_examples=300, deadline=None)
+@given(_bounds_inputs(), st.booleans(), st.sampled_from(["csv", "json"]))
+def test_cli_bounds_fuzz_never_crashes(inputs, pairwise, fmt):
+    """Any state and observables file ends in a documented exit code with
+    at most a one-line error: no traceback and no numpy warning."""
+    state, observables = inputs
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["bounds", "--state-file", str(Path(tmp) / "state.json"), "--format", fmt]
+        Path(argv[2]).write_text(json.dumps(state))
+        if observables is not None:
+            argv += ["--observables-file", str(Path(tmp) / "obs.json")]
+            Path(argv[-1]).write_text(json.dumps(observables))
+        if pairwise:
+            argv.append("--pairwise")
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main(argv)
+    assert code in (0, 1, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], caught
+    if code in (1, 3, 4):
+        assert len(err.getvalue().splitlines()) == 1
+
+
+# -- the batched campaign against the per-instance engine ----------------------
+
+@functools.lru_cache(maxsize=None)
+def _reports_one_by_one(trials, dims, counts, seed):
+    """Every instance of a random campaign, in instance order, as
+    ``(trial, dim, n, reports)`` from one ``evaluate_all`` call each."""
+    instances = []
+    for trial in range(trials):
+        for dim in dims:
+            for n in counts:
+                psi = random_pure_state(dim, derive_seed(seed, trial, dim, n, 0))
+                obs = ObservableSet(tuple(
+                    random_observable(dim, derive_seed(seed, trial, dim, n, 1 + i))
+                    for i in range(n)
+                ))
+                reports = [
+                    r for r in evaluate_all(obs, psi, include_pairwise=True)
+                    if isinstance(r, BoundReport)
+                ]
+                if dim > 2:
+                    # The campaign's seeded companion stands in for the
+                    # canonical one, which exists only for qubits.
+                    perp = PureState(_random_orthogonal(
+                        psi.amplitudes, derive_seed(seed, trial, dim, n, 99)
+                    ))
+                    mpo = [
+                        replace(maccone_pati_orthogonal(obs[i], obs[j], psi, perp), pair=(i, j))
+                        for i, j in combinations(range(n), 2)
+                    ]
+                    at = [r.relation for r in reports].index(Relation.MACCONE_PATI_DEVIATION)
+                    reports[at:at] = mpo
+                instances.append((trial, dim, n, reports))
+    return instances
+
+
+def _campaign_one_by_one(trials, dims, counts, seed, verdict):
+    """Tallies, witnesses, notes and the ratio error of a random campaign,
+    digested one instance at a time with ``verdict`` for ``holds``."""
+    tallies, witnesses, notes, ratio_error = {}, [], {}, 0.0
+    for trial, dim, n, reports in _reports_one_by_one(trials, dims, counts, seed):
+        where = {"trial": trial, "dim": dim, "n_observables": n}
+        for r in reports:
+            tally = tallies.setdefault(r.relation, [0, 0, math.inf, None])
+            record = {**where, "pair": list(r.pair) if r.pair else None,
+                      "lhs": r.lhs, "rhs": r.rhs}
+            tally[0] += 1
+            if r.slack < tally[2]:
+                tally[2:] = r.slack, record
+            if not verdict(r.lhs, r.rhs):
+                tally[1] += 1
+                if len(witnesses) < 20:
+                    witnesses.append({"relation": r.relation.value, **record,
+                                      "slack": r.slack})
+        rhs = {r.relation: r.rhs for r in reports if r.pair is None}
+        if n == 3 and rhs[Relation.TRIPLE_PAIRWISE] > 1e-12:
+            ratio_error = max(ratio_error, abs(
+                rhs[Relation.TRIPLE_COMMUTATOR]
+                - 2.0 / math.sqrt(3.0) * rhs[Relation.TRIPLE_PAIRWISE]
+            ))
+        m2, m3, m4 = (rhs.get(r) for r in (
+            Relation.SUM_MINUS, Relation.CHEN_FEI, Relation.SONG))
+        if m3 is not None and m3 < m2 - 1e-12:
+            note = notes.setdefault(
+                "cross_term_bound_below_pair_difference", {"count": 0, "examples": []})
+            note["count"] += 1
+            if len(note["examples"]) < 3:
+                note["examples"].append({**where, "m2_rhs": m2, "m3_rhs": m3})
+        others = max(rhs[r] for r in (
+            Relation.SUM_PLUS, Relation.SUM_MINUS, Relation.CHEN_FEI) if r in rhs)
+        if m4 < others - 1e-9:
+            note = notes.setdefault(
+                "total_sum_bound_not_dominant", {"count": 0, "by_dim": {}, "examples": []})
+            note["count"] += 1
+            note["by_dim"][dim] = note["by_dim"].get(dim, 0) + 1
+            if len(note["examples"]) < 3:
+                note["examples"].append({**where, "m4_rhs": m4, "best_other_rhs": others})
+    return tallies, witnesses, notes, ratio_error
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("campaign", [(520, (2, 2, 3), (2, 3), 5), (40, (3,), (3,), 1)])
+def test_batched_campaign_matches_one_by_one_evaluation(monkeypatch, campaign, strict):
+    # 520 trials cross the 512-trial block boundary; dims (2, 2, 3) repeat a
+    # dimension, so by_dim counts from two positions share a key.  With one
+    # (dim, n) every note example comes from the same block.  The strict
+    # verdict makes many reports violations, which exercises the order of
+    # the violation witnesses across relations and pairs.
+    verdict = (lambda lhs, rhs: lhs - rhs >= 0.2) if strict else holds
+    monkeypatch.setattr(harness, "holds", verdict)
+    trials, dims, counts, seed = campaign
+    summary = run_verify(trials, dims=dims, counts=counts, seed=seed)
+    tallies, witnesses, notes, ratio_error = _campaign_one_by_one(
+        trials, dims, counts, seed, verdict
+    )
+    assert summary.total_instances == trials * len(dims) * len(counts)
+    assert list(summary.tallies) == list(tallies)
+    for rel, (evaluated, violations, min_slack, witness) in tallies.items():
+        tally = summary.tallies[rel]
+        assert (tally.evaluated, tally.violations) == (evaluated, violations), rel
+        assert tally.min_slack == min_slack, rel
+        assert tally.min_slack_witness == witness, rel
+    assert summary.violation_witnesses == witnesses
+    assert len(witnesses) == (20 if strict else 0)
+    # json.dumps keeps insertion order, which == on dicts ignores.
+    assert json.dumps(summary.notes) == json.dumps(notes)
+    assert max(note["count"] for note in notes.values()) > 3
+    assert summary.ratio_max_error == ratio_error

@@ -490,3 +490,68 @@ def test_rescaled_observables_scale_every_relation(seed, dim, n, k):
         assert abs(b.lhs - power * a.lhs) <= 1e-9 * size, a.relation
         assert abs(b.rhs - power * a.rhs) <= 1e-9 * size, a.relation
         assert a.holds and b.holds, a.relation
+
+
+def _random_unitary(dim, seed):
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _random_density(dim, seed):
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rho = z @ z.conj().T
+    return rho / np.trace(rho).real
+
+
+def _assert_same_reports(before, after):
+    """Same relations, pairs and verdicts; values within 1e-9 of max(1, |lhs|)."""
+    assert [(type(r), r.relation) for r in after] == [(type(r), r.relation) for r in before]
+    for a, b in zip(before, after):
+        if isinstance(a, SkippedRelation):
+            continue
+        scale = max(1.0, abs(a.lhs))
+        assert abs(b.lhs - a.lhs) <= 1e-9 * scale, a.relation
+        assert abs(b.rhs - a.rhs) <= 1e-9 * scale, a.relation
+        assert (b.pair, b.holds) == (a.pair, a.holds), a.relation
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.sampled_from((2, 3, 4)),
+    st.sampled_from((2, 3, 4, 5)),
+    st.booleans(),
+)
+def test_joint_unitary_leaves_every_relation_unchanged(seed, dim, n, mixed):
+    # Every relation depends on the state and the observables only through
+    # traces of their products, which a joint change of basis preserves.
+    obs, psi = random_instance(dim, n, seed)
+    u = _random_unitary(dim, seed + 1)
+    rotated = ObservableSet(tuple(Observable(u @ ob.matrix @ u.conj().T) for ob in obs))
+    if mixed:
+        rho = _random_density(dim, seed + 2)
+        state, turned = DensityMatrix(rho), DensityMatrix(u @ rho @ u.conj().T)
+    else:
+        state, turned = psi, PureState(u @ psi.amplitudes)
+    _assert_same_reports(
+        evaluate_all(obs, state, include_pairwise=True),
+        evaluate_all(rotated, turned, include_pairwise=True),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.sampled_from((2, 3, 4)),
+    st.sampled_from((2, 3, 4, 5)),
+    st.booleans(),
+)
+def test_permuting_observables_leaves_sum_form_bounds_unchanged(seed, dim, n, mixed):
+    # The seven sum-form bounds are symmetric in the observables.
+    obs, psi = random_instance(dim, n, seed)
+    state = DensityMatrix(_random_density(dim, seed + 2)) if mixed else psi
+    order = np.random.default_rng(seed + 3).permutation(n)
+    permuted = ObservableSet(tuple(obs[int(k)] for k in order))
+    _assert_same_reports(evaluate_all(obs, state), evaluate_all(permuted, state))
