@@ -281,8 +281,8 @@ def run_verify(
 
     Each ``(dim, n)`` runs up to 512 trials (``_BLOCK_TRIALS``) at a time
     through one moment table and one :func:`~uncrel.relations.bound_values`
-    call, yet witnesses, examples and the order of every map follow the
-    instance order ``(trial, dim, n)`` as if instances ran one by one.
+    call; for any block size the summary is bit for bit, orders included,
+    that of instances run one by one in the order ``(trial, dim, n)``.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")

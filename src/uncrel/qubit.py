@@ -1,9 +1,9 @@
 """Closed forms for a qubit measured along the three Pauli axes.
 
-For a qubit all nine bounds reduce to algebra in the Pauli expectations
-``(ex, ey, ez)``.  This module derives those expectations from Bloch
-angles, raw expectation triples, or Stokes parameters, and evaluates the
-sum-form bounds without touching matrices: the Pauli algebra gives the
+For a qubit the seven sum-form bounds reduce to algebra in the Pauli
+expectations ``(ex, ey, ez)``.  This module derives those expectations from
+Bloch angles, raw expectation triples, or Stokes parameters, and evaluates
+those bounds without touching matrices: the Pauli algebra gives the
 moment table ``G_ij = delta_ij + i eps_ijk e_k`` directly, and the formulas
 of :mod:`uncrel.relations` run on it unchanged.  The matrix engine shares
 those formulas and differs only in building ``G`` from matrices and a
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -135,10 +134,6 @@ class QubitMoments:
     def outside_ball(self) -> bool:
         return self._v > 1.0 + BALL_EXCESS_ATOL
 
-    @cached_property
-    def _bounds(self) -> dict:
-        return bound_values(*pauli_table(self.ex, self.ey, self.ez))
-
 
 def moments_from_expectations(ex: float, ey: float, ez: float) -> QubitMoments:
     """Build :class:`QubitMoments` from a measured or exact Pauli triple."""
@@ -165,13 +160,13 @@ def _require_sum_form(relations) -> None:
 
 def closed_form_lhs(moments: QubitMoments) -> float:
     """Sum of the three Pauli variances, ``3 - v``."""
-    return float(moments._bounds[Relation.SONG][0])
+    return float(closed_form_bounds(moments.ex, moments.ey, moments.ez, ())[0])
 
 
 def closed_form_rhs(moments: QubitMoments, relation: Relation) -> float:
     """Closed-form bound for one sum-form relation at the given moments."""
-    _require_sum_form((relation,))
-    return float(moments._bounds[relation][1])
+    _, bounds = closed_form_bounds(moments.ex, moments.ey, moments.ez, (relation,))
+    return float(bounds[relation])
 
 
 def closed_form_bounds(ex, ey, ez, relations=SUM_FORM_RELATIONS):

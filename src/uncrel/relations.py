@@ -15,17 +15,18 @@ Every relation is a function of two things only: the means ``m_i`` and the
 second moments ``G_ij = <A_i A_j>`` (plus, for the orthogonal-state form, the
 overlaps ``<psi|A_i|psi_perp>``).  :func:`uncrel.core.moment_table` builds
 that table, for one instance or a batch, and :func:`bound_values` holds the
-one formula set, batched over any leading shape; the public per-relation
-functions and :func:`evaluate_all` are thin callers, the randomized campaign
-of :mod:`uncrel.harness` calls both on whole blocks, and :mod:`uncrel.qubit`
-evaluates the same formulas on the Pauli table.
+one formula set.  It adds every sum over observables or pairs row by row in
+index order, so a value has the same bits alone or in any batch.  The public
+per-relation functions and :func:`evaluate_all` are thin callers, the
+campaign of :mod:`uncrel.harness` calls both on whole blocks, and
+:mod:`uncrel.qubit` evaluates the same formulas on the Pauli table.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from enum import Enum, unique
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations, repeat
 
 import numpy as np
@@ -228,28 +229,29 @@ def bound_values(m: np.ndarray, G: np.ndarray, X: np.ndarray | None = None) -> d
     Pairwise entries add a trailing axis over the pairs ``i < j`` in
     ``itertools.combinations`` order.  The triple bounds need exactly 3
     observables and the cross-term bound at least 3; otherwise they are absent.
+    Sums over observables and pairs add rows in index order, so each
+    instance's values are the same bits for any batch shape.
     """
     n = m.shape[-1]
     i, j = _pair_index(n)
-    # .T puts the observable axes first, so every per-observable term is a
-    # whole row and sums over observables add rows.  It also reverses the
-    # batch axes, which the .T on the way out undoes; G.T[b, a] is G_ab.
+    # .T puts the observable axes first, each term per observable a row, and
+    # reverses the batch axes, undone by .T on the way out; G.T[b, a] is G_ab.
     second = np.ascontiguousarray(G.real.diagonal(0, -2, -1).T)
     m, g = np.ascontiguousarray(m.T), G.T
     g_ij = g[j, i]
     var = second - m * m
-    lhs = var.sum(0)
+    lhs = _add_rows(var)
     v_i, v_j = var[i], var[j]
     # Var(A_i + A_j) and Var(A_i - A_j) at once, along a leading sign axis.
     sign = _SIGNS.reshape((2,) + (1,) * g_ij.ndim)
     pair = np.maximum(
         (second[i] + second[j]) + sign * (2.0 * g_ij.real) - (m[i] + sign * m[j]) ** 2, 0.0
     )
-    plus_sum, minus_sum = pair.sum(1)
-    sum_stds, diff_stds = np.sqrt(pair).sum(1)
+    plus_sum, minus_sum = _add_rows(pair.swapaxes(0, 1))
+    sum_stds, diff_stds = _add_rows(np.sqrt(pair).swapaxes(0, 1))
     # np.square squares as x * x also for the scalars of one instance, where
     # ** 2 calls pow(), so one instance and a batch agree bit for bit.
-    total = second.sum(0) + 2.0 * g_ij.real.sum(0) - np.square(m.sum(0))
+    total = _add_rows(second) + 2.0 * _add_rows(g_ij.real) - np.square(_add_rows(m))
     values = {
         Relation.ROBERTSON: (v_i * v_j, g_ij.imag**2),
         Relation.MACCONE_PATI_DEVIATION: (v_i + v_j, 0.5 * pair[0]),
@@ -263,9 +265,9 @@ def bound_values(m: np.ndarray, G: np.ndarray, X: np.ndarray | None = None) -> d
     if n == 3:
         # <[B,C]>, <[C,A]>, <[A,B]> divided by i
         comm = 2.0 * g.imag[_CYCLIC_COLUMNS, _CYCLIC_ROWS]
-        mags = np.abs(comm).sum(0)
+        mags = _add_rows(np.abs(comm))
         a, b, c = np.sqrt(np.maximum(var, 0.0))
-        values[Relation.TRIPLE_SUM] = (lhs, total / 3.0 + (_SQRT3 / 3.0) * np.abs(comm.sum(0)))
+        values[Relation.TRIPLE_SUM] = (lhs, total / 3.0 + (_SQRT3 / 3.0) * np.abs(_add_rows(comm)))
         values[Relation.TRIPLE_COMMUTATOR] = (lhs, (_SQRT3 / 3.0) * mags)
         values[Relation.TRIPLE_PAIRWISE] = (lhs, 0.5 * mags, a * b + b * c + c * a)
     if X is not None:
@@ -276,9 +278,13 @@ def bound_values(m: np.ndarray, G: np.ndarray, X: np.ndarray | None = None) -> d
         down = np.abs(x_i - 1j * x_j) ** 2 - signed
         rhs = np.where(signed > 0.0, up, np.where(signed < 0.0, down, np.maximum(up, down)))
         values[Relation.MACCONE_PATI_ORTHOGONAL] = (v_i + v_j, rhs)
-    if m.ndim == 1:
-        return values
     return {rel: tuple([v.T for v in entry]) for rel, entry in values.items()}
+
+
+def _add_rows(a: np.ndarray):
+    """Sum over the first axis, one whole row after another in index order;
+    ``a.sum(0)`` adds 8 or more contiguous values pairwise instead."""
+    return reduce(np.add, a)
 
 
 def _values(observables: ObservableSet, state: QuantumState, psi_perp=None) -> dict:

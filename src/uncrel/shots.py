@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .qubit import closed_form_bounds, pauli
-from .core import QuantumState, expectation
+from .qubit import closed_form_bounds, pauli_triple
+from .core import QuantumState, moment_table, state_array
 from .relations import Relation, SUM_FORM_RELATIONS
 
 BASIS_ORDER = ("x", "y", "z")
@@ -29,6 +29,8 @@ _BASIS_INDEX = {"x": 0, "y": 1, "z": 2}
 DEFAULT_SHOTS_PER_BASIS = 2400
 
 MIN_BOOTSTRAP_RESAMPLES = 100
+
+_PAULI_STACK = pauli_triple().stack
 
 
 def derive_seed(seed: int, *path: int) -> int:
@@ -113,15 +115,13 @@ def simulate_counts(state: QuantumState, plan: ShotPlan) -> list[MeasurementReco
     """
     if state.dim != 2:
         raise DimensionError(f"shot simulation is for qubits, got dim {state.dim}")
+    means, _, _ = moment_table(_PAULI_STACK, state_array(state))
+    p_up = np.clip((1.0 + means) / 2.0, 0.0, 1.0)
     records = []
     for basis in plan.bases:
-        mean = expectation(pauli(basis), state)
-        p_up = min(max((1.0 + mean) / 2.0, 0.0), 1.0)
         rng = np.random.default_rng([plan.seed, _BASIS_INDEX[basis]])
-        n_plus = int(rng.binomial(plan.shots_per_basis, p_up))
-        records.append(
-            MeasurementRecord(basis, n_plus, plan.shots_per_basis - n_plus)
-        )
+        n_plus = int(rng.binomial(plan.shots_per_basis, p_up[_BASIS_INDEX[basis]]))
+        records.append(MeasurementRecord(basis, n_plus, plan.shots_per_basis - n_plus))
     return records
 
 

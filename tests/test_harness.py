@@ -710,16 +710,25 @@ def _campaign_one_by_one(trials, dims, counts, seed, verdict):
 
 
 @pytest.mark.parametrize("strict", [False, True])
-@pytest.mark.parametrize("campaign", [(520, (2, 2, 3), (2, 3), 5), (40, (3,), (3,), 1)])
+@pytest.mark.parametrize("campaign", [
+    (520, (2, 2, 3), (2, 3), 5, 512),
+    (40, (3,), (3,), 1, 512),
+    (60, (2, 3, 4), (5, 6), 3, 1),
+    (60, (2, 3, 4), (5, 6), 3, 7),
+    (60, (2, 3, 4), (5, 6), 3, 512),
+])
 def test_batched_campaign_matches_one_by_one_evaluation(monkeypatch, campaign, strict):
     # 520 trials cross the 512-trial block boundary; dims (2, 2, 3) repeat a
     # dimension, so by_dim counts from two positions share a key.  With one
     # (dim, n) every note example comes from the same block.  The strict
     # verdict makes many reports violations, which exercises the order of
-    # the violation witnesses across relations and pairs.
+    # the violation witnesses across relations and pairs.  At n >= 5 there
+    # are 10 or more pairs, and one campaign is run in blocks of 1, 7 and
+    # 512 trials: the sums over pairs must not depend on the block size.
     verdict = (lambda lhs, rhs: lhs - rhs >= 0.2) if strict else holds
     monkeypatch.setattr(harness, "holds", verdict)
-    trials, dims, counts, seed = campaign
+    trials, dims, counts, seed, block = campaign
+    monkeypatch.setattr(harness, "_BLOCK_TRIALS", block)
     summary = run_verify(trials, dims=dims, counts=counts, seed=seed)
     tallies, witnesses, notes, ratio_error = _campaign_one_by_one(
         trials, dims, counts, seed, verdict
