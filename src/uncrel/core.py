@@ -10,6 +10,7 @@ a whole batch at once.  All functions are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -40,10 +41,13 @@ MOMENT_SCALE_LIMIT = 1e150
 # state is an eigenstate and no normalized deviation direction exists.
 DEVIATION_NORM_FLOOR = 1e-12
 
+# A random draw shorter than this is degenerate and gets a fixed fallback.
+DEGENERATE_NORM = 1e-6
 
-def _is_hermitian(m: np.ndarray) -> bool:
-    # Entrywise within HERMITICITY_ATOL, as np.allclose(rtol=0) but cheaper.
-    return np.abs(m - m.conj().T).max() <= HERMITICITY_ATOL
+
+def _is_hermitian(m: np.ndarray, scale: float = 1.0) -> bool:
+    # Entrywise within HERMITICITY_ATOL * scale, as np.allclose(rtol=0) but cheaper.
+    return np.abs(m - m.conj().T).max() <= HERMITICITY_ATOL * scale
 
 
 def _as_square_complex(values, what: str) -> np.ndarray:
@@ -64,15 +68,19 @@ class Observable:
     """A Hermitian matrix of finite entries on a d-dimensional system, d >= 2.
 
     The stored array is a read-only copy of the input; Hermiticity is
-    enforced entrywise at construction within ``HERMITICITY_ATOL``.
+    enforced entrywise at construction within ``HERMITICITY_ATOL`` times
+    ``max(1, max|A_ij|)``, so a rescaled observable is accepted as the
+    original is.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
         m = _as_square_complex(self.matrix, "observable")
-        if not _is_hermitian(m):
-            raise ValueError("observable matrix is not Hermitian within 1e-12")
+        if not _is_hermitian(m, max(1.0, float(np.abs(m).max()))):
+            raise ValueError(
+                "observable matrix is not Hermitian within 1e-12 times max(1, largest |entry|)"
+            )
         m = m.copy()
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
@@ -206,7 +214,9 @@ def moment_table(
     axes broadcast, so a shared stack serves a batch of kets as
     ``stack[None]``.  For a ket, ``W = A psi`` holds one row per observable,
     ``m = Re(W psi*)`` and ``G = W* W^T``; for a density matrix ``G_ij =
-    Tr(rho A_i A_j)`` and ``W`` is None.  Returns ``(m, G, W)``.
+    Tr(rho A_i A_j)`` and ``W`` is None.  Returns ``(m, G, W)``.  An
+    ``Im G_ij`` within ``(d + 1) eps sqrt(G_ii G_jj)`` is round-off and is
+    returned as 0.
 
     Each instance is judged on its own scale ``max(1, max_i G_ii)``.  A
     scale above ``MOMENT_SCALE_LIMIT`` or not finite, an imaginary part of a
@@ -219,8 +229,8 @@ def moment_table(
         if state.ndim == mats.ndim - 2:  # a ket; a density matrix has one more axis
             W = (mats @ state[..., None, :, None])[..., 0]
             mean = (W @ state.conj()[..., None])[..., 0]
-            # einsum forms each product directly, so commuting observables get
-            # an exactly real G; a BLAS product can leave round-off in Im G.
+            # einsum forms each product directly; a BLAS product can leave
+            # more round-off in Im G.
             G = np.einsum("...ik,...jk->...ij", W.conj(), W)
         else:
             W = None
@@ -229,6 +239,13 @@ def moment_table(
             G = np.einsum("...iab,...jba->...ij", rho_a, mats)
         m = mean.real
         second = G.real.diagonal(0, -2, -1)
+        # Im G_ij is the commutator's expectation over 2i.  Where that is
+        # exactly 0, rounding in A psi still leaves up to about eps
+        # sqrt(G_ii G_jj); a value within (d + 1) eps sqrt(G_ii G_jj) is
+        # taken as 0, so commuting diagonal observables get a real G.
+        floor = (state.shape[-1] + 1) * np.finfo(float).eps * np.sqrt(
+            second[..., :, None] * second[..., None, :])
+        G.imag[np.abs(G.imag) <= floor] = 0.0
         scale = second.max(-1, initial=1.0)
         residue = np.abs(mean.imag).max(-1)
         lowest = (second - m * m).min(-1)
@@ -315,29 +332,104 @@ def orthogonal_qubit(psi: PureState) -> PureState:
     return PureState(np.array([-np.conj(b), np.conj(a)]))
 
 
-def random_pure_state(dim: int, seed) -> PureState:
-    """Haar-random pure state: a normalized complex Gaussian vector.
+def _row_sum(x: np.ndarray) -> np.ndarray:
+    """Row sums of a 2-d array, added in index order, so a row's bits do not
+    depend on the batch it sits in."""
+    return reduce(np.add, x.T)
+
+
+def _unit_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each complex row of a 2-d ``v`` over its norm, and the mask of the
+    rows whose norm is below ``DEGENERATE_NORM`` (those rows are not unit
+    vectors, and callers replace them).
+
+    The norm adds ``Re^2`` and ``Im^2`` of each entry in index order, and the
+    division is by real and imaginary part, so each row gets the same bits
+    whatever the batch.
+    """
+    x = np.ascontiguousarray(v).view(float)
+    norm = np.sqrt(_row_sum(x * x))
+    unit = x / np.maximum(norm, DEGENERATE_NORM)[:, None]
+    return unit.view(complex), norm < DEGENERATE_NORM
+
+
+def orthogonal_companions(kets: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Unit vectors orthogonal to each row of ``kets``, from ``(B, d)`` draws.
+
+    Each draw has its ket projected out, ``v - <psi|v> psi``, and is
+    renormalized.  A draw whose projection is shorter than
+    ``DEGENERATE_NORM`` is replaced, deterministically, by the basis vector
+    ``e_j`` at the ket's smallest amplitude (the first on ties), projected
+    and renormalized the same way; that projection has norm
+    ``sqrt(1 - |psi_j|^2) >= sqrt(1 - 1/d)``.
+    """
+    def project(v):
+        return _unit_rows(v - _row_sum(kets.conj() * v)[:, None] * kets)
+
+    perps, degenerate = project(draws)
+    if degenerate.any():
+        basis = np.eye(kets.shape[-1])[np.argmin(np.abs(kets), axis=-1)]
+        perps[degenerate] = project(basis)[0][degenerate]
+    return perps
+
+
+def _gaussians(seed, trials: range | None, count: int) -> np.ndarray:
+    """``(len(trials), count)`` standard complex normals from one Philox stream
+    (``trials`` None stands for ``range(1)``).
+
+    The stream is ``numpy.random.Philox`` keyed by ``SeedSequence(seed)``.
+    Trial ``t`` owns ``S = ceil(count / 2)`` counter steps of 4 raw 64-bit
+    words, starting after ``t * S`` steps, and uses its first ``2 count``
+    words: each pair ``(a, b)`` becomes ``sqrt(-2 ln(1 - x_a)) (cos 2 pi x_b
+    + i sin 2 pi x_b)`` by Box-Muller, with ``x = (word >> 11) 2^-53`` in
+    [0, 1).  A block of trials is one ``advance`` and one ``random_raw``.
+    """
+    trials = range(1) if trials is None else trials
+    if trials.step != 1 or trials.start < 0 or len(trials) < 1:
+        raise ValueError(f"trials must be a non-empty range of consecutive indices >= 0: {trials}")
+    steps = -(-count // 2)
+    stream = np.random.Philox(seed)
+    stream.advance(trials.start * steps)
+    words = stream.random_raw((len(trials), 4 * steps))[:, :2 * count]
+    x = (words >> 11).astype(float) * 2.0**-53
+    radius = np.sqrt(-2.0 * np.log(1.0 - x[:, 0::2]))
+    angle = 2.0 * np.pi * x[:, 1::2]
+    return radius * np.cos(angle) + 1j * (radius * np.sin(angle))
+
+
+def random_pure_state(dim: int, seed, trials: range | None = None):
+    """Haar-random pure states: normalized complex Gaussian vectors.
 
     Args:
         dim: Hilbert-space dimension, at least 2.
-        seed: anything accepted by ``numpy.random.default_rng``; the same
-            seed always yields the same state.
+        seed: any ``numpy.random.SeedSequence`` entropy (an int or a tuple
+            of ints); it keys the Philox stream of :func:`_gaussians`, in
+            which trial ``t`` takes ``2 dim`` words.
+        trials: a ``range`` of consecutive trial indices, or None.
+
+    Returns trial 0 as a validated :class:`PureState` when ``trials`` is
+    None, otherwise the ``(len(trials), dim)`` array of those trials' kets,
+    each with the same bits as when drawn alone.  A draw of norm below
+    ``DEGENERATE_NORM`` (probability below ``1e-12 ** dim``) becomes the
+    basis state ``|0>``.
     """
     if dim < 2:
         raise UnsupportedDimensionError(f"dimension must be >= 2, got {dim}")
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    norm = float(np.linalg.norm(v))
-    while norm < 1e-6:  # vanishing draw, probability ~0 but cheap to guard
-        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        norm = float(np.linalg.norm(v))
-    return PureState(v / norm)
+    kets, degenerate = _unit_rows(_gaussians(seed, trials, dim))
+    kets[degenerate] = np.eye(1, dim)
+    return kets if trials is not None else PureState(kets[0])
 
 
-def random_observable(dim: int, seed) -> Observable:
-    """Random Hermitian matrix ``(G + G^dagger) / 2`` with Gaussian ``G``."""
+def random_observable(dim: int, seed, trials: range | None = None):
+    """Random Hermitian matrices ``(G + G^dagger) / 2`` with Gaussian ``G``.
+
+    ``seed`` and ``trials`` are as for :func:`random_pure_state`; trial
+    ``t`` takes ``2 dim^2`` words and fills ``G`` row by row.  Returns trial
+    0 as a validated :class:`Observable` when ``trials`` is None, otherwise
+    the ``(len(trials), dim, dim)`` array.
+    """
     if dim < 2:
         raise UnsupportedDimensionError(f"dimension must be >= 2, got {dim}")
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return Observable((g + g.conj().T) / 2.0)
+    g = _gaussians(seed, trials, dim * dim).reshape(-1, dim, dim)
+    mats = (g + g.conj().swapaxes(-1, -2)) / 2.0
+    return mats if trials is not None else Observable(mats[0])

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .core import moment_table, random_observable, random_pure_state
+from .core import moment_table, orthogonal_companions, random_observable, random_pure_state
 from .qubit import (
     BlochAngles,
     bloch_to_state,
@@ -268,21 +268,29 @@ def run_verify(
     """Evaluate every applicable relation on seeded random instances.
 
     One instance is a random pure state plus ``n`` random observables for
-    each combination of ``trials`` x ``dims`` x ``counts``; all seeds are
-    derived from ``seed`` so campaigns are reproducible.  With
+    each combination of ``trials`` x ``dims`` x ``counts``.  With
     ``use_paulis`` the observables are the fixed Pauli triple (dims and
     counts must then be ``(2,)`` and ``(3,)``) and only the sum-form
     relations run, which keeps very large state counts affordable.
 
     Random-observable campaigns also evaluate the pairwise relations.
     Above dimension 2 the orthogonal-state sum bound gets a random
-    orthogonal companion built by Gram-Schmidt, since no canonical choice
+    companion, a random state with the instance's state projected out
+    (:func:`~uncrel.core.orthogonal_companions`), since no canonical choice
     exists there.
 
-    Each ``(dim, n)`` runs up to 512 trials (``_BLOCK_TRIALS``) at a time
-    through one moment table and one :func:`~uncrel.relations.bound_values`
-    call; for any block size the summary is bit for bit, orders included,
-    that of instances run one by one in the order ``(trial, dim, n)``.
+    Draws come from one counter-based stream per ``(seed, dim, n, role)``,
+    role 0 for the state, ``1 + i`` for observable ``i`` and 99 for the
+    companion, in which trial ``t`` sits at a fixed offset.  So instance
+    ``(t, dim, n)`` is ``random_pure_state(dim, (seed, dim, n, 0))`` and
+    ``random_observable(dim, (seed, dim, n, 1 + i))`` at
+    ``trials=range(t, t + 1)``, rebuilt alone from those numbers.
+
+    Each ``(dim, n)`` runs up to 512 trials (``_BLOCK_TRIALS``) at a time:
+    one ``trials=`` draw per role, one moment table and one
+    :func:`~uncrel.relations.bound_values` call.  For any block size the
+    summary is bit for bit, orders included, that of instances run one by
+    one in the order ``(trial, dim, n)``.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -293,10 +301,11 @@ def run_verify(
     summary = VerificationSummary(trials, dims, counts, seed, use_paulis)
     combos = [(dim, n) for dim in dims for n in counts]
     for start in range(0, trials, _BLOCK_TRIALS):
-        block = np.arange(start, min(start + _BLOCK_TRIALS, trials))
+        stop = min(start + _BLOCK_TRIALS, trials)
+        block = np.arange(start, stop)
         findings = []
         for position, (dim, n) in enumerate(combos):
-            values = _block_values(seed, block, dim, n, use_paulis)
+            values = _block_values(seed, range(start, stop), dim, n, use_paulis)
             instances = (block * len(combos) + position).tolist()
             findings += _digest_block(summary, values, block, instances, dim, n)
         _merge_findings(summary, findings)
@@ -348,38 +357,24 @@ def _digest_block(
     return findings
 
 
-def _block_values(seed: int, block: np.ndarray, dim: int, n: int, use_paulis: bool) -> dict:
-    """:func:`bound_values` of one block of trials at one ``(dim, n)``."""
-    kets = np.array([
-        random_pure_state(dim, derive_seed(seed, trial, dim, n, 0)).amplitudes for trial in block
-    ])
+def _block_values(seed: int, trials: range, dim: int, n: int, use_paulis: bool) -> dict:
+    """:func:`bound_values` of one block of trials at one ``(dim, n)``.
+
+    Each role draws the whole block from its own stream ``(seed, dim, n,
+    role)``: role 0 for the kets, ``1 + i`` for observable ``i`` and 99 for
+    the companions.
+    """
+    kets = random_pure_state(dim, (seed, dim, n, 0), trials)
     if use_paulis:
         m, G, _ = moment_table(pauli_triple().stack[None], kets)
         return bound_values(m, G)
-    mats = np.array([
-        [random_observable(dim, derive_seed(seed, trial, dim, n, 1 + i)).matrix for i in range(n)]
-        for trial in block
-    ])
+    mats = np.stack([random_observable(dim, (seed, dim, n, 1 + i), trials) for i in range(n)], 1)
     if dim == 2:  # the canonical companion of core.orthogonal_qubit
         perps = np.stack([-kets[:, 1].conj(), kets[:, 0].conj()], axis=-1)
     else:
-        perps = np.array([
-            _random_orthogonal(psi, derive_seed(seed, trial, dim, n, 99))
-            for trial, psi in zip(block, kets)
-        ])
+        perps = orthogonal_companions(kets, random_pure_state(dim, (seed, dim, n, 99), trials))
     m, G, W = moment_table(mats, kets)
     return bound_values(m, G, (W.conj() @ perps[..., None])[..., 0])
-
-
-def _random_orthogonal(psi: np.ndarray, seed: int) -> np.ndarray:
-    """A seeded random unit vector orthogonal to the unit vector ``psi``."""
-    rng = np.random.default_rng(seed)
-    while True:
-        v = rng.standard_normal(psi.size) + 1j * rng.standard_normal(psi.size)
-        v = v - complex(np.vdot(psi, v)) * psi
-        norm = float(np.linalg.norm(v))
-        if norm > 1e-6:
-            return v / norm
 
 
 def _notes(rhs: dict) -> list:

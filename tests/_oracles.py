@@ -201,3 +201,55 @@ def pauli_closed_forms(v, d, e, h, lp, lm, mp, mm, np_, nm) -> dict:
         "M3": 2.0 * (3.0 - v - d) - 0.25 * (lp + mp + np_) ** 2,
         "M4": (3.0 - v - 2.0 * d) / 3.0 + (lm + mm + nm) ** 2 / 9.0,
     }
+
+
+# -- the campaign streams, rebuilt from raw Philox words ----------------------
+# The library's documented layout, with nothing imported from it: stream
+# ``entropy`` is numpy's Philox keyed by two words of ``SeedSequence``; trial
+# ``t`` of a draw of ``count`` complex normals starts ``t * ceil(count / 2)``
+# counter steps in (4 words a step) and reads ``2 count`` words, a Box-Muller
+# pair per normal.  Every step is an elementwise numpy operation or a sum in
+# index order, so one trial gets the bits of its row in any batch.
+
+def stream_normals(entropy, trial: int, count: int) -> np.ndarray:
+    key = np.random.SeedSequence(entropy).generate_state(2, np.uint64)
+    bits = np.random.Philox(key=key)
+    bits.advance(trial * ((count + 1) // 2))
+    words = bits.random_raw(2 * count)
+    uniform = (words >> np.uint64(11)).astype(np.float64) / 2.0**53
+    r = np.sqrt(-2.0 * np.log(1.0 - uniform[0::2]))
+    t = 2.0 * math.pi * uniform[1::2]
+    return r * np.cos(t) + 1j * (r * np.sin(t))
+
+
+def _unit(v: np.ndarray) -> np.ndarray:
+    parts = np.ascontiguousarray(v).view(np.float64)
+    return (parts / math.sqrt(sum((parts * parts).tolist()))).view(complex)
+
+
+def stream_ket(entropy, trial: int, dim: int) -> np.ndarray:
+    return _unit(stream_normals(entropy, trial, dim))
+
+
+def stream_observable(entropy, trial: int, dim: int) -> np.ndarray:
+    g = stream_normals(entropy, trial, dim * dim).reshape(dim, dim)
+    return (g + g.conj().T) / 2.0
+
+
+def stream_companion(entropy, trial: int, psi: np.ndarray) -> np.ndarray:
+    """The campaign's companion of ``psi``: a stream ket with ``psi``
+    projected out, renormalized (its degenerate fallback is not rebuilt)."""
+    v = stream_ket(entropy, trial, psi.size)
+    return _unit(v - sum((psi.conj() * v).tolist()) * psi)
+
+
+def campaign_instance(seed: int, trial: int, dim: int, n: int):
+    """``(psi, [A_1 .. A_n], psi_perp)`` of instance ``(trial, dim, n)`` of a
+    random campaign; ``psi_perp`` is the canonical companion for qubits."""
+    psi = stream_ket((seed, dim, n, 0), trial, dim)
+    mats = [stream_observable((seed, dim, n, 1 + i), trial, dim) for i in range(n)]
+    if dim == 2:
+        perp = np.array([-np.conj(psi[1]), np.conj(psi[0])])
+    else:
+        perp = stream_companion((seed, dim, n, 99), trial, psi)
+    return psi, mats, perp

@@ -308,6 +308,74 @@ def test_random_observable_deterministic_and_hermitian():
     assert abs(np.trace(m).imag) < 1e-12
 
 
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_stream_trials_rebuilt_alone_equal_their_rows_in_any_block(dim):
+    """Trial ``t`` sits at a fixed offset of its stream: rebuilt alone from
+    the raw Philox words it has the bits of its row in blocks of 1, 7 and
+    512, and trial 0 is the single draw."""
+    seed, trials = (5, dim, 3, 1), 1030
+    rows = {}
+    for block in (1, 7, 512):
+        starts = range(0, trials, block)
+        kets = np.concatenate([
+            random_pure_state(dim, seed, range(s, min(s + block, trials))) for s in starts
+        ])
+        mats = np.concatenate([
+            random_observable(dim, seed, range(s, min(s + block, trials))) for s in starts
+        ])
+        assert kets.shape == (trials, dim) and mats.shape == (trials, dim, dim)
+        rows[block] = kets, mats
+    for t in range(trials):
+        ket, mat = o.stream_ket(seed, t, dim), o.stream_observable(seed, t, dim)
+        for kets, mats in rows.values():
+            assert np.array_equal(kets[t], ket), t
+            assert np.array_equal(mats[t], mat), t
+    assert np.array_equal(random_pure_state(dim, seed).amplitudes, o.stream_ket(seed, 0, dim))
+    assert np.array_equal(random_observable(dim, seed).matrix, o.stream_observable(seed, 0, dim))
+
+
+def test_stream_trials_must_be_a_consecutive_range():
+    for trials in (range(0), range(0, 10, 2), range(-1, 3)):
+        with pytest.raises(ValueError, match="consecutive"):
+            random_pure_state(2, 0, trials)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_stream_kets_are_haar_and_companions_orthogonal(dim):
+    """Over 10^5 draws the mean of |psi_0|^2 is 1/d within 5 standard
+    errors, and every companion is a unit vector orthogonal to its ket."""
+    from uncrel.core import orthogonal_companions
+
+    kets = random_pure_state(dim, (0, dim), range(100_000))
+    weight = np.abs(kets[:, 0]) ** 2
+    error = weight.std(ddof=1) / math.sqrt(weight.size)
+    assert abs(weight.mean() - 1.0 / dim) <= 5.0 * error
+    perps = orthogonal_companions(kets, random_pure_state(dim, (1, dim), range(100_000)))
+    assert np.abs(np.linalg.norm(perps, axis=1) - 1.0).max() <= 1e-12
+    assert np.abs(np.einsum("bk,bk->b", kets.conj(), perps)).max() <= 1e-12
+
+
+def test_degenerate_companion_draw_takes_the_documented_fallback():
+    """A draw in the span of its ket becomes ``e_j - conj(psi_j) psi``,
+    normalized, with ``j`` the ket's smallest amplitude; other rows keep
+    their projected draws."""
+    from uncrel.core import DEGENERATE_NORM, orthogonal_companions
+
+    kets = random_pure_state(3, 11, range(3))
+    draws = random_pure_state(3, 12, range(3))
+    draws[1] = (0.6 - 0.8j) * kets[1]  # parallel to its ket: nothing is left
+    draws[2] = kets[2] + 0.1 * DEGENERATE_NORM * draws[2]  # left shorter than the floor
+    perps = orthogonal_companions(kets, draws)
+    for b in (1, 2):
+        psi = kets[b]
+        j = int(np.argmin(np.abs(psi)))
+        fallback = np.eye(3)[j] - np.conj(psi[j]) * psi
+        np.testing.assert_allclose(perps[b], fallback / np.linalg.norm(fallback), rtol=0, atol=1e-15)
+        assert abs(np.vdot(psi, perps[b])) <= 1e-15
+    v = draws[0] - np.vdot(kets[0], draws[0]) * kets[0]
+    np.testing.assert_allclose(perps[0], v / np.linalg.norm(v), rtol=0, atol=1e-15)
+
+
 def test_variance_consistency_error_on_corrupt_input():
     # A non-normalized vector smuggled past validation would produce a
     # negative "variance" far beyond round-off; the guard must catch it.

@@ -19,12 +19,12 @@ import _oracles as o
 from uncrel import (
     BlochAngles,
     BoundReport,
+    Observable,
     PureState,
     Relation,
     SUM_FORM_RELATIONS,
     ShotPlan,
     SweepSpec,
-    derive_seed,
     emit,
     evaluate_all,
     maccone_pati_orthogonal,
@@ -36,7 +36,6 @@ from uncrel import (
 )
 from uncrel import harness
 from uncrel.cli import build_parser, main, parse_angle
-from uncrel.harness import _random_orthogonal
 from uncrel.relations import ObservableSet, holds
 
 EXPECTED_HEADER = (
@@ -630,6 +629,39 @@ def test_cli_bounds_fuzz_never_crashes(inputs, pairwise, fmt):
         assert len(err.getvalue().splitlines()) == 1
 
 
+def _bounds_verdicts(tmp: Path, ket, mats) -> tuple[int, list]:
+    """Exit code and ``(relation, pair, holds)`` of ``bounds --pairwise``."""
+    (tmp / "state.json").write_text(json.dumps({"amplitudes": _pairs(ket)}))
+    (tmp / "obs.json").write_text(json.dumps({"observables": [_pairs(m) for m in mats]}))
+    code = main([
+        "bounds", "--state-file", str(tmp / "state.json"), "--observables-file",
+        str(tmp / "obs.json"), "--pairwise", "--format", "json", "--out", str(tmp / "out.json"),
+    ])
+    if code != 0:
+        return code, []
+    reports = json.loads((tmp / "out.json").read_text())["reports"]
+    return code, [(r["relation"], r["pair"], r["holds"]) for r in reports]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(-6, 70), st.sampled_from([2, 3, 4]))
+def test_rescaled_unitary_observables_are_accepted_with_the_same_verdicts(seed, k, dim):
+    """``U D U^dagger`` scaled by 10^k is Hermitian to the precision of its
+    entries, so ``bounds`` accepts it and judges every relation as it does
+    the unscaled set: each relation is homogeneous of degree 2."""
+    rng = np.random.default_rng(seed)
+    ket = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    mats = []
+    for _ in range(3):
+        u, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+        mats.append(u @ np.diag(rng.uniform(-1.0, 1.0, dim)) @ u.conj().T)
+    with tempfile.TemporaryDirectory() as tmp:
+        code, verdicts = _bounds_verdicts(Path(tmp), ket / np.linalg.norm(ket), mats)
+        scaled = _bounds_verdicts(Path(tmp), ket / np.linalg.norm(ket), [10.0**k * m for m in mats])
+    assert code == 0
+    assert scaled == (code, verdicts)
+
+
 # -- the batched campaign against the per-instance engine ----------------------
 
 @functools.lru_cache(maxsize=None)
@@ -640,11 +672,10 @@ def _reports_one_by_one(trials, dims, counts, seed):
     for trial in range(trials):
         for dim in dims:
             for n in counts:
-                psi = random_pure_state(dim, derive_seed(seed, trial, dim, n, 0))
-                obs = ObservableSet(tuple(
-                    random_observable(dim, derive_seed(seed, trial, dim, n, 1 + i))
-                    for i in range(n)
-                ))
+                # Rebuilt from the raw stream words, not through the library.
+                ket, mats, companion = o.campaign_instance(seed, trial, dim, n)
+                psi = PureState(ket)
+                obs = ObservableSet(tuple(Observable(m) for m in mats))
                 reports = [
                     r for r in evaluate_all(obs, psi, include_pairwise=True)
                     if isinstance(r, BoundReport)
@@ -652,9 +683,7 @@ def _reports_one_by_one(trials, dims, counts, seed):
                 if dim > 2:
                     # The campaign's seeded companion stands in for the
                     # canonical one, which exists only for qubits.
-                    perp = PureState(_random_orthogonal(
-                        psi.amplitudes, derive_seed(seed, trial, dim, n, 99)
-                    ))
+                    perp = PureState(companion)
                     mpo = [
                         replace(maccone_pati_orthogonal(obs[i], obs[j], psi, perp), pair=(i, j))
                         for i, j in combinations(range(n), 2)
@@ -746,3 +775,35 @@ def test_batched_campaign_matches_one_by_one_evaluation(monkeypatch, campaign, s
     assert json.dumps(summary.notes) == json.dumps(notes)
     assert max(note["count"] for note in notes.values()) > 3
     assert summary.ratio_max_error == ratio_error
+
+
+@pytest.mark.parametrize("args", [
+    ["--pauli", "--trials", "3000"],
+    ["--trials", "200", "--dim", "2,3,4", "--n-observables", "2,3,5"],
+])
+def test_min_slack_witnesses_replay_from_the_output_alone(tmp_path, args):
+    """Each relation's printed witness, rebuilt from ``seed`` and its
+    ``(trial, dim, n_observables)`` through the raw-stream oracle and
+    evaluated again, has the printed lhs and rhs to 12 significant digits."""
+    target = tmp_path / "verify.json"
+    assert main(["verify", *args, "--seed", "13", "--format", "json", "--out", str(target)]) == 0
+    summary = json.loads(target.read_text())["summary"]
+    for name, tally in summary["tallies"].items():
+        w = tally["min_slack_witness"]
+        dim, n = w["dim"], w["n_observables"]
+        psi, mats, perp = o.campaign_instance(summary["seed"], w["trial"], dim, n)
+        if summary["use_paulis"]:
+            mats = o.PAULIS
+        obs = ObservableSet(tuple(Observable(m) for m in mats))
+        reports = evaluate_all(obs, PureState(psi), include_pairwise=not summary["use_paulis"])
+        if dim > 2:
+            reports += [
+                replace(maccone_pati_orthogonal(obs[i], obs[j], PureState(psi), PureState(perp)),
+                        pair=(i, j))
+                for i, j in combinations(range(n), 2)
+            ]
+        pair = tuple(w["pair"]) if w["pair"] else None
+        (report,) = [r for r in reports if isinstance(r, BoundReport)
+                     and r.relation.value == name and r.pair == pair]
+        for key in ("lhs", "rhs"):
+            assert f"{getattr(report, key):.12g}" == f"{w[key]:.12g}", (name, key, w)
