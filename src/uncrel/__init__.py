@@ -15,19 +15,15 @@ from .core import (
     Observable,
     PureState,
     QuantumState,
-    commutator_expectation,
     deviation_state,
-    expectation,
     orthogonal_qubit,
     random_observable,
     random_pure_state,
-    variance,
 )
 from .errors import (
     ConsistencyError,
     ContractError,
     DimensionError,
-    InvalidMomentsError,
     OrthogonalityError,
     UnsupportedCountError,
     UnsupportedDimensionError,
@@ -44,16 +40,10 @@ from .harness import (
 )
 from .qubit import (
     BlochAngles,
-    QubitMoments,
     StokesVector,
     bloch_to_state,
     closed_form_bounds,
-    closed_form_lhs,
-    closed_form_rhs,
-    density_to_stokes,
     moments_from_angles,
-    moments_from_expectations,
-    moments_from_stokes,
     pauli,
     pauli_triple,
     stokes_to_density,
@@ -65,17 +55,10 @@ from .relations import (
     Relation,
     SUM_FORM_RELATIONS,
     SkippedRelation,
-    chen_fei,
     evaluate_all,
     maccone_pati_deviation,
     maccone_pati_orthogonal,
     robertson,
-    song,
-    sum_minus,
-    sum_plus,
-    triple_commutator,
-    triple_pairwise,
-    triple_sum,
 )
 from .shots import (
     EstimateWithError,

@@ -262,42 +262,7 @@ def moment_table(
     return m, G, W
 
 
-def _table(observables, state: QuantumState):
-    _check_same_dim(*(o.dim for o in observables), state.dim)
-    return moment_table(np.array([o.matrix for o in observables]), state_array(state))
-
-
-def expectation(obs: Observable, state: QuantumState) -> float:
-    """Mean value of ``obs`` in ``state``.
-
-    Returns ``<psi|A|psi>`` for a pure state and ``Tr(rho A)`` for a mixed
-    one, as checked by :func:`moment_table`.
-    """
-    m, _, _ = _table((obs,), state)
-    return float(m[0])
-
-
-def variance(obs: Observable, state: QuantumState) -> float:
-    """Variance ``<A^2> - <A>^2`` of ``obs`` in ``state``.
-
-    Exact zeros (eigenstates) may round to small negative values; those
-    within the tolerance of :func:`moment_table` are clamped to 0.0.
-    """
-    m, G, _ = _table((obs,), state)
-    return max(float(G[0, 0].real - m[0] * m[0]), 0.0)
-
-
-def commutator_expectation(a: Observable, b: Observable, state: QuantumState) -> complex:
-    """Expectation of the commutator ``[A, B] = AB - BA``.
-
-    For Hermitian ``A`` and ``B`` this is ``2i Im <AB>``, purely imaginary
-    by construction; it is returned as a complex number so callers can
-    take magnitudes or signed combinations.
-    """
-    _, G, _ = _table((a, b), state)
-    return complex(0.0, 2.0 * G[0, 1].imag)
-
-
+# No command calls this; bench/tracing.py resolves the core.moments span by this name.
 def deviation_state(obs: Observable, psi: PureState) -> tuple[float, PureState | None]:
     """Normalize ``(A - <A>)|psi>`` and return ``(norm, direction)``.
 
@@ -308,7 +273,8 @@ def deviation_state(obs: Observable, psi: PureState) -> tuple[float, PureState |
     """
     if not isinstance(psi, PureState):
         raise TypeError(f"deviation_state needs a PureState, got {psi!r}")
-    m, _, W = _table((obs,), psi)
+    _check_same_dim(obs.dim, psi.dim)
+    m, _, W = moment_table(obs.matrix[None], psi.amplitudes)
     residual = W[0] - m[0] * psi.amplitudes
     norm = float(np.linalg.norm(residual))
     if norm < DEVIATION_NORM_FLOOR:

@@ -33,10 +33,6 @@ class UnsupportedRelationError(ContractError):
     """No closed form is available for this relation."""
 
 
-class InvalidMomentsError(ContractError):
-    """Supplied Pauli expectations lie too far outside the Bloch ball."""
-
-
 class OrthogonalityError(ContractError):
     """A companion state is not orthogonal to the reference state."""
 

@@ -27,12 +27,13 @@ import numpy as np
 
 from ._version import __version__
 from .core import moment_table, orthogonal_companions, random_observable, random_pure_state
+from .errors import ContractError, UnsupportedCountError
 from .qubit import (
+    _PAULI_STACK,
     BlochAngles,
     bloch_to_state,
     closed_form_bounds,
     moments_from_angles,
-    pauli_triple,
 )
 from .relations import (
     HOLDS_ATOL,
@@ -152,7 +153,7 @@ def run_sweep(spec: SweepSpec, *, resamples: int = 1000) -> list[OutputRow]:
 
 
 def _exact_rows(grid: list[BlochAngles], relations) -> list[OutputRow]:
-    e = np.array([(m.ex, m.ey, m.ez) for m in map(moments_from_angles, grid)])
+    e = np.array([moments_from_angles(angles) for angles in grid])
     lhs, bounds = closed_form_bounds(*e.T, relations)
     columns = [(rel, bounds[rel].tolist(), holds(lhs, bounds[rel]).tolist()) for rel in relations]
     return [
@@ -271,7 +272,8 @@ def run_verify(
     each combination of ``trials`` x ``dims`` x ``counts``.  With
     ``use_paulis`` the observables are the fixed Pauli triple (dims and
     counts must then be ``(2,)`` and ``(3,)``) and only the sum-form
-    relations run, which keeps very large state counts affordable.
+    relations run, which keeps very large state counts affordable.  Counts
+    below 2 and a dim or count given twice are refused.
 
     Random-observable campaigns also evaluate the pairwise relations.
     Above dimension 2 the orthogonal-state sum bound gets a random
@@ -298,6 +300,11 @@ def run_verify(
     counts = tuple(int(n) for n in counts)
     if use_paulis and (dims != (2,) or counts != (3,)):
         raise ValueError("Pauli campaigns fix dims=(2,) and counts=(3,)")
+    if min(counts, default=0) < 2:
+        raise UnsupportedCountError(f"every observable count must be >= 2, got {list(counts)}")
+    if len(set(dims)) < len(dims) or len(set(counts)) < len(counts):
+        # A repeated value would run and count the same instances twice.
+        raise ContractError(f"dims {list(dims)} and counts {list(counts)} must not repeat a value")
     summary = VerificationSummary(trials, dims, counts, seed, use_paulis)
     combos = [(dim, n) for dim in dims for n in counts]
     for start in range(0, trials, _BLOCK_TRIALS):
@@ -366,7 +373,7 @@ def _block_values(seed: int, trials: range, dim: int, n: int, use_paulis: bool) 
     """
     kets = random_pure_state(dim, (seed, dim, n, 0), trials)
     if use_paulis:
-        m, G, _ = moment_table(pauli_triple().stack[None], kets)
+        m, G, _ = moment_table(_PAULI_STACK[None], kets)
         return bound_values(m, G)
     mats = np.stack([random_observable(dim, (seed, dim, n, 1 + i), trials) for i in range(n)], 1)
     if dim == 2:  # the canonical companion of core.orthogonal_qubit

@@ -1,13 +1,13 @@
 """Closed forms for a qubit measured along the three Pauli axes.
 
 For a qubit the seven sum-form bounds reduce to algebra in the Pauli
-expectations ``(ex, ey, ez)``.  This module derives those expectations from
-Bloch angles, raw expectation triples, or Stokes parameters, and evaluates
-those bounds without touching matrices: the Pauli algebra gives the
-moment table ``G_ij = delta_ij + i eps_ijk e_k`` directly, and the formulas
-of :mod:`uncrel.relations` run on it unchanged.  The matrix engine shares
-those formulas and differs only in building ``G`` from matrices and a
-state; the two constructions cross-check each other in the test suite.
+expectations ``(ex, ey, ez)``.  :func:`closed_form_bounds` evaluates them
+over arrays of such triples without touching matrices: the Pauli algebra
+gives the moment table ``G_ij = delta_ij + i eps_ijk e_k`` directly, and the
+formulas of :mod:`uncrel.relations` run on it unchanged.  The matrix engine
+shares those formulas and differs only in building ``G`` from matrices and
+a state; the two constructions cross-check each other in the test suite.
+Stokes parameters enter as a density matrix (:func:`stokes_to_density`).
 
 For every state the sum of the three Pauli variances is ``3 - v`` with
 ``v = ex^2 + ey^2 + ez^2``, so pure states (``v = 1``) pin the left-hand
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DensityMatrix, Observable, PureState
-from .errors import InvalidMomentsError, UnsupportedRelationError
+from .errors import UnsupportedRelationError
 from .relations import ObservableSet, Relation, SUM_FORM_RELATIONS, bound_values
 
 PAULI_AXES = ("x", "y", "z")
@@ -31,14 +31,6 @@ _PAULI = {
     "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
-
-# Estimated moments may spill slightly outside the Bloch ball from shot
-# noise.  Up to this much excess in v is silently fine, beyond it the
-# moments get flagged, and past HARD_BALL_LIMIT QubitMoments rejects them.
-# Sweeps and the bootstrap evaluate the closed forms directly and tabulate
-# such estimates instead.
-BALL_EXCESS_ATOL = 1e-6
-HARD_BALL_LIMIT = 1.05
 
 _CHUNK = 4096
 
@@ -53,6 +45,10 @@ def pauli(axis: str) -> Observable:
 def pauli_triple() -> ObservableSet:
     """The ordered set (sigma_x, sigma_y, sigma_z)."""
     return ObservableSet(tuple(pauli(axis) for axis in PAULI_AXES))
+
+
+#: The matrices of :func:`pauli_triple` as one ``(3, 2, 2)`` stack, built once.
+_PAULI_STACK = pauli_triple().stack
 
 
 @dataclass(frozen=True)
@@ -100,54 +96,10 @@ def pauli_table(ex, ey, ez) -> tuple[np.ndarray, np.ndarray]:
     return e.transpose(batch + (0,)), g.transpose(tuple(k + 1 for k in batch) + (0, 1))
 
 
-@dataclass(frozen=True)
-class QubitMoments:
-    """Pauli expectations of one qubit state, estimated or exact.
-
-    Each expectation must lie in ``[-1 - 1e-9, 1 + 1e-9]``, and the
-    squared Bloch length ``v = ex^2 + ey^2 + ez^2`` may not exceed
-    ``HARD_BALL_LIMIT``: such a triple signals broken estimates rather than
-    noise and raises :class:`InvalidMomentsError`.  ``outside_ball`` marks
-    noisy estimates whose ``v`` exceeds 1 by more than ``BALL_EXCESS_ATOL``.
-    """
-
-    ex: float
-    ey: float
-    ez: float
-
-    def __post_init__(self) -> None:
-        for name in ("ex", "ey", "ez"):
-            value = getattr(self, name)
-            if not -1.0 - 1e-9 <= value <= 1.0 + 1e-9:
-                raise InvalidMomentsError(f"{name} = {value!r} is outside [-1, 1]")
-        if self._v > HARD_BALL_LIMIT:
-            raise InvalidMomentsError(
-                f"squared Bloch length {self._v!r} exceeds {HARD_BALL_LIMIT}; "
-                "the expectation triple is not credible"
-            )
-
-    @property
-    def _v(self) -> float:
-        return self.ex**2 + self.ey**2 + self.ez**2
-
-    @property
-    def outside_ball(self) -> bool:
-        return self._v > 1.0 + BALL_EXCESS_ATOL
-
-
-def moments_from_expectations(ex: float, ey: float, ez: float) -> QubitMoments:
-    """Build :class:`QubitMoments` from a measured or exact Pauli triple."""
-    return QubitMoments(float(ex), float(ey), float(ez))
-
-
-def moments_from_angles(angles: BlochAngles) -> QubitMoments:
-    """Exact moments of the pure state at the given Bloch angles."""
+def moments_from_angles(angles: BlochAngles) -> tuple[float, float, float]:
+    """Pauli expectations ``(ex, ey, ez)`` of the pure state at the given Bloch angles."""
     sin_t = math.sin(angles.theta)
-    return moments_from_expectations(
-        sin_t * math.cos(angles.phi),
-        sin_t * math.sin(angles.phi),
-        math.cos(angles.theta),
-    )
+    return sin_t * math.cos(angles.phi), sin_t * math.sin(angles.phi), math.cos(angles.theta)
 
 
 def _require_sum_form(relations) -> None:
@@ -156,17 +108,6 @@ def _require_sum_form(relations) -> None:
         raise UnsupportedRelationError(
             f"no closed form for {bad}; only sum-form relations reduce to Pauli moments"
         )
-
-
-def closed_form_lhs(moments: QubitMoments) -> float:
-    """Sum of the three Pauli variances, ``3 - v``."""
-    return float(closed_form_bounds(moments.ex, moments.ey, moments.ez, ())[0])
-
-
-def closed_form_rhs(moments: QubitMoments, relation: Relation) -> float:
-    """Closed-form bound for one sum-form relation at the given moments."""
-    _, bounds = closed_form_bounds(moments.ex, moments.ey, moments.ez, (relation,))
-    return float(bounds[relation])
 
 
 def closed_form_bounds(ex, ey, ez, relations=SUM_FORM_RELATIONS):
@@ -179,8 +120,8 @@ def closed_form_bounds(ex, ey, ez, relations=SUM_FORM_RELATIONS):
     Returns:
         ``(lhs, bounds)`` where ``lhs`` is ``3 - v`` and ``bounds`` maps each
         relation to its rhs, elementwise over the inputs.  No Bloch-ball
-        validation happens here; radicands are clamped at zero so noisy
-        bootstrap replicates cannot produce NaNs.
+        check is made; radicands are clamped at zero so estimates outside
+        the ball, as noisy bootstrap replicates give, cannot produce NaNs.
     """
     _require_sum_form(relations)
     e = np.array((ex, ey, ez), dtype=float)
@@ -234,23 +175,3 @@ def stokes_to_density(stokes: StokesVector) -> DensityMatrix:
         [[1.0 + rz, rx - 1j * ry], [rx + 1j * ry, 1.0 - rz]], dtype=complex
     )
     return DensityMatrix(rho)
-
-
-def moments_from_stokes(stokes: StokesVector) -> QubitMoments:
-    """Moments from Stokes parameters: the expectations are ``s_i / s0``."""
-    return moments_from_expectations(
-        stokes.s1 / stokes.s0, stokes.s2 / stokes.s0, stokes.s3 / stokes.s0
-    )
-
-
-def density_to_stokes(rho: DensityMatrix) -> StokesVector:
-    """Unit-intensity Stokes parameters of a qubit density matrix."""
-    if rho.dim != 2:
-        raise ValueError(f"Stokes parameters are defined for qubits, got dim {rho.dim}")
-    m = rho.matrix
-    return StokesVector(
-        1.0,
-        float(np.trace(m @ _PAULI["x"]).real),
-        float(np.trace(m @ _PAULI["y"]).real),
-        float(np.trace(m @ _PAULI["z"]).real),
-    )

@@ -16,10 +16,10 @@ second moments ``G_ij = <A_i A_j>`` (plus, for the orthogonal-state form, the
 overlaps ``<psi|A_i|psi_perp>``).  :func:`uncrel.core.moment_table` builds
 that table, for one instance or a batch, and :func:`bound_values` holds the
 one formula set.  It adds every sum over observables or pairs row by row in
-index order, so a value has the same bits alone or in any batch.  The public
-per-relation functions and :func:`evaluate_all` are thin callers, the
-campaign of :mod:`uncrel.harness` calls both on whole blocks, and
-:mod:`uncrel.qubit` evaluates the same formulas on the Pauli table.
+index order, so a value has the same bits alone or in any batch.
+:func:`evaluate_all` reports one instance from it, the campaign of
+:mod:`uncrel.harness` calls it on whole blocks, and :mod:`uncrel.qubit`
+evaluates the same formulas on the Pauli table.
 """
 from __future__ import annotations
 
@@ -315,11 +315,13 @@ def _single(relation: Relation, observables, state, psi_perp=None) -> BoundRepor
 
 # -- pairwise relations -------------------------------------------------------
 
+# No command calls this; bench/tracing.py resolves the relations.pairwise span by this name.
 def robertson(a: Observable, b: Observable, state: QuantumState) -> BoundReport:
     """Product bound: Var(A) Var(B) >= |<[A, B]>/2|^2."""
     return _single(Relation.ROBERTSON, ObservableSet((a, b)), state)
 
 
+# No command calls this; bench/tracing.py resolves the relations.pairwise span by this name.
 def maccone_pati_orthogonal(
     a: Observable,
     b: Observable,
@@ -337,6 +339,7 @@ def maccone_pati_orthogonal(
     return _single(Relation.MACCONE_PATI_ORTHOGONAL, ObservableSet((a, b)), psi, psi_perp)
 
 
+# No command calls this; bench/tracing.py resolves the relations.pairwise span by this name.
 def maccone_pati_deviation(
     a: Observable, b: Observable, psi: PureState
 ) -> BoundReport:
@@ -348,72 +351,6 @@ def maccone_pati_deviation(
     ``A + B``.
     """
     return _single(Relation.MACCONE_PATI_DEVIATION, ObservableSet((a, b)), psi)
-
-
-# -- triple relations ---------------------------------------------------------
-
-def triple_sum(
-    a: Observable, b: Observable, c: Observable, state: QuantumState
-) -> BoundReport:
-    """Total-variance bound mixing Var(A+B+C) with the summed commutators.
-
-    rhs = Var(A+B+C)/3 + (sqrt(3)/3) |<[A,B]> + <[B,C]> + <[C,A]>| with the
-    magnitude taken of the complex sum.
-    """
-    return _single(Relation.TRIPLE_SUM, ObservableSet((a, b, c)), state)
-
-
-def triple_commutator(
-    a: Observable, b: Observable, c: Observable, state: QuantumState
-) -> BoundReport:
-    """Commutator-only bound: rhs = (sqrt(3)/3) * sum of |<[.,.]>|."""
-    return _single(Relation.TRIPLE_COMMUTATOR, ObservableSet((a, b, c)), state)
-
-
-def triple_pairwise(
-    a: Observable, b: Observable, c: Observable, state: QuantumState
-) -> BoundReport:
-    """Chained bound lhs >= mid >= rhs through pairwise deviation products.
-
-    ``mid`` is dA*dB + dB*dC + dC*dA (products of standard deviations) and
-    rhs is half the summed commutator magnitudes.  The report keeps the
-    middle term so callers can check both links of the chain.
-    """
-    return _single(Relation.TRIPLE_PAIRWISE, ObservableSet((a, b, c)), state)
-
-
-# -- N-observable relations ---------------------------------------------------
-
-def sum_plus(observables: ObservableSet, state: QuantumState) -> BoundReport:
-    """Pair-sum bound: rhs = sum over i<j of Var(A_i + A_j) / (2(N-1))."""
-    return _single(Relation.SUM_PLUS, observables, state)
-
-
-def sum_minus(observables: ObservableSet, state: QuantumState) -> BoundReport:
-    """Pair-difference bound: rhs = sum over i<j of Var(A_i - A_j) / (2(N-1))."""
-    return _single(Relation.SUM_MINUS, observables, state)
-
-
-def chen_fei(observables: ObservableSet, state: QuantumState) -> BoundReport:
-    """Pair-sum bound with a cross term, defined for N >= 3.
-
-    rhs = S2/(N-2) - S1^2/((N-1)^2 (N-2)) where S2 sums Var(A_i + A_j) and
-    S1 sums the standard deviations of the same pair sums.
-    """
-    if observables.count < 3:
-        raise UnsupportedCountError(
-            f"this relation needs at least 3 observables, got {observables.count}"
-        )
-    return _single(Relation.CHEN_FEI, observables, state)
-
-
-def song(observables: ObservableSet, state: QuantumState) -> BoundReport:
-    """Total-sum bound: Var of the summed observable plus a difference term.
-
-    rhs = Var(sum A_i)/N + 2 D^2 / (N^2 (N-1)) where D sums the standard
-    deviations of all pairwise differences A_i - A_j, i < j.
-    """
-    return _single(Relation.SONG, observables, state)
 
 
 # -- batch evaluation ---------------------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .qubit import closed_form_bounds, pauli_triple
+from .qubit import _PAULI_STACK, closed_form_bounds
 from .core import QuantumState, moment_table, state_array
 from .relations import Relation, SUM_FORM_RELATIONS
 
@@ -29,8 +29,6 @@ _BASIS_INDEX = {"x": 0, "y": 1, "z": 2}
 DEFAULT_SHOTS_PER_BASIS = 2400
 
 MIN_BOOTSTRAP_RESAMPLES = 100
-
-_PAULI_STACK = pauli_triple().stack
 
 
 def derive_seed(seed: int, *path: int) -> int:

@@ -21,7 +21,6 @@ from uncrel import (
     SweepSpec,
     bloch_to_state,
     closed_form_bounds,
-    closed_form_rhs,
     evaluate_all,
     maccone_pati_deviation,
     maccone_pati_orthogonal,
@@ -32,8 +31,6 @@ from uncrel import (
     random_pure_state,
     run_sweep,
     run_verify,
-    sum_minus,
-    sum_plus,
 )
 from uncrel.relations import ObservableSet
 from uncrel.shots import derive_seed, estimate_expectation, simulate_counts
@@ -87,7 +84,7 @@ def test_anchor_state_bound_values():
         for rep in evaluate_all(pauli_triple(), state)
         if not hasattr(rep, "reason")
     }
-    moments = moments_from_angles(BlochAngles(0.0, 0.0))
+    _, closed = closed_form_bounds(*moments_from_angles(BlochAngles(0.0, 0.0)))
     x, y, z, psi = o.PX, o.PY, o.PZ, o.KET0
     oracle = {
         Relation.TRIPLE_SUM: o.triple_sum_rhs(x, y, z, psi),
@@ -110,7 +107,7 @@ def test_anchor_state_bound_values():
     for rel in SUM_FORM_RELATIONS:
         assert abs(oracle[rel] - anchors[rel]) <= 1e-12, rel
         assert abs(engine[rel] - oracle[rel]) <= 1e-9, rel
-        assert abs(closed_form_rhs(moments, rel) - oracle[rel]) <= 1e-9, rel
+        assert abs(closed[rel] - oracle[rel]) <= 1e-9, rel
     _pass("all seven bounds at |0> agree with the matrix oracle within 1e-9")
 
 
@@ -202,8 +199,9 @@ def test_pair_sum_bounds_add_to_lhs():
                         for i in range(n)
                     )
                 )
-                plus = sum_plus(obs, state)
-                minus = sum_minus(obs, state)
+                reports = {r.relation: r for r in evaluate_all(obs, state)}
+                plus = reports[Relation.SUM_PLUS]
+                minus = reports[Relation.SUM_MINUS]
                 worst = max(worst, abs(plus.rhs + minus.rhs - plus.lhs))
                 checked += 1
     assert checked == 10_008
@@ -219,14 +217,14 @@ def test_closed_forms_match_matrix_engine():
         angles = BlochAngles(
             math.acos(rng.uniform(-1.0, 1.0)), rng.uniform(0.0, 2.0 * math.pi)
         )
-        moments = moments_from_angles(angles)
+        _, closed = closed_form_bounds(*moments_from_angles(angles))
         engine = {
             rep.relation: rep.rhs
             for rep in evaluate_all(pauli_triple(), bloch_to_state(angles))
             if not hasattr(rep, "reason")
         }
         for rel in SUM_FORM_RELATIONS:
-            worst = max(worst, abs(closed_form_rhs(moments, rel) - engine[rel]))
+            worst = max(worst, abs(closed[rel] - engine[rel]))
     assert worst <= 1e-12
     _pass(f"closed forms match the engine within 1e-12 at 10^4 angles (worst {worst:.2e})")
 

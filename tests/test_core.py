@@ -11,16 +11,16 @@ from uncrel import (
     DensityMatrix,
     DimensionError,
     Observable,
+    ObservableSet,
     PureState,
     UnsupportedDimensionError,
-    commutator_expectation,
     deviation_state,
-    expectation,
+    evaluate_all,
     orthogonal_qubit,
     random_observable,
     random_pure_state,
-    variance,
 )
+from uncrel.core import moment_table, state_array
 
 KET0 = PureState(o.KET0)
 KET1 = PureState(o.KET1)
@@ -34,6 +34,26 @@ angles = st.tuples(
 
 def bloch_ket(theta, phi):
     return PureState(o.ket(theta, phi))
+
+
+def table(state, *observables):
+    """Means and second moments of ``observables`` from the one moment table."""
+    m, G, _ = moment_table(np.array([ob.matrix for ob in observables]), state_array(state))
+    return m, G
+
+
+def mean(obs, state):
+    return table(state, obs)[0][0]
+
+
+def var(obs, state):
+    m, G = table(state, obs)
+    return G[0, 0].real - m[0] * m[0]
+
+
+def comm(a, b, state):
+    """<[A, B]> = 2i Im G_ab."""
+    return 2j * table(state, a, b)[1][0, 1].imag
 
 
 # -- construction contracts ---------------------------------------------------
@@ -116,46 +136,47 @@ def test_density_matrix_rejects_non_hermitian():
 # -- expectation --------------------------------------------------------------
 
 def test_expectation_eigenstate():
-    assert expectation(Observable(o.PZ), KET0) == pytest.approx(1.0, abs=1e-12)
+    assert mean(Observable(o.PZ), KET0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_expectation_equator_x():
     state = bloch_ket(math.pi / 2, 0.0)
-    got = expectation(Observable(o.PX), state)
+    got = mean(Observable(o.PX), state)
     assert got == pytest.approx(o.expect(o.PX, state.amplitudes), abs=1e-12)
     assert got == pytest.approx(1.0, abs=1e-12)
 
 
 def test_expectation_maximally_mixed():
-    assert expectation(Observable(o.PY), MIXED) == pytest.approx(0.0, abs=1e-12)
+    assert mean(Observable(o.PY), MIXED) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_expectation_dimension_mismatch():
+    qutrit = Observable(np.eye(3))
     with pytest.raises(DimensionError):
-        expectation(Observable(np.eye(3)), KET0)
+        evaluate_all(ObservableSet((qutrit, qutrit)), KET0)
 
 
 def test_expectation_pure_vs_projector():
     obs = random_observable(3, seed=11)
     psi = random_pure_state(3, seed=12)
-    assert expectation(obs, psi) == pytest.approx(
-        expectation(obs, psi.density()), abs=1e-12
+    assert mean(obs, psi) == pytest.approx(
+        mean(obs, psi.density()), abs=1e-12
     )
 
 
 # -- variance -----------------------------------------------------------------
 
 def test_variance_eigenstate_is_zero():
-    assert variance(Observable(o.PZ), KET0) == 0.0
+    assert var(Observable(o.PZ), KET0) == 0.0
 
 
 def test_variance_conjugate_axis():
-    assert variance(Observable(o.PX), KET0) == pytest.approx(1.0, abs=1e-12)
+    assert var(Observable(o.PX), KET0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_variance_summed_observable():
     total = Observable(o.PX + o.PY + o.PZ)
-    got = variance(total, KET0)
+    got = var(total, KET0)
     assert got == pytest.approx(o.var(o.PX + o.PY + o.PZ, o.KET0), abs=1e-12)
     assert got == pytest.approx(2.0, abs=1e-12)
 
@@ -163,7 +184,7 @@ def test_variance_summed_observable():
 def test_variance_mixed_state_matches_oracle():
     obs = random_observable(2, seed=21)
     rho = MIXED
-    assert variance(obs, rho) == pytest.approx(
+    assert var(obs, rho) == pytest.approx(
         o.var(obs.matrix, rho.matrix), abs=1e-10
     )
 
@@ -175,24 +196,24 @@ def test_variance_equals_deviation_norm_squared(ang, obs_seed):
     psi = bloch_ket(*ang)
     obs = random_observable(2, seed=obs_seed)
     norm, _ = deviation_state(obs, psi)
-    assert variance(obs, psi) == pytest.approx(norm * norm, abs=1e-10)
+    assert var(obs, psi) == pytest.approx(norm * norm, abs=1e-10)
 
 
 # -- commutator expectation ---------------------------------------------------
 
 def test_commutator_pauli_pair():
-    got = commutator_expectation(Observable(o.PX), Observable(o.PY), KET0)
+    got = comm(Observable(o.PX), Observable(o.PY), KET0)
     assert got == pytest.approx(2j, abs=1e-12)
 
 
 def test_commutator_self_is_zero():
-    got = commutator_expectation(Observable(o.PX), Observable(o.PX), KET0)
+    got = comm(Observable(o.PX), Observable(o.PX), KET0)
     assert got == pytest.approx(0.0, abs=1e-12)
 
 
 def test_commutator_cyclic_pair_on_equator():
     state = bloch_ket(math.pi / 2, 0.0)
-    got = commutator_expectation(Observable(o.PY), Observable(o.PZ), state)
+    got = comm(Observable(o.PY), Observable(o.PZ), state)
     assert got == pytest.approx(2j, abs=1e-12)
 
 
@@ -202,8 +223,8 @@ def test_commutator_swap_symmetry():
     a = random_observable(3, seed=31)
     b = random_observable(3, seed=32)
     psi = random_pure_state(3, seed=33)
-    fwd = commutator_expectation(a, b, psi)
-    rev = commutator_expectation(b, a, psi)
+    fwd = comm(a, b, psi)
+    rev = comm(b, a, psi)
     assert fwd == pytest.approx(-rev, abs=1e-12)
     assert fwd == pytest.approx(np.conj(rev), abs=1e-12)
     assert abs(fwd.real) < 1e-10
@@ -212,7 +233,7 @@ def test_commutator_swap_symmetry():
 def test_commutator_mixed_state_matches_oracle():
     a, b = Observable(o.PX), Observable(o.PZ)
     rho = DensityMatrix(np.diag([0.7, 0.3]))
-    assert commutator_expectation(a, b, rho) == pytest.approx(
+    assert comm(a, b, rho) == pytest.approx(
         o.comm_expect(o.PX, o.PZ, rho.matrix), abs=1e-12
     )
 
@@ -243,7 +264,7 @@ def test_deviation_norm_is_standard_deviation():
         obs = random_observable(3, seed=seed)
         psi = random_pure_state(3, seed=100 + seed)
         norm, _ = deviation_state(obs, psi)
-        assert norm == pytest.approx(math.sqrt(variance(obs, psi)), abs=1e-10)
+        assert norm == pytest.approx(math.sqrt(var(obs, psi)), abs=1e-10)
 
 
 # -- orthogonal qubit ---------------------------------------------------------
@@ -295,7 +316,7 @@ def test_random_pure_state_haar_symmetry():
     obs = Observable(np.kron(o.PZ, np.eye(2)))
     total = 0.0
     for seed in range(10_000):
-        total += expectation(obs, random_pure_state(4, seed=seed))
+        total += mean(obs, random_pure_state(4, seed=seed))
     assert abs(total / 10_000) < 0.05
 
 
@@ -456,7 +477,6 @@ def test_package_exports_the_public_api():
         "DensityMatrix",
         "DimensionError",
         "EstimateWithError",
-        "InvalidMomentsError",
         "MeasurementRecord",
         "Observable",
         "ObservableSet",
@@ -465,7 +485,6 @@ def test_package_exports_the_public_api():
         "PAIRWISE_RELATIONS",
         "PureState",
         "QuantumState",
-        "QubitMoments",
         "Relation",
         "SUM_FORM_RELATIONS",
         "ShotPlan",
@@ -480,23 +499,15 @@ def test_package_exports_the_public_api():
         "__version__",
         "bloch_to_state",
         "bootstrap_bounds",
-        "chen_fei",
         "closed_form_bounds",
-        "closed_form_lhs",
-        "closed_form_rhs",
-        "commutator_expectation",
-        "density_to_stokes",
         "derive_seed",
         "deviation_state",
         "emit",
         "estimate_expectation",
         "evaluate_all",
-        "expectation",
         "maccone_pati_deviation",
         "maccone_pati_orthogonal",
         "moments_from_angles",
-        "moments_from_expectations",
-        "moments_from_stokes",
         "orthogonal_qubit",
         "pauli",
         "pauli_triple",
@@ -506,14 +517,7 @@ def test_package_exports_the_public_api():
         "run_sweep",
         "run_verify",
         "simulate_counts",
-        "song",
         "stokes_to_density",
-        "sum_minus",
-        "sum_plus",
-        "triple_commutator",
-        "triple_pairwise",
-        "triple_sum",
-        "variance",
     ])
     for name in uncrel.__all__:
         assert getattr(uncrel, name) is not None

@@ -200,8 +200,7 @@ def test_verify_random_campaign_covers_pairwise():
     assert Relation.MACCONE_PATI_ORTHOGONAL in summary.tallies
     assert Relation.MACCONE_PATI_DEVIATION in summary.tallies
     # every instance contributes one robertson report per observable pair:
-    # 10 trials x (1 + 3 + 3 + 9... wait) -- spelled out: pairs per count
-    # are C(2,2)=1 and C(3,2)=3 across two dims each
+    # C(2,2) = 1 pair at n = 2 and C(3,2) = 3 at n = 3, for each of 2 dims
     assert summary.tallies[Relation.ROBERTSON].evaluated == 10 * 2 * (1 + 3)
 
 
@@ -477,6 +476,28 @@ def test_cli_verify_refuses_empty_lists(capsys):
         assert "expected comma-separated integers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags, reason",
+    [
+        (["--n-observables", "1"], ">= 2"),
+        (["--n-observables", "0"], ">= 2"),
+        (["--n-observables", "3,1"], ">= 2"),
+        (["--dim", "2,2"], "must not repeat"),
+        (["--dim", "3,2,3"], "must not repeat"),
+        (["--n-observables", "2,3,2"], "must not repeat"),
+    ],
+    ids=["n=1", "n=0", "n=3,1", "dim=2,2", "dim=3,2,3", "n=2,3,2"],
+)
+def test_cli_verify_refuses_small_or_repeated_counts(capsys, flags, reason):
+    # A count below 2 has no pair to evaluate; a repeated value would run
+    # and count the same instances twice.
+    assert main(["verify", "--trials", "3", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("uncrel: error: ") and captured.err.count("\n") == 1
+    assert reason in captured.err and "Traceback" not in captured.err
+
+
 def test_verify_json_rounds_every_float_to_12_digits():
     summary = run_verify(10, dims=(2, 3), counts=(2, 3), seed=4)
     floats = []
@@ -740,15 +761,15 @@ def _campaign_one_by_one(trials, dims, counts, seed, verdict):
 
 @pytest.mark.parametrize("strict", [False, True])
 @pytest.mark.parametrize("campaign", [
-    (520, (2, 2, 3), (2, 3), 5, 512),
+    (520, (2, 3), (2, 3), 5, 512),
     (40, (3,), (3,), 1, 512),
     (60, (2, 3, 4), (5, 6), 3, 1),
     (60, (2, 3, 4), (5, 6), 3, 7),
     (60, (2, 3, 4), (5, 6), 3, 512),
 ])
 def test_batched_campaign_matches_one_by_one_evaluation(monkeypatch, campaign, strict):
-    # 520 trials cross the 512-trial block boundary; dims (2, 2, 3) repeat a
-    # dimension, so by_dim counts from two positions share a key.  With one
+    # 520 trials cross the 512-trial block boundary; each dim runs at two
+    # counts, so by_dim counts from two positions share a key.  With one
     # (dim, n) every note example comes from the same block.  The strict
     # verdict makes many reports violations, which exercises the order of
     # the violation witnesses across relations and pairs.  At n >= 5 there

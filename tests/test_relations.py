@@ -16,7 +16,6 @@ from uncrel import (
     SkippedRelation,
     UnsupportedCountError,
     UnsupportedStateError,
-    chen_fei,
     evaluate_all,
     maccone_pati_deviation,
     maccone_pati_orthogonal,
@@ -26,12 +25,6 @@ from uncrel import (
     random_observable,
     random_pure_state,
     robertson,
-    song,
-    sum_minus,
-    sum_plus,
-    triple_commutator,
-    triple_pairwise,
-    triple_sum,
 )
 
 SX, SY, SZ = pauli("x"), pauli("y"), pauli("z")
@@ -39,6 +32,12 @@ KET0 = PureState(o.KET0)
 KET1 = PureState(o.KET1)
 EQUATOR_X = PureState(o.ket(math.pi / 2, 0.0))
 MIXED = DensityMatrix(np.eye(2) / 2.0)
+
+
+def report(relation, observables, state):
+    """The report of one sum-form relation, as evaluate_all gives it."""
+    reports = evaluate_all(ObservableSet(tuple(observables)), state)
+    return next(r for r in reports if r.relation is relation)
 
 
 def random_instance(dim, n, seed):
@@ -197,7 +196,7 @@ def test_deviation_bound_dual_path_random():
 
 def test_triple_sum_on_pole_and_equator():
     for state in (KET0, EQUATOR_X):
-        rep = triple_sum(SX, SY, SZ, state)
+        rep = report(Relation.TRIPLE_SUM, (SX, SY, SZ), state)
         assert rep.lhs == pytest.approx(2.0, abs=1e-12)
         assert rep.rhs == pytest.approx(o.ANCHOR_T1, abs=1e-12)
         assert rep.holds
@@ -205,13 +204,13 @@ def test_triple_sum_on_pole_and_equator():
 
 def test_triple_sum_commuting_constants():
     ident = Observable(np.eye(2))
-    rep = triple_sum(ident, 2.0 * ident, 3.0 * ident, KET0)
+    rep = report(Relation.TRIPLE_SUM, (ident, 2.0 * ident, 3.0 * ident), KET0)
     assert rep.lhs == pytest.approx(0.0, abs=1e-12)
     assert rep.rhs == pytest.approx(0.0, abs=1e-12)
 
 
 def test_triple_commutator_at_pole():
-    rep = triple_commutator(SX, SY, SZ, KET0)
+    rep = report(Relation.TRIPLE_COMMUTATOR, (SX, SY, SZ), KET0)
     assert rep.rhs == pytest.approx(o.ANCHOR_T2, abs=1e-12)
 
 
@@ -220,31 +219,31 @@ def test_triple_commutator_commuting_diagonals():
     d2 = Observable(np.diag([-1.0, 3.0]))
     d3 = Observable(np.diag([0.5, 0.5]))
     psi = random_pure_state(2, seed=4)
-    assert triple_commutator(d1, d2, d3, psi).rhs == 0.0
+    assert report(Relation.TRIPLE_COMMUTATOR, (d1, d2, d3), psi).rhs == 0.0
 
 
 def test_triple_commutator_dual_path():
     state = PureState(o.ket(math.pi / 3, math.pi / 4))
-    rep = triple_commutator(SX, SY, SZ, state)
+    rep = report(Relation.TRIPLE_COMMUTATOR, (SX, SY, SZ), state)
     assert rep.rhs == pytest.approx(
         o.triple_commutator_rhs(o.PX, o.PY, o.PZ, state.amplitudes), abs=1e-12
     )
 
 
 def test_triple_pairwise_at_pole():
-    rep = triple_pairwise(SX, SY, SZ, KET0)
+    rep = report(Relation.TRIPLE_PAIRWISE, (SX, SY, SZ), KET0)
     assert rep.rhs == pytest.approx(1.0, abs=1e-12)
     assert rep.mid == pytest.approx(1.0, abs=1e-12)
 
 
 def test_triple_pairwise_equator():
-    rep = triple_pairwise(SX, SY, SZ, EQUATOR_X)
+    rep = report(Relation.TRIPLE_PAIRWISE, (SX, SY, SZ), EQUATOR_X)
     assert rep.lhs == pytest.approx(2.0, abs=1e-12)
     assert rep.rhs == pytest.approx(1.0, abs=1e-12)
 
 
 def test_triple_pairwise_maximally_mixed():
-    rep = triple_pairwise(SX, SY, SZ, MIXED)
+    rep = report(Relation.TRIPLE_PAIRWISE, (SX, SY, SZ), MIXED)
     assert rep.rhs == pytest.approx(0.0, abs=1e-12)
 
 
@@ -255,7 +254,7 @@ def test_triple_pairwise_chain():
         b = random_observable(2, seed=300 + seed)
         c = random_observable(2, seed=600 + seed)
         psi = random_pure_state(2, seed=seed)
-        rep = triple_pairwise(a, b, c, psi)
+        rep = report(Relation.TRIPLE_PAIRWISE, (a, b, c), psi)
         assert rep.lhs >= rep.mid - 1e-10
         assert rep.mid >= rep.rhs - 1e-10
 
@@ -263,53 +262,48 @@ def test_triple_pairwise_chain():
 # -- N-observable bounds ------------------------------------------------------
 
 def test_sum_plus_at_pole():
-    rep = sum_plus(pauli_triple(), KET0)
+    rep = report(Relation.SUM_PLUS, pauli_triple(), KET0)
     assert rep.rhs == pytest.approx(1.0, abs=1e-12)
 
 
 def test_sum_plus_identical_pair_on_eigenstate():
-    rep = sum_plus(ObservableSet((SZ, SZ)), KET0)
+    rep = report(Relation.SUM_PLUS, ObservableSet((SZ, SZ)), KET0)
     assert rep.rhs == pytest.approx(0.0, abs=1e-12)
     assert rep.lhs == pytest.approx(0.0, abs=1e-12)
 
 
 def test_sum_plus_matches_oracle_off_pole():
     state = PureState(o.ket(math.pi / 3, 0.0))
-    rep = sum_plus(pauli_triple(), state)
+    rep = report(Relation.SUM_PLUS, pauli_triple(), state)
     assert rep.rhs == pytest.approx(o.sum_plus_rhs(list(o.PAULIS), state.amplitudes), abs=1e-12)
 
 
 def test_sum_minus_at_pole():
-    rep = sum_minus(pauli_triple(), KET0)
+    rep = report(Relation.SUM_MINUS, pauli_triple(), KET0)
     assert rep.rhs == pytest.approx(1.0, abs=1e-12)
 
 
 def test_sum_minus_identical_pair():
-    rep = sum_minus(ObservableSet((SX, SX)), random_pure_state(2, seed=9))
+    rep = report(Relation.SUM_MINUS, ObservableSet((SX, SX)), random_pure_state(2, seed=9))
     assert rep.rhs == pytest.approx(0.0, abs=1e-12)
 
 
 def test_parallelogram_identity():
     for seed in range(15):
         obs, psi = random_instance(dim=3, n=4, seed=seed)
-        plus = sum_plus(obs, psi)
-        minus = sum_minus(obs, psi)
+        plus = report(Relation.SUM_PLUS, obs, psi)
+        minus = report(Relation.SUM_MINUS, obs, psi)
         assert plus.rhs + minus.rhs == pytest.approx(plus.lhs, abs=1e-10)
 
 
 def test_chen_fei_at_pole():
-    rep = chen_fei(pauli_triple(), KET0)
+    rep = report(Relation.CHEN_FEI, pauli_triple(), KET0)
     assert rep.rhs == pytest.approx(o.ANCHOR_M3, abs=1e-12)
-
-
-def test_chen_fei_needs_three():
-    with pytest.raises(UnsupportedCountError):
-        chen_fei(ObservableSet((SX, SY)), KET0)
 
 
 def test_chen_fei_identical_projectors():
     proj = Observable(np.outer(o.KET0, o.KET0.conj()))
-    rep = chen_fei(ObservableSet((proj, proj, proj)), KET0)
+    rep = report(Relation.CHEN_FEI, ObservableSet((proj, proj, proj)), KET0)
     assert rep.rhs == pytest.approx(0.0, abs=1e-12)
     assert rep.lhs == pytest.approx(0.0, abs=1e-12)
 
@@ -319,19 +313,19 @@ def test_chen_fei_dual_path_at_singular_point():
     # so the z-x pair variance vanishes; both computation routes must land
     # on the same side of the square-root kink.
     state = PureState(o.ket(math.pi / 4, 0.0))
-    rep = chen_fei(pauli_triple(), state)
+    rep = report(Relation.CHEN_FEI, pauli_triple(), state)
     assert rep.rhs == pytest.approx(
         o.chen_fei_rhs(list(o.PAULIS), state.amplitudes), abs=1e-10
     )
 
 
 def test_song_at_pole():
-    rep = song(pauli_triple(), KET0)
+    rep = report(Relation.SONG, pauli_triple(), KET0)
     assert rep.rhs == pytest.approx(o.ANCHOR_M4, abs=1e-12)
 
 
 def test_song_pair_of_identical_on_eigenstate():
-    rep = song(ObservableSet((SZ, SZ)), KET0)
+    rep = report(Relation.SONG, ObservableSet((SZ, SZ)), KET0)
     assert rep.rhs == pytest.approx(0.0, abs=1e-12)
 
 
@@ -341,18 +335,21 @@ def test_nary_bounds_match_oracle_random():
             obs, psi = random_instance(dim=2, n=n, seed=10 * seed + n)
             mats = [ob.matrix for ob in obs]
             v = psi.amplitudes
-            assert sum_plus(obs, psi).rhs == pytest.approx(o.sum_plus_rhs(mats, v), abs=1e-10)
-            assert sum_minus(obs, psi).rhs == pytest.approx(o.sum_minus_rhs(mats, v), abs=1e-10)
-            assert chen_fei(obs, psi).rhs == pytest.approx(o.chen_fei_rhs(mats, v), abs=1e-10)
-            assert song(obs, psi).rhs == pytest.approx(o.song_rhs(mats, v), abs=1e-10)
+            for rel, oracle in (
+                (Relation.SUM_PLUS, o.sum_plus_rhs),
+                (Relation.SUM_MINUS, o.sum_minus_rhs),
+                (Relation.CHEN_FEI, o.chen_fei_rhs),
+                (Relation.SONG, o.song_rhs),
+            ):
+                assert report(rel, obs, psi).rhs == pytest.approx(oracle(mats, v), abs=1e-10)
 
 
 def test_mixed_states_accepted_by_sum_forms():
     rho = DensityMatrix(np.diag([0.25, 0.75]))
-    for fn in (sum_plus, sum_minus, chen_fei, song):
-        rep = fn(pauli_triple(), rho)
+    for rel in (Relation.SUM_PLUS, Relation.SUM_MINUS, Relation.CHEN_FEI, Relation.SONG):
+        rep = report(rel, pauli_triple(), rho)
         assert rep.holds
-    assert triple_sum(SX, SY, SZ, rho).holds
+    assert report(Relation.TRIPLE_SUM, (SX, SY, SZ), rho).holds
 
 
 # -- batch evaluation ---------------------------------------------------------
@@ -458,8 +455,8 @@ def test_commutator_ratio_between_triple_bounds():
     # ratio is fixed at 2/sqrt(3) whenever the smaller one is nonzero.
     for seed in range(25):
         psi = random_pure_state(2, seed=seed)
-        t2 = triple_commutator(SX, SY, SZ, psi)
-        t3 = triple_pairwise(SX, SY, SZ, psi)
+        t2 = report(Relation.TRIPLE_COMMUTATOR, (SX, SY, SZ), psi)
+        t3 = report(Relation.TRIPLE_PAIRWISE, (SX, SY, SZ), psi)
         if t3.rhs > 1e-12:
             assert t2.rhs == pytest.approx((2.0 / math.sqrt(3.0)) * t3.rhs, abs=1e-12)
 

@@ -15,15 +15,14 @@ from uncrel import (
     ShotPlan,
     bloch_to_state,
     bootstrap_bounds,
-    closed_form_rhs,
+    closed_form_bounds,
     derive_seed,
     estimate_expectation,
-    expectation,
-    moments_from_expectations,
-    pauli,
+    pauli_triple,
     random_pure_state,
     simulate_counts,
 )
+from uncrel.core import moment_table
 
 KET0 = PureState(o.KET0)
 
@@ -142,8 +141,9 @@ def test_moment_consistency_at_large_shots():
     for trial in range(300):
         state = random_pure_state(2, seed=trial)
         plan = ShotPlan(shots_per_basis=1_000_000, seed=derive_seed(123, trial))
+        means, _, _ = moment_table(pauli_triple().stack, state.amplitudes)
         for record in simulate_counts(state, plan):
-            exact = expectation(pauli(record.basis), state)
+            exact = means["xyz".index(record.basis)]
             est = estimate_expectation(record)
             sigma = max(est.std_error, 1e-12)
             checks += 1
@@ -194,11 +194,11 @@ def test_bootstrap_requires_minimum_resamples():
 
 def test_bootstrap_point_values_are_plug_in():
     records = exact_records(1000, 0.5, 0.0, 0.8)
-    moments = moments_from_expectations(0.5, 0.0, 0.8)
+    _, exact = closed_form_bounds(0.5, 0.0, 0.8)
     estimates = bootstrap_bounds(records, resamples=200, seed=1)
     for rel in SUM_FORM_RELATIONS:
         lhs_est, rhs_est = estimates[rel]
-        assert rhs_est.value == pytest.approx(closed_form_rhs(moments, rel), abs=1e-12)
+        assert rhs_est.value == pytest.approx(exact[rel], abs=1e-12)
         assert lhs_est.value == pytest.approx(3.0 - (0.5**2 + 0.8**2), abs=1e-12)
         assert rhs_est.std_error > 0.0
 
