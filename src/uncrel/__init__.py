@@ -31,8 +31,8 @@ from .errors import (
     UnsupportedStateError,
 )
 from .harness import (
-    OutputRow,
     SweepSpec,
+    SweepTable,
     VerificationSummary,
     emit,
     run_sweep,

@@ -3,7 +3,7 @@
 Exit codes:
 
 * 0 - success
-* 1 - usage error or invalid input data
+* 1 - usage error, invalid input data, or an input too large to allocate
 * 2 - a bound violation beyond tolerance was found
 * 3 - I/O failure
 * 4 - a numerical consistency check failed: the input is too large for
@@ -37,7 +37,8 @@ from .shots import ShotPlan
 
 
 #: Exit status per error a command may end in; ContractError is a ValueError.
-_EXIT_CODES = {OSError: 3, ConsistencyError: 4, ValueError: 1}
+#: A MemoryError is numpy refusing an array too large to allocate.
+_EXIT_CODES = {OSError: 3, ConsistencyError: 4, ValueError: 1, MemoryError: 1}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -215,7 +216,7 @@ def _cmd_sweep(args) -> int:
     if args.shots is not None:
         plan = ShotPlan(shots_per_basis=args.shots, seed=args.seed)
     spec = SweepSpec(args.mode, fixed, steps, relations, plan)
-    rows = run_sweep(spec, resamples=args.resamples)
+    table = run_sweep(spec, resamples=args.resamples)
     metadata = {
         "command": "sweep",
         "mode": args.mode,
@@ -227,7 +228,7 @@ def _cmd_sweep(args) -> int:
     }
     if args.shots is not None:
         metadata["resamples"] = args.resamples
-    emit(rows, args.format, args.out, metadata=metadata)
+    emit(table, args.format, args.out, metadata=metadata)
     return 0
 
 

@@ -3,12 +3,13 @@
 Three entry points sit behind the CLI:
 
 * :func:`run_sweep` walks a one-parameter family of qubit states and
-  tabulates the sum-form bounds, either exactly or from simulated counts.
+  tabulates the sum-form bounds, either exactly or from simulated counts,
+  as one :class:`SweepTable` of columns.
 * :func:`run_verify` hammers the relation engine with seeded random states
   and observables, evaluated in blocks of trials from one batched moment
   table each, and tallies any bound violations beyond tolerance.
-* :func:`emit` renders rows, reports, or a verification summary as CSV or
-  JSON, to stdout or a file.
+* :func:`emit` renders a sweep table, reports, or a verification summary
+  as CSV or JSON, to stdout or a file.
 
 Output is deterministic: same inputs and seeds, byte-identical text.
 """
@@ -45,19 +46,16 @@ from .relations import (
     bound_values,
     holds,
 )
-from .shots import (
-    EstimateWithError,
-    ShotPlan,
-    bootstrap_bounds,
-    derive_seed,
-    simulate_counts,
-)
+from .shots import ShotPlan, bootstrap_bounds, derive_seed, simulate_counts
 
 _TWO_PI = 2.0 * math.pi
 _RATIO_T2_OVER_T3 = 2.0 / math.sqrt(3.0)
 
-#: Trials drawn and evaluated together for one (dim, n) of a campaign.
+#: Most trials drawn and evaluated together for one (dim, n) of a campaign.
 _BLOCK_TRIALS = 512
+#: Matrix entries, ``n d^2`` per trial, that one block may hold: full
+#: 512-trial blocks up to d = 4 at n = 5, fewer trials beyond.
+_BLOCK_ENTRIES = 512 * 5 * 16
 _MAX_WITNESSES = 20
 _MAX_EXAMPLES = 3
 #: The one note that also counts its hits per dimension.
@@ -103,38 +101,36 @@ class SweepSpec:
         if len(set(rels)) != len(rels):
             raise ValueError("duplicate relations in sweep spec")
         object.__setattr__(self, "relations", rels)
+        # Clipped onto the closed interval, as BlochAngles clips it.
+        object.__setattr__(self, "fixed_angle", min(max(float(self.fixed_angle), 0.0), fixed_max))
 
-    def grid(self) -> list[BlochAngles]:
-        """The concrete (theta, phi) points, in sweep order."""
+    def grid(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ``(theta, phi)`` columns of the grid points, in sweep order."""
+        fixed = np.full(self.steps, self.fixed_angle)
         if self.mode == "theta":
-            return [
-                BlochAngles(t, self.fixed_angle)
-                for t in np.linspace(0.0, math.pi, self.steps)
-            ]
-        return [
-            BlochAngles(self.fixed_angle, p)
-            for p in np.linspace(0.0, _TWO_PI, self.steps)
-        ]
+            return np.linspace(0.0, math.pi, self.steps), fixed
+        return fixed, np.linspace(0.0, _TWO_PI, self.steps)
 
 
 @dataclass(frozen=True)
-class OutputRow:
-    """One sweep point: angles, shared lhs, and per-relation bounds.
+class SweepTable:
+    """A sweep as columns, one entry per grid point in sweep order.
 
-    Exact rows carry ``std_error`` 0 everywhere and ``estimated`` False.
-    On estimated rows a ``holds`` flag of False is a statistical statement
+    ``bounds`` maps each relation to its ``(rhs, rhs_err, holds)`` columns.
+    Exact tables carry errors of 0 and ``estimated`` False.  In an
+    estimated table a ``holds`` entry of False is a statistical statement
     about noisy point values, not a claimed violation of theory.
     """
 
-    theta: float
-    phi: float
-    lhs: EstimateWithError
-    bounds: dict[Relation, EstimateWithError]
-    holds: dict[Relation, bool]
+    theta: np.ndarray
+    phi: np.ndarray
+    lhs: np.ndarray
+    lhs_err: np.ndarray
+    bounds: dict[Relation, tuple[np.ndarray, np.ndarray, np.ndarray]]
     estimated: bool
 
 
-def run_sweep(spec: SweepSpec, *, resamples: int = 1000) -> list[OutputRow]:
+def run_sweep(spec: SweepSpec, *, resamples: int = 1000) -> SweepTable:
     """Evaluate the requested bounds at every grid point of the sweep.
 
     Exact sweeps evaluate the closed forms over the whole grid at once.
@@ -143,44 +139,31 @@ def run_sweep(spec: SweepSpec, *, resamples: int = 1000) -> list[OutputRow]:
     reproduces the full sweep's values, then bootstrap ``resamples``
     replicates for the error bars.
     """
-    grid = spec.grid()
+    theta, phi = spec.grid()
     if spec.shots is None:
-        return _exact_rows(grid, spec.relations)
-    return [
-        _simulated_row(angles, spec, index, resamples)
-        for index, angles in enumerate(grid)
-    ]
+        lhs, rhs = closed_form_bounds(*moments_from_angles(theta, phi), spec.relations)
+        lhs_err = np.zeros_like(lhs)
+        columns = [column for rel in spec.relations for column in (rhs[rel], lhs_err)]
+    else:
+        lhs, lhs_err, *columns = _simulated_columns(spec, theta, phi, resamples)
+    triples = zip(spec.relations, columns[0::2], columns[1::2])
+    bounds = {rel: (rhs, err, holds(lhs, rhs)) for rel, rhs, err in triples}
+    return SweepTable(theta, phi, lhs, lhs_err, bounds, spec.shots is not None)
 
 
-def _exact_rows(grid: list[BlochAngles], relations) -> list[OutputRow]:
-    e = np.array([moments_from_angles(angles) for angles in grid])
-    lhs, bounds = closed_form_bounds(*e.T, relations)
-    columns = [(rel, bounds[rel].tolist(), holds(lhs, bounds[rel]).tolist()) for rel in relations]
-    return [
-        OutputRow(
-            angles.theta, angles.phi, EstimateWithError(value, 0.0),
-            {rel: EstimateWithError(rhs[k], 0.0) for rel, rhs, _ in columns},
-            {rel: ok[k] for rel, _, ok in columns}, False,
-        )
-        for k, (angles, value) in enumerate(zip(grid, lhs.tolist()))
-    ]
-
-
-def _simulated_row(
-    angles: BlochAngles, spec: SweepSpec, index: int, resamples: int
-) -> OutputRow:
-    plan = replace(spec.shots, seed=derive_seed(spec.shots.seed, index))
-    records = simulate_counts(bloch_to_state(angles), plan)
-    estimates = bootstrap_bounds(
-        records,
-        spec.relations,
-        resamples=resamples,
-        seed=derive_seed(spec.shots.seed, index, 1),
-    )
-    lhs = next(iter(estimates.values()))[0]
-    bounds = {rel: pair[1] for rel, pair in estimates.items()}
-    ok = {rel: bool(holds(lhs.value, bounds[rel].value)) for rel in spec.relations}
-    return OutputRow(angles.theta, angles.phi, lhs, bounds, ok, True)
+def _simulated_columns(spec: SweepSpec, theta, phi, resamples: int) -> np.ndarray:
+    """The rows ``lhs, lhs_err``, then ``rhs, rhs_err`` per relation, of a
+    shot sweep: one bootstrap per point, stacked."""
+    points = []
+    for index, angles in enumerate(zip(theta.tolist(), phi.tolist())):
+        plan = replace(spec.shots, seed=derive_seed(spec.shots.seed, index))
+        records = simulate_counts(bloch_to_state(BlochAngles(*angles)), plan)
+        child = derive_seed(spec.shots.seed, index, 1)
+        estimates = bootstrap_bounds(records, spec.relations, resamples=resamples, seed=child)
+        lhs = next(iter(estimates.values()))[0]
+        points.append([x for e in (lhs, *(rhs for _, rhs in estimates.values()))
+                       for x in (e.value, e.std_error)])
+    return np.array(points).T
 
 
 # -- randomized verification --------------------------------------------------
@@ -272,8 +255,9 @@ def run_verify(
     each combination of ``trials`` x ``dims`` x ``counts``.  With
     ``use_paulis`` the observables are the fixed Pauli triple (dims and
     counts must then be ``(2,)`` and ``(3,)``) and only the sum-form
-    relations run, which keeps very large state counts affordable.  Counts
-    below 2 and a dim or count given twice are refused.
+    relations run, which keeps very large state counts affordable.  Empty
+    dims or counts, counts below 2 and a dim or count given twice are
+    refused.
 
     Random-observable campaigns also evaluate the pairwise relations.
     Above dimension 2 the orthogonal-state sum bound gets a random
@@ -288,9 +272,12 @@ def run_verify(
     ``random_observable(dim, (seed, dim, n, 1 + i))`` at
     ``trials=range(t, t + 1)``, rebuilt alone from those numbers.
 
-    Each ``(dim, n)`` runs up to 512 trials (``_BLOCK_TRIALS``) at a time:
-    one ``trials=`` draw per role, one moment table and one
-    :func:`~uncrel.relations.bound_values` call.  For any block size the
+    Each ``(dim, n)`` runs a block of trials at a time: one ``trials=``
+    draw per role, one moment table and one
+    :func:`~uncrel.relations.bound_values` call.  A block holds up to 512
+    trials (``_BLOCK_TRIALS``) and, for the largest ``n d^2`` of the
+    campaign, no more than ``_BLOCK_ENTRIES`` matrix entries, so memory
+    does not grow with the dimension.  For any block size the
     summary is bit for bit, orders included, that of instances run one by
     one in the order ``(trial, dim, n)``.
     """
@@ -300,15 +287,20 @@ def run_verify(
     counts = tuple(int(n) for n in counts)
     if use_paulis and (dims != (2,) or counts != (3,)):
         raise ValueError("Pauli campaigns fix dims=(2,) and counts=(3,)")
-    if min(counts, default=0) < 2:
+    if not dims or not counts:
+        # No instance would run, and the campaign would pass vacuously.
+        raise ContractError(f"dims {list(dims)} and counts {list(counts)} must not be empty")
+    if min(counts) < 2:
         raise UnsupportedCountError(f"every observable count must be >= 2, got {list(counts)}")
     if len(set(dims)) < len(dims) or len(set(counts)) < len(counts):
         # A repeated value would run and count the same instances twice.
         raise ContractError(f"dims {list(dims)} and counts {list(counts)} must not repeat a value")
     summary = VerificationSummary(trials, dims, counts, seed, use_paulis)
     combos = [(dim, n) for dim in dims for n in counts]
-    for start in range(0, trials, _BLOCK_TRIALS):
-        stop = min(start + _BLOCK_TRIALS, trials)
+    largest = max(n * dim * dim for dim, n in combos)
+    block_trials = max(1, min(_BLOCK_TRIALS, _BLOCK_ENTRIES // largest))
+    for start in range(0, trials, block_trials):
+        stop = min(start + block_trials, trials)
         block = np.arange(start, stop)
         findings = []
         for position, (dim, n) in enumerate(combos):
@@ -422,6 +414,10 @@ def _merge_findings(summary: VerificationSummary, findings: list) -> None:
 
 # -- serialization ------------------------------------------------------------
 
+#: How json spells the non-finite floats that repr writes as nan and inf.
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
 def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
@@ -439,10 +435,13 @@ def _base_metadata(metadata: dict | None) -> dict:
 
 
 def emit(data, fmt: str = "csv", destination=None, *, metadata: dict | None = None) -> str:
-    """Render sweep rows, bound reports, or a verification summary.
+    """Render a sweep table, bound reports, or a verification summary.
+
+    A :class:`SweepTable` is rendered from its columns, one format pass per
+    column, in either format.
 
     Args:
-        data: a list of :class:`OutputRow`, a list of
+        data: a :class:`SweepTable`, a list of
             :class:`BoundReport` / :class:`SkippedRelation`, or a
             :class:`VerificationSummary`.
         fmt: "csv" or "json".  CSV floats get 12 significant digits and
@@ -459,14 +458,14 @@ def emit(data, fmt: str = "csv", destination=None, *, metadata: dict | None = No
     meta = _base_metadata(metadata)
     if isinstance(data, VerificationSummary):
         text = _render_summary(data, fmt, meta)
-    elif isinstance(data, list) and all(isinstance(r, OutputRow) for r in data):
-        text = _render_rows(data, fmt, meta)
+    elif isinstance(data, SweepTable):
+        text = _render_sweep(data, fmt, meta)
     elif isinstance(data, list) and all(
         isinstance(r, (BoundReport, SkippedRelation)) for r in data
     ):
         text = _render_reports(data, fmt, meta)
     else:
-        raise TypeError("emit expects OutputRow lists, report lists, or a summary")
+        raise TypeError("emit expects a SweepTable, a report list, or a summary")
     _write_text(text, destination)
     return text
 
@@ -489,50 +488,32 @@ def _json_dump(payload: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _render_rows(rows: list[OutputRow], fmt: str, meta: dict) -> str:
-    if not rows:
-        raise ValueError("no rows to emit")
-    relations = list(rows[0].bounds.keys())
-    if fmt == "json":
-        payload = {
-            "metadata": meta,
-            "rows": [
-                {
-                    "theta": _quant(row.theta),
-                    "phi": _quant(row.phi),
-                    "estimated": row.estimated,
-                    "lhs": {
-                        "value": _quant(row.lhs.value),
-                        "std_error": _quant(row.lhs.std_error),
-                    },
-                    "bounds": {
-                        rel.label: {
-                            "value": _quant(row.bounds[rel].value),
-                            "std_error": _quant(row.bounds[rel].std_error),
-                            "holds": row.holds[rel],
-                        }
-                        for rel in relations
-                    },
-                }
-                for row in rows
-            ],
-        }
-        return _json_dump(payload)
-    buffer = io.StringIO()
-    buffer.write(_comment_block(meta))
-    writer = csv.writer(buffer, lineterminator="\n")
-    header = ["theta", "phi", "lhs", "lhs_err"]
-    for rel in relations:
-        header.extend([rel.label, f"{rel.label}_err"])
-    header.extend(f"{rel.label}_holds" for rel in relations)
-    writer.writerow(header)
-    for row in rows:
-        record = [_fmt(row.theta), _fmt(row.phi), _fmt(row.lhs.value), _fmt(row.lhs.std_error)]
-        for rel in relations:
-            record.extend([_fmt(row.bounds[rel].value), _fmt(row.bounds[rel].std_error)])
-        record.extend("1" if row.holds[rel] else "0" for rel in relations)
-        writer.writerow(record)
-    return buffer.getvalue()
+def _render_sweep(table: SweepTable, fmt: str, meta: dict) -> str:
+    """The CSV or JSON text of a sweep, built column by column."""
+    labels = [rel.label for rel in table.bounds]
+    columns = [table.theta, table.phi, table.lhs, table.lhs_err]
+    columns += [column for rhs, err, _ in table.bounds.values() for column in (rhs, err)]
+    cells = [[_fmt(x) for x in column.tolist()] for column in columns]
+    verdicts = [ok.tolist() for _, _, ok in table.bounds.values()]
+    if fmt == "csv":
+        header = ["theta", "phi", "lhs", "lhs_err"]
+        header += [name for label in labels for name in (label, f"{label}_err")]
+        header += [f"{label}_holds" for label in labels]
+        cells += [["1" if ok else "0" for ok in column] for column in verdicts]
+        return _comment_block(meta) + "".join(",".join(row) + "\n" for row in (header, *zip(*cells)))
+    # The text json.dumps(indent=2) gives: a row template whose nulls take
+    # each value as json spells it, repr of the float apart from NaN and
+    # the infinities.
+    numbers = [[_JSON_NONFINITE.get(text, text) for text in map(repr, map(float, column))]
+               for column in cells]
+    flags = [["true" if ok else "false" for ok in column] for column in verdicts]
+    ordered = numbers[:4] + [c for triple in zip(numbers[4::2], numbers[5::2], flags) for c in triple]
+    row = {"theta": None, "phi": None, "estimated": table.estimated,
+           "lhs": {"value": None, "std_error": None},
+           "bounds": {label: {"value": None, "std_error": None, "holds": None} for label in labels}}
+    template = json.dumps(row, indent=2).replace("null", "%s").replace("\n", "\n    ")
+    head, _, tail = _json_dump({"metadata": meta, "rows": [0]}).rpartition("0")
+    return head + ",\n    ".join(template % values for values in zip(*ordered)) + tail
 
 
 def _render_reports(reports, fmt: str, meta: dict) -> str:

@@ -96,10 +96,11 @@ def pauli_table(ex, ey, ez) -> tuple[np.ndarray, np.ndarray]:
     return e.transpose(batch + (0,)), g.transpose(tuple(k + 1 for k in batch) + (0, 1))
 
 
-def moments_from_angles(angles: BlochAngles) -> tuple[float, float, float]:
-    """Pauli expectations ``(ex, ey, ez)`` of the pure state at the given Bloch angles."""
-    sin_t = math.sin(angles.theta)
-    return sin_t * math.cos(angles.phi), sin_t * math.sin(angles.phi), math.cos(angles.theta)
+def moments_from_angles(theta, phi):
+    """Pauli expectations ``(ex, ey, ez)`` of the pure states at Bloch angles
+    ``theta`` and ``phi``, elementwise over same-shape arrays or floats."""
+    sin_t = np.sin(theta)
+    return sin_t * np.cos(phi), sin_t * np.sin(phi), np.cos(theta)
 
 
 def _require_sum_form(relations) -> None:

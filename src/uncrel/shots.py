@@ -30,6 +30,9 @@ DEFAULT_SHOTS_PER_BASIS = 2400
 
 MIN_BOOTSTRAP_RESAMPLES = 100
 
+#: The most shots a binomial draw takes: numpy counts them in an int64.
+_MAX_SHOTS = int(np.iinfo(np.int64).max)
+
 
 def derive_seed(seed: int, *path: int) -> int:
     """Deterministic child seed for a (master seed, index path) pair.
@@ -54,8 +57,8 @@ class ShotPlan:
     bases: tuple[str, ...] = BASIS_ORDER
 
     def __post_init__(self) -> None:
-        if int(self.shots_per_basis) < 1:
-            raise ValueError(f"shots_per_basis must be >= 1, got {self.shots_per_basis}")
+        if not 1 <= int(self.shots_per_basis) <= _MAX_SHOTS:
+            raise ValueError(f"shots_per_basis must be in [1, {_MAX_SHOTS}], got {self.shots_per_basis}")
         if int(self.seed) < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         bases = tuple(self.bases)

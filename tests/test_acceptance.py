@@ -61,10 +61,10 @@ def test_lhs_constant_over_both_sweeps():
     """The three-variance sum is exactly 2 along both pure-state sweeps."""
     start = time.perf_counter()
     for spec in (THETA_SWEEP, PHI_SWEEP):
-        rows = run_sweep(spec)
-        assert len(rows) == spec.steps
-        for row in rows:
-            assert abs(row.lhs.value - 2.0) <= 1e-12
+        table = run_sweep(spec)
+        assert len(table.lhs) == spec.steps
+        for value in table.lhs.tolist():
+            assert abs(value - 2.0) <= 1e-12
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     _pass(f"lhs = 2 within 1e-12 at all 13 + 25 sweep points ({elapsed:.3f} s)")
@@ -84,7 +84,7 @@ def test_anchor_state_bound_values():
         for rep in evaluate_all(pauli_triple(), state)
         if not hasattr(rep, "reason")
     }
-    _, closed = closed_form_bounds(*moments_from_angles(BlochAngles(0.0, 0.0)))
+    _, closed = closed_form_bounds(*moments_from_angles(0.0, 0.0))
     x, y, z, psi = o.PX, o.PY, o.PZ, o.KET0
     oracle = {
         Relation.TRIPLE_SUM: o.triple_sum_rhs(x, y, z, psi),
@@ -170,15 +170,17 @@ def test_tightness_ordering(pauli_campaign):
     assert float(deficit.max()) <= 1e-9
 
     for spec in (THETA_SWEEP, PHI_SWEEP):
-        for row in run_sweep(spec):
-            t2 = row.bounds[Relation.TRIPLE_COMMUTATOR].value
-            t3 = row.bounds[Relation.TRIPLE_PAIRWISE].value
+        table = run_sweep(spec)
+        rhs = {rel: column.tolist() for rel, (column, _, _) in table.bounds.items()}
+        for k in range(spec.steps):
+            t2 = rhs[Relation.TRIPLE_COMMUTATOR][k]
+            t3 = rhs[Relation.TRIPLE_PAIRWISE][k]
             assert abs(t2 - (2.0 / math.sqrt(3.0)) * t3) <= 1e-12
             others = max(
-                row.bounds[r].value
+                rhs[r][k]
                 for r in (Relation.SUM_PLUS, Relation.SUM_MINUS, Relation.CHEN_FEI)
             )
-            assert row.bounds[Relation.SONG].value >= others - 1e-9
+            assert rhs[Relation.SONG][k] >= others - 1e-9
     _pass(
         "T2 = (2/sqrt 3) T3 within 1e-12 and M4 dominant within 1e-9 on "
         "10^5 states plus both sweeps"
@@ -217,7 +219,7 @@ def test_closed_forms_match_matrix_engine():
         angles = BlochAngles(
             math.acos(rng.uniform(-1.0, 1.0)), rng.uniform(0.0, 2.0 * math.pi)
         )
-        _, closed = closed_form_bounds(*moments_from_angles(angles))
+        _, closed = closed_form_bounds(*moments_from_angles(angles.theta, angles.phi))
         engine = {
             rep.relation: rep.rhs
             for rep in evaluate_all(pauli_triple(), bloch_to_state(angles))
@@ -263,15 +265,15 @@ def test_shot_noise_statistics():
     """
     start = time.perf_counter()
     plan = ShotPlan(shots_per_basis=2400, seed=7)
-    rows = run_sweep(SweepSpec("theta", 0.0, 13, shots=plan), resamples=1000)
+    table = run_sweep(SweepSpec("theta", 0.0, 13, shots=plan), resamples=1000)
     within = sum(
-        1 for row in rows if abs(row.lhs.value - 2.0) <= 3.0 * row.lhs.std_error
+        1 for value, err in zip(table.lhs, table.lhs_err) if abs(value - 2.0) <= 3.0 * err
     )
     assert within >= 12, f"only {within}/13 points within 3 sigma"
 
     ratios = []
-    for index, angles in enumerate(SweepSpec("theta", 0.0, 13).grid()):
-        state = bloch_to_state(angles)
+    for index, angles in enumerate(zip(*SweepSpec("theta", 0.0, 13).grid())):
+        state = bloch_to_state(BlochAngles(*angles))
         child = derive_seed(7, index)
         small = simulate_counts(state, ShotPlan(shots_per_basis=2400, seed=child))
         big = simulate_counts(state, ShotPlan(shots_per_basis=240_000, seed=child))

@@ -481,7 +481,6 @@ def test_package_exports_the_public_api():
         "Observable",
         "ObservableSet",
         "OrthogonalityError",
-        "OutputRow",
         "PAIRWISE_RELATIONS",
         "PureState",
         "QuantumState",
@@ -491,6 +490,7 @@ def test_package_exports_the_public_api():
         "SkippedRelation",
         "StokesVector",
         "SweepSpec",
+        "SweepTable",
         "UnsupportedCountError",
         "UnsupportedDimensionError",
         "UnsupportedRelationError",

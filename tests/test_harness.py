@@ -5,6 +5,7 @@ import io
 import json
 import math
 import tempfile
+import tracemalloc
 import warnings
 from dataclasses import replace
 from itertools import combinations
@@ -17,8 +18,8 @@ from hypothesis import strategies as st
 
 import _oracles as o
 from uncrel import (
-    BlochAngles,
     BoundReport,
+    ContractError,
     Observable,
     PureState,
     Relation,
@@ -53,6 +54,11 @@ def data_lines(text):
     return [line for line in text.splitlines() if not line.startswith("#")]
 
 
+def rhs_of(table, rel):
+    """The rhs column of ``rel`` in a sweep table."""
+    return table.bounds[rel][0]
+
+
 # -- sweep specification ------------------------------------------------------
 
 def test_sweep_spec_validation():
@@ -71,82 +77,83 @@ def test_sweep_spec_validation():
 
 
 def test_sweep_grids_match_published_spacing():
-    grid = theta_sweep().grid()
-    assert len(grid) == 13
-    for k, angles in enumerate(grid):
-        assert angles.theta == pytest.approx(k * math.pi / 12.0, abs=1e-12)
-        assert angles.phi == 0.0
-    grid = SweepSpec("phi", math.pi / 3.0, 25).grid()
-    assert len(grid) == 25
-    for k, angles in enumerate(grid):
-        assert angles.phi == pytest.approx(k * math.pi / 12.0, abs=1e-12)
-        assert angles.theta == pytest.approx(math.pi / 3.0, abs=1e-12)
+    theta, phi = theta_sweep().grid()
+    assert len(theta) == len(phi) == 13
+    for k in range(13):
+        assert theta[k] == pytest.approx(k * math.pi / 12.0, abs=1e-12)
+        assert phi[k] == 0.0
+    theta, phi = SweepSpec("phi", math.pi / 3.0, 25).grid()
+    assert len(theta) == len(phi) == 25
+    for k in range(25):
+        assert phi[k] == pytest.approx(k * math.pi / 12.0, abs=1e-12)
+        assert theta[k] == pytest.approx(math.pi / 3.0, abs=1e-12)
 
 
 # -- exact sweeps -------------------------------------------------------------
 
 def test_exact_theta_sweep_values():
-    rows = run_sweep(theta_sweep())
-    assert len(rows) == 13
-    for row in rows:
-        assert not row.estimated
-        assert row.lhs.value == pytest.approx(2.0, abs=1e-12)
-        assert row.lhs.std_error == 0.0
+    table = run_sweep(theta_sweep())
+    assert len(table.theta) == 13
+    assert not table.estimated
+    for k in range(13):
+        assert table.lhs[k] == pytest.approx(2.0, abs=1e-12)
+        assert table.lhs_err[k] == 0.0
         for rel in SUM_FORM_RELATIONS:
-            assert row.holds[rel]
-            assert row.bounds[rel].std_error == 0.0
-    pole = rows[0]
-    assert pole.bounds[Relation.TRIPLE_SUM].value == pytest.approx(o.ANCHOR_T1, abs=1e-12)
-    assert pole.bounds[Relation.TRIPLE_COMMUTATOR].value == pytest.approx(o.ANCHOR_T2, abs=1e-12)
-    assert pole.bounds[Relation.TRIPLE_PAIRWISE].value == pytest.approx(1.0, abs=1e-12)
-    assert pole.bounds[Relation.SONG].value == pytest.approx(o.ANCHOR_M4, abs=1e-12)
+            rhs, err, ok = table.bounds[rel]
+            assert ok[k]
+            assert err[k] == 0.0
+    assert rhs_of(table, Relation.TRIPLE_SUM)[0] == pytest.approx(o.ANCHOR_T1, abs=1e-12)
+    assert rhs_of(table, Relation.TRIPLE_COMMUTATOR)[0] == pytest.approx(o.ANCHOR_T2, abs=1e-12)
+    assert rhs_of(table, Relation.TRIPLE_PAIRWISE)[0] == pytest.approx(1.0, abs=1e-12)
+    assert rhs_of(table, Relation.SONG)[0] == pytest.approx(o.ANCHOR_M4, abs=1e-12)
 
 
 def test_exact_phi_sweep_start_point():
-    rows = run_sweep(SweepSpec("phi", math.pi / 3.0, 25))
-    assert len(rows) == 25
-    first = rows[0]
-    assert first.bounds[Relation.TRIPLE_PAIRWISE].value == pytest.approx(
+    table = run_sweep(SweepSpec("phi", math.pi / 3.0, 25))
+    assert len(table.phi) == 25
+    assert rhs_of(table, Relation.TRIPLE_PAIRWISE)[0] == pytest.approx(
         (math.sqrt(3.0) + 1.0) / 2.0, abs=1e-12
     )
-    for row in rows:
-        assert row.lhs.value == pytest.approx(2.0, abs=1e-12)
+    for value in table.lhs:
+        assert value == pytest.approx(2.0, abs=1e-12)
 
 
 def test_exact_sweep_curve_ordering():
     # the commutator bound dominates the pairwise one and nothing crosses
     # the constant left-hand side
     for spec in (theta_sweep(), SweepSpec("phi", math.pi / 3.0, 25)):
-        for row in run_sweep(spec):
-            t2 = row.bounds[Relation.TRIPLE_COMMUTATOR].value
-            t3 = row.bounds[Relation.TRIPLE_PAIRWISE].value
-            assert t2 >= t3 - 1e-12
+        table = run_sweep(spec)
+        t2 = rhs_of(table, Relation.TRIPLE_COMMUTATOR)
+        t3 = rhs_of(table, Relation.TRIPLE_PAIRWISE)
+        for k in range(spec.steps):
+            assert t2[k] >= t3[k] - 1e-12
             for rel in SUM_FORM_RELATIONS:
-                assert row.bounds[rel].value <= 2.0 + 1e-9
+                assert rhs_of(table, rel)[k] <= 2.0 + 1e-9
 
 
 def test_exact_sweep_total_bound_dominates():
     for spec in (theta_sweep(), SweepSpec("phi", math.pi / 3.0, 25)):
-        for row in run_sweep(spec):
+        table = run_sweep(spec)
+        for k in range(spec.steps):
             best_other = max(
-                row.bounds[Relation.SUM_PLUS].value,
-                row.bounds[Relation.SUM_MINUS].value,
-                row.bounds[Relation.CHEN_FEI].value,
+                rhs_of(table, Relation.SUM_PLUS)[k],
+                rhs_of(table, Relation.SUM_MINUS)[k],
+                rhs_of(table, Relation.CHEN_FEI)[k],
             )
-            assert row.bounds[Relation.SONG].value >= best_other - 1e-9
+            assert rhs_of(table, Relation.SONG)[k] >= best_other - 1e-9
 
 
 # -- simulated sweeps ---------------------------------------------------------
 
 def test_simulated_sweep_rows():
     spec = theta_sweep(shots=ShotPlan(shots_per_basis=2400, seed=7))
-    rows = run_sweep(spec, resamples=200)
-    assert len(rows) == 13
-    for row in rows:
-        assert row.estimated
-        assert row.lhs.std_error > 0.0
+    table = run_sweep(spec, resamples=200)
+    assert len(table.theta) == 13
+    assert table.estimated
+    for k in range(13):
+        assert table.lhs_err[k] > 0.0
         for rel in SUM_FORM_RELATIONS:
-            assert row.bounds[rel].std_error > 0.0
+            assert table.bounds[rel][1][k] > 0.0
 
 
 def test_simulated_sweep_deterministic():
@@ -166,7 +173,7 @@ def test_simulated_sweep_subgrid_reproduces_points():
         SweepSpec("theta", 0.0, 2, shots=ShotPlan(shots_per_basis=2400, seed=7)),
         resamples=150,
     )
-    assert short[0].lhs == long[0].lhs
+    assert (short.lhs[0], short.lhs_err[0]) == (long.lhs[0], long.lhs_err[0])
 
 
 # -- randomized verification --------------------------------------------------
@@ -209,6 +216,10 @@ def test_verify_guards_pauli_flag():
         run_verify(5, dims=(3,), use_paulis=True)
     with pytest.raises(ValueError, match="trials"):
         run_verify(0)
+    # an empty list would run no instance, and the campaign would pass vacuously
+    for dims, counts in (((), (2,)), ((2,), ())):
+        with pytest.raises(ContractError, match="must not be empty"):
+            run_verify(5, dims=dims, counts=counts)
 
 
 # -- emission -----------------------------------------------------------------
@@ -244,6 +255,24 @@ def test_emit_csv_json_round_trip():
         for rel in SUM_FORM_RELATIONS:
             assert float(crow[rel.label]) == jrow["bounds"][rel.label]["value"]
             assert (crow[f"{rel.label}_holds"] == "1") == jrow["bounds"][rel.label]["holds"]
+
+
+@pytest.mark.parametrize("spec, resamples", [
+    (theta_sweep(), 1000),
+    (SweepSpec("phi", math.pi / 3.0, 25, relations=(Relation.SONG, Relation.TRIPLE_SUM)), 1000),
+    (theta_sweep(shots=ShotPlan(shots_per_basis=2400, seed=0)), 150),
+    (SweepSpec("phi", 1.0, 5, relations=(Relation.TRIPLE_PAIRWISE,),
+               shots=ShotPlan(shots_per_basis=10, seed=3)), 100),
+], ids=["exact-theta", "exact-phi-subset", "shots-theta", "shots-phi-subset"])
+def test_sweep_json_is_what_the_standard_encoder_writes(spec, resamples):
+    # The sweep JSON is filled into a row template; the standard encoder,
+    # re-encoding the parsed text, must give the same bytes.  A "%" and a
+    # "0" in the metadata must not disturb the template.
+    table = run_sweep(spec, resamples=resamples)
+    odd = replace(table, lhs=np.array([math.nan, math.inf, -math.inf, -0.0, 1e-300][:len(table.lhs)]))
+    for data in (table, odd):
+        text = emit(data, "json", None, metadata={"note": "100% of 0"})
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
 
 def test_emit_rejects_unknown_format():
@@ -476,22 +505,31 @@ def test_cli_verify_refuses_empty_lists(capsys):
         assert "expected comma-separated integers" in capsys.readouterr().err
 
 
+VERIFY = ["verify", "--trials", "3"]
+SWEEP = ["sweep", "--mode", "theta"]
+
+
 @pytest.mark.parametrize(
-    "flags, reason",
+    "argv, reason",
     [
-        (["--n-observables", "1"], ">= 2"),
-        (["--n-observables", "0"], ">= 2"),
-        (["--n-observables", "3,1"], ">= 2"),
-        (["--dim", "2,2"], "must not repeat"),
-        (["--dim", "3,2,3"], "must not repeat"),
-        (["--n-observables", "2,3,2"], "must not repeat"),
+        (VERIFY + ["--n-observables", "1"], ">= 2"),
+        (VERIFY + ["--n-observables", "0"], ">= 2"),
+        (VERIFY + ["--n-observables", "3,1"], ">= 2"),
+        (VERIFY + ["--dim", "2,2"], "must not repeat"),
+        (VERIFY + ["--dim", "3,2,3"], "must not repeat"),
+        (VERIFY + ["--n-observables", "2,3,2"], "must not repeat"),
+        (SWEEP + ["--steps", "3", "--shots", str(2**63)], "shots_per_basis must be in [1, "),
+        (SWEEP + ["--steps", "2", "--shots", "10", "--resamples", str(10**15)], "Unable to allocate"),
     ],
-    ids=["n=1", "n=0", "n=3,1", "dim=2,2", "dim=3,2,3", "n=2,3,2"],
+    ids=["n=1", "n=0", "n=3,1", "dim=2,2", "dim=3,2,3", "n=2,3,2",
+         "sweep-shots=2**63", "sweep-resamples=10**15"],
 )
-def test_cli_verify_refuses_small_or_repeated_counts(capsys, flags, reason):
+def test_cli_verify_refuses_small_or_repeated_counts(capsys, argv, reason):
     # A count below 2 has no pair to evaluate; a repeated value would run
-    # and count the same instances twice.
-    assert main(["verify", "--trials", "3", *flags]) == 1
+    # and count the same instances twice.  A sweep refuses more shots than
+    # an int64 holds, and numpy refuses the 7 PiB of replicates at once,
+    # without allocating them.
+    assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("uncrel: error: ") and captured.err.count("\n") == 1
@@ -796,6 +834,19 @@ def test_batched_campaign_matches_one_by_one_evaluation(monkeypatch, campaign, s
     assert json.dumps(summary.notes) == json.dumps(notes)
     assert max(note["count"] for note in notes.values()) > 3
     assert summary.ratio_max_error == ratio_error
+
+
+def test_campaign_block_memory_does_not_grow_with_dimension():
+    # One 64-trial block at d = 32, n = 4 peaked at 8.6 MB; a block now
+    # holds at most _BLOCK_ENTRIES = 40,960 matrix entries, 10 trials here.
+    tracemalloc.start()
+    try:
+        summary = run_verify(64, dims=(32,), counts=(4,), seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert summary.total_instances == 64
+    assert peak < 4e6
 
 
 @pytest.mark.parametrize("args", [

@@ -149,15 +149,15 @@ def check_moments(triple, **stated):
 
 
 def test_moments_from_angles_pole():
-    m = moments_from_angles(BlochAngles(0.0, 0.0))
+    m = moments_from_angles(0.0, 0.0)
     assert m == pytest.approx((0.0, 0.0, 1.0), abs=1e-12)
     check_moments(m, v=1.0, d=0.0, e=1.0, h=1.0)
 
 
 def test_moments_from_angles_equator_points():
-    m = moments_from_angles(BlochAngles(math.pi / 2, math.pi / 2))
+    m = moments_from_angles(math.pi / 2, math.pi / 2)
     assert m == pytest.approx((0.0, 1.0, 0.0), abs=1e-12)
-    m = moments_from_angles(BlochAngles(math.pi / 2, math.pi / 4))
+    m = moments_from_angles(math.pi / 2, math.pi / 4)
     assert m[0] == pytest.approx(SQRT2 / 2.0, abs=1e-12)
     assert m[1] == pytest.approx(SQRT2 / 2.0, abs=1e-12)
     check_moments(m, v=1.0)
@@ -212,7 +212,7 @@ def test_moment_triangle_and_ranges(ex, ey, ez):
 # -- closed forms -------------------------------------------------------------
 
 def test_closed_form_anchor_values():
-    m = moments_from_angles(BlochAngles(0.0, 0.0))
+    m = moments_from_angles(0.0, 0.0)
     assert lhs(m) == pytest.approx(2.0, abs=1e-12)
     assert rhs(m, Relation.TRIPLE_COMMUTATOR) == pytest.approx(o.ANCHOR_T2, abs=1e-12)
     assert rhs(m, Relation.SONG) == pytest.approx(o.ANCHOR_M4, abs=1e-12)
@@ -225,7 +225,7 @@ def test_closed_form_center_pair_bound():
 
 
 def test_closed_form_rejects_pairwise_relation():
-    m = moments_from_angles(BlochAngles(1.0, 2.0))
+    m = moments_from_angles(1.0, 2.0)
     with pytest.raises(UnsupportedRelationError):
         rhs(m, Relation.ROBERTSON)
 
@@ -233,7 +233,7 @@ def test_closed_form_rejects_pairwise_relation():
 @settings(max_examples=80, deadline=None)
 @given(angles)
 def test_pure_state_total_variance_is_two(a):
-    assert lhs(moments_from_angles(a)) == pytest.approx(2.0, abs=1e-12)
+    assert lhs(moments_from_angles(a.theta, a.phi)) == pytest.approx(2.0, abs=1e-12)
     # dual path through the matrix engine
     total = sum(engine_moments(bloch_to_state(a))[1])
     assert total == pytest.approx(2.0, abs=1e-12)
@@ -244,7 +244,7 @@ def test_closed_forms_match_engine_sample():
     rng = np.random.default_rng(17)
     for _ in range(100):
         a = BlochAngles(math.acos(rng.uniform(-1.0, 1.0)), rng.uniform(0.0, 2.0 * math.pi))
-        m = moments_from_angles(a)
+        m = moments_from_angles(a.theta, a.phi)
         reports = {
             r.relation: r
             for r in evaluate_all(pauli_triple(), bloch_to_state(a))
@@ -252,6 +252,25 @@ def test_closed_forms_match_engine_sample():
         }
         for rel in SUM_FORM_RELATIONS:
             assert rhs(m, rel) == pytest.approx(reports[rel].rhs, abs=1e-12), rel.label
+
+
+@pytest.mark.parametrize("mode", ["theta", "phi"])
+def test_grid_trig_matches_per_point_math_bit_for_bit(mode):
+    # Exact sweeps take the whole grid's expectations from np.sin and
+    # np.cos; on the 10,001-point grids at the default fixed angles (phi 0,
+    # theta pi/3) they must have the bits of math.sin and math.cos point by
+    # point, or the sweep output would change with the numpy build.
+    steps = 10_001
+    if mode == "theta":
+        theta, phi = np.linspace(0.0, math.pi, steps), np.zeros(steps)
+    else:
+        theta, phi = np.full(steps, math.pi / 3.0), np.linspace(0.0, 2.0 * math.pi, steps)
+    got = np.array(moments_from_angles(theta, phi))
+    want = np.array([
+        (math.sin(t) * math.cos(p), math.sin(t) * math.sin(p), math.cos(t))
+        for t, p in zip(theta.tolist(), phi.tolist())
+    ]).T
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_closed_form_bounds_vectorized_matches_scalar():

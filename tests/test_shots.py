@@ -38,6 +38,9 @@ def test_shot_plan_defaults():
 def test_shot_plan_validation():
     with pytest.raises(ValueError):
         ShotPlan(shots_per_basis=0)
+    with pytest.raises(ValueError, match="shots_per_basis"):
+        ShotPlan(shots_per_basis=2**63)  # more than a binomial draw's int64 holds
+    assert ShotPlan(shots_per_basis=2**63 - 1).shots_per_basis == 2**63 - 1
     with pytest.raises(ValueError):
         ShotPlan(seed=-1)
     with pytest.raises(ValueError):
