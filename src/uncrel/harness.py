@@ -22,7 +22,6 @@ import math
 import sys
 from dataclasses import dataclass, field, replace
 from itertools import combinations
-from pathlib import Path
 
 import numpy as np
 
@@ -472,12 +471,19 @@ def emit(data, fmt: str = "csv", destination=None, *, metadata: dict | None = No
 
 def _write_text(text: str, destination) -> None:
     if destination is None:
-        sys.stdout.write(text)
+        _write_slices(sys.stdout, text)
         return
     try:
-        Path(destination).write_text(text)
+        with open(destination, "w") as out:
+            _write_slices(out, text)
     except OSError as err:
         raise OSError(f"cannot write output to {destination}: {err}") from err
+
+
+def _write_slices(out, text: str, size: int = 1 << 16) -> None:
+    # One write of the whole text would encode a second whole copy of it.
+    for start in range(0, len(text), size):
+        out.write(text[start:start + size])
 
 
 def _comment_block(meta: dict) -> str:
@@ -500,7 +506,7 @@ def _render_sweep(table: SweepTable, fmt: str, meta: dict) -> str:
         header += [name for label in labels for name in (label, f"{label}_err")]
         header += [f"{label}_holds" for label in labels]
         cells += [["1" if ok else "0" for ok in column] for column in verdicts]
-        return _comment_block(meta) + "".join(",".join(row) + "\n" for row in (header, *zip(*cells)))
+        return "".join([_comment_block(meta), *(",".join(row) + "\n" for row in (header, *zip(*cells)))])
     # The text json.dumps(indent=2) gives: a row template whose nulls take
     # each value as json spells it, repr of the float apart from NaN and
     # the infinities.
@@ -513,7 +519,10 @@ def _render_sweep(table: SweepTable, fmt: str, meta: dict) -> str:
            "bounds": {label: {"value": None, "std_error": None, "holds": None} for label in labels}}
     template = json.dumps(row, indent=2).replace("null", "%s").replace("\n", "\n    ")
     head, _, tail = _json_dump({"metadata": meta, "rows": [0]}).rpartition("0")
-    return head + ",\n    ".join(template % values for values in zip(*ordered)) + tail
+    # One join makes the only whole copy of the text: a second one, made after the
+    # rows are freed, may or may not reuse their memory, so the peak would vary.
+    rows = zip(*ordered)
+    return "".join([head + template % next(rows), *((",\n    " + template) % row for row in rows), tail])
 
 
 def _render_reports(reports, fmt: str, meta: dict) -> str:

@@ -286,6 +286,22 @@ def test_emit_writes_file(tmp_path):
     assert target.read_text() == text
 
 
+def test_emit_writes_large_text_in_slices(monkeypatch):
+    # One write of the whole text would encode a second whole copy of it.
+    sizes = []
+
+    class Recorder(io.StringIO):
+        def write(self, text):
+            sizes.append(len(text))
+            return super().write(text)
+
+    out = Recorder()
+    monkeypatch.setattr("sys.stdout", out)
+    text = emit(run_sweep(SweepSpec("theta", 0.0, 2001)), "json", None)
+    assert out.getvalue() == text
+    assert len(text) > 4 * (1 << 16) and max(sizes) <= 1 << 16
+
+
 def test_emit_io_error_names_path(tmp_path):
     bogus = tmp_path / "no_such_dir" / "rows.csv"
     with pytest.raises(OSError, match="no_such_dir"):
