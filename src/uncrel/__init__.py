@@ -56,9 +56,7 @@ from .relations import (
     SUM_FORM_RELATIONS,
     SkippedRelation,
     evaluate_all,
-    maccone_pati_deviation,
     maccone_pati_orthogonal,
-    robertson,
 )
 from .shots import (
     EstimateWithError,

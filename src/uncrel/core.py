@@ -262,7 +262,7 @@ def moment_table(
     return m, G, W
 
 
-# No command calls this; bench/tracing.py resolves the core.moments span by this name.
+# No command calls this; it is the only name behind bench/tracing.py's core.moments span.
 def deviation_state(obs: Observable, psi: PureState) -> tuple[float, PureState | None]:
     """Normalize ``(A - <A>)|psi>`` and return ``(norm, direction)``.
 
@@ -285,7 +285,7 @@ def deviation_state(obs: Observable, psi: PureState) -> tuple[float, PureState |
 def orthogonal_qubit(psi: PureState) -> PureState:
     """The unique (up to phase) state orthogonal to a qubit state.
 
-    Uses the fixed phase convention ``(a, b) -> (-conj(b), conj(a))`` so the
+    Uses the fixed phase convention of :func:`qubit_companions`, so the
     result is deterministic.  Only defined for dimension 2.
     """
     if not isinstance(psi, PureState):
@@ -294,14 +294,19 @@ def orthogonal_qubit(psi: PureState) -> PureState:
         raise UnsupportedDimensionError(
             f"orthogonal complement choice is only fixed for qubits, got dim {psi.dim}"
         )
-    a, b = psi.amplitudes
-    return PureState(np.array([-np.conj(b), np.conj(a)]))
+    return PureState(qubit_companions(psi.amplitudes))
 
 
-def _row_sum(x: np.ndarray) -> np.ndarray:
-    """Row sums of a 2-d array, added in index order, so a row's bits do not
-    depend on the batch it sits in."""
-    return reduce(np.add, x.T)
+def qubit_companions(kets: np.ndarray) -> np.ndarray:
+    """``(a, b) -> (-conj(b), conj(a))``, orthogonal to each qubit ket of a ``(..., 2)`` array."""
+    return np.stack([-kets[..., 1].conj(), kets[..., 0].conj()], axis=-1)
+
+
+def _add_rows(a: np.ndarray):
+    """Sum over the first axis, one whole row after another in index order,
+    so a value's bits do not depend on the batch it sits in; ``a.sum(0)``
+    adds 8 or more contiguous values pairwise instead."""
+    return reduce(np.add, a)
 
 
 def _unit_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -314,7 +319,7 @@ def _unit_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     whatever the batch.
     """
     x = np.ascontiguousarray(v).view(float)
-    norm = np.sqrt(_row_sum(x * x))
+    norm = np.sqrt(_add_rows((x * x).T))
     unit = x / np.maximum(norm, DEGENERATE_NORM)[:, None]
     return unit.view(complex), norm < DEGENERATE_NORM
 
@@ -330,7 +335,7 @@ def orthogonal_companions(kets: np.ndarray, draws: np.ndarray) -> np.ndarray:
     ``sqrt(1 - |psi_j|^2) >= sqrt(1 - 1/d)``.
     """
     def project(v):
-        return _unit_rows(v - _row_sum(kets.conj() * v)[:, None] * kets)
+        return _unit_rows(v - _add_rows((kets.conj() * v).T)[:, None] * kets)
 
     perps, degenerate = project(draws)
     if degenerate.any():

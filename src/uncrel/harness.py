@@ -26,10 +26,11 @@ from itertools import combinations
 import numpy as np
 
 from ._version import __version__
-from .core import moment_table, orthogonal_companions, random_observable, random_pure_state
+from .core import orthogonal_companions, qubit_companions, random_observable, random_pure_state
 from .errors import ContractError, UnsupportedCountError
 from .qubit import (
     _PAULI_STACK,
+    _require_sum_form,
     BlochAngles,
     bloch_to_state,
     closed_form_bounds,
@@ -42,8 +43,8 @@ from .relations import (
     Relation,
     SUM_FORM_RELATIONS,
     SkippedRelation,
-    bound_values,
     holds,
+    instance_values,
 )
 from .shots import ShotPlan, bootstrap_bounds, derive_seed, simulate_counts
 
@@ -92,11 +93,7 @@ class SweepSpec:
         rels = tuple(self.relations)
         if not rels:
             raise ValueError("at least one relation is required")
-        bad = [r for r in rels if r not in SUM_FORM_RELATIONS]
-        if bad:
-            raise ValueError(
-                f"sweeps cover the sum-form relations only, got {[r.value for r in bad]}"
-            )
+        _require_sum_form(rels)
         if len(set(rels)) != len(rels):
             raise ValueError("duplicate relations in sweep spec")
         object.__setattr__(self, "relations", rels)
@@ -272,8 +269,8 @@ def run_verify(
     ``trials=range(t, t + 1)``, rebuilt alone from those numbers.
 
     Each ``(dim, n)`` runs a block of trials at a time: one ``trials=``
-    draw per role, one moment table and one
-    :func:`~uncrel.relations.bound_values` call.  A block holds up to 512
+    draw per role and one :func:`~uncrel.relations.instance_values` call,
+    which builds one moment table.  A block holds up to 512
     trials (``_BLOCK_TRIALS``) and, for the largest ``n d^2`` of the
     campaign, no more than ``_BLOCK_ENTRIES`` matrix entries, so memory
     does not grow with the dimension.  For any block size the
@@ -356,7 +353,7 @@ def _digest_block(
 
 
 def _block_values(seed: int, trials: range, dim: int, n: int, use_paulis: bool) -> dict:
-    """:func:`bound_values` of one block of trials at one ``(dim, n)``.
+    """:func:`~uncrel.relations.instance_values` of one block of trials at one ``(dim, n)``.
 
     Each role draws the whole block from its own stream ``(seed, dim, n,
     role)``: role 0 for the kets, ``1 + i`` for observable ``i`` and 99 for
@@ -364,15 +361,13 @@ def _block_values(seed: int, trials: range, dim: int, n: int, use_paulis: bool) 
     """
     kets = random_pure_state(dim, (seed, dim, n, 0), trials)
     if use_paulis:
-        m, G, _ = moment_table(_PAULI_STACK[None], kets)
-        return bound_values(m, G)
+        return instance_values(_PAULI_STACK[None], kets)
     mats = np.stack([random_observable(dim, (seed, dim, n, 1 + i), trials) for i in range(n)], 1)
     if dim == 2:  # the canonical companion of core.orthogonal_qubit
-        perps = np.stack([-kets[:, 1].conj(), kets[:, 0].conj()], axis=-1)
+        perps = qubit_companions(kets)
     else:
         perps = orthogonal_companions(kets, random_pure_state(dim, (seed, dim, n, 99), trials))
-    m, G, W = moment_table(mats, kets)
-    return bound_values(m, G, (W.conj() @ perps[..., None])[..., 0])
+    return instance_values(mats, kets, perps)
 
 
 def _notes(rhs: dict) -> list:
@@ -550,14 +545,11 @@ def _render_reports(reports, fmt: str, meta: dict) -> str:
             ],
         }
         return _json_dump(payload)
-    buffer = io.StringIO()
-    buffer.write(_comment_block(meta))
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(
+    rows = [
         ["relation", "label", "pair", "lhs", "rhs", "slack", "mid", "holds", "status", "reason"]
-    )
+    ]
     for rep in evaluated:
-        writer.writerow(
+        rows.append(
             [
                 rep.relation.value,
                 rep.relation.label,
@@ -572,9 +564,17 @@ def _render_reports(reports, fmt: str, meta: dict) -> str:
             ]
         )
     for rep in skipped:
-        writer.writerow(
+        rows.append(
             [rep.relation.value, rep.relation.label, "", "", "", "", "", "", "skipped", rep.reason]
         )
+    return _csv_text(_comment_block(meta), rows)
+
+
+def _csv_text(comments: str, rows) -> str:
+    """CSV text of ``rows`` after the ``#`` comment lines ``comments``."""
+    buffer = io.StringIO()
+    buffer.write(comments)
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
     return buffer.getvalue()
 
 
@@ -590,9 +590,8 @@ def _quant_all(value):
 def _render_summary(summary: VerificationSummary, fmt: str, meta: dict) -> str:
     if fmt == "json":
         return _json_dump({"metadata": meta, "summary": _quant_all(summary.to_dict())})
-    buffer = io.StringIO()
-    buffer.write(_comment_block(meta))
-    buffer.write(
+    comments = _comment_block(meta)
+    comments += (
         "# campaign: trials={} dims={} counts={} seed={} use_paulis={}\n".format(
             summary.trials,
             list(summary.dims),
@@ -601,14 +600,13 @@ def _render_summary(summary: VerificationSummary, fmt: str, meta: dict) -> str:
             summary.use_paulis,
         )
     )
-    buffer.write(f"# total_instances = {summary.total_instances}\n")
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["relation", "label", "evaluated", "held", "violations", "min_slack"])
+    comments += f"# total_instances = {summary.total_instances}\n"
+    rows = [["relation", "label", "evaluated", "held", "violations", "min_slack"]]
     for rel in Relation:
         tally = summary.tallies.get(rel)
         if tally is None:
             continue
-        writer.writerow(
+        rows.append(
             [
                 rel.value,
                 rel.label,
@@ -618,4 +616,4 @@ def _render_summary(summary: VerificationSummary, fmt: str, meta: dict) -> str:
                 _fmt(tally.min_slack),
             ]
         )
-    return buffer.getvalue()
+    return _csv_text(comments, rows)

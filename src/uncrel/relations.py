@@ -17,22 +17,22 @@ overlaps ``<psi|A_i|psi_perp>``).  :func:`uncrel.core.moment_table` builds
 that table, for one instance or a batch, and :func:`bound_values` holds the
 one formula set.  It adds every sum over observables or pairs row by row in
 index order, so a value has the same bits alone or in any batch.
-:func:`evaluate_all` reports one instance from it, the campaign of
-:mod:`uncrel.harness` calls it on whole blocks, and :mod:`uncrel.qubit`
-evaluates the same formulas on the Pauli table.
+:func:`instance_values` is the one way from states to those values, for
+:func:`evaluate_all` and the campaign blocks of :mod:`uncrel.harness`;
+:mod:`uncrel.qubit` evaluates the same formulas on the Pauli table.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from enum import Enum, unique
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import combinations, repeat
 
 import numpy as np
 
 from . import core
-from .core import DensityMatrix, Observable, PureState, QuantumState
+from .core import _add_rows, DensityMatrix, Observable, PureState, QuantumState
 from .errors import (
     DimensionError,
     OrthogonalityError,
@@ -281,18 +281,23 @@ def bound_values(m: np.ndarray, G: np.ndarray, X: np.ndarray | None = None) -> d
     return {rel: tuple([v.T for v in entry]) for rel, entry in values.items()}
 
 
-def _add_rows(a: np.ndarray):
-    """Sum over the first axis, one whole row after another in index order;
-    ``a.sum(0)`` adds 8 or more contiguous values pairwise instead."""
-    return reduce(np.add, a)
+def instance_values(stack: np.ndarray, state: np.ndarray, companions=None) -> dict:
+    """:func:`bound_values` of the :func:`~uncrel.core.moment_table` of
+    ``stack`` and ``state``, over any batch shape.  With ``companions``
+    ``(..., d)``, kets orthogonal to the state kets (not checked here), the
+    overlaps ``<psi|A_i|psi_perp> = W* psi_perp`` add the orthogonal-state bound.
+    """
+    m, G, W = core.moment_table(stack, state)
+    if companions is None:
+        return bound_values(m, G)
+    return bound_values(m, G, (W.conj() @ companions[..., None])[..., 0])
 
 
 def _values(observables: ObservableSet, state: QuantumState, psi_perp=None) -> dict:
     array = core.state_array(state)
     core._check_same_dim(observables.dim, state.dim)
-    m, G, W = core.moment_table(observables.stack, array)
     if psi_perp is None:
-        return bound_values(m, G)
+        return instance_values(observables.stack, array)
     if not isinstance(psi_perp, PureState):
         raise TypeError(f"psi_perp must be a PureState, got {psi_perp!r}")
     core._check_same_dim(state.dim, psi_perp.dim)
@@ -301,27 +306,13 @@ def _values(observables: ObservableSet, state: QuantumState, psi_perp=None) -> d
         raise OrthogonalityError(
             f"psi_perp has overlap {overlap!r} with psi, expected orthogonal"
         )
-    return bound_values(m, G, W.conj() @ psi_perp.amplitudes)
-
-
-def _single(relation: Relation, observables, state, psi_perp=None) -> BoundReport:
-    """One relation's report (of the first pair, for a pairwise one)."""
-    if relation in _PURE_ONLY and isinstance(state, DensityMatrix):
-        raise UnsupportedStateError(f"{relation.value} is defined for pure states only")
-    values = _values(observables, state, psi_perp)[relation]
-    lhs, rhs, *mid = [np.ravel(v)[0].item() for v in values]
-    return BoundReport(relation, lhs, rhs, lhs - rhs, bool(holds(lhs, rhs)), *mid)
+    return instance_values(observables.stack, array, psi_perp.amplitudes)
 
 
 # -- pairwise relations -------------------------------------------------------
 
-# No command calls this; bench/tracing.py resolves the relations.pairwise span by this name.
-def robertson(a: Observable, b: Observable, state: QuantumState) -> BoundReport:
-    """Product bound: Var(A) Var(B) >= |<[A, B]>/2|^2."""
-    return _single(Relation.ROBERTSON, ObservableSet((a, b)), state)
-
-
-# No command calls this; bench/tracing.py resolves the relations.pairwise span by this name.
+# No command calls this.  Tests replay the campaign's seeded companions above d = 2
+# through it, and bench/tracing.py resolves its relations.pairwise span by this name.
 def maccone_pati_orthogonal(
     a: Observable,
     b: Observable,
@@ -336,21 +327,10 @@ def maccone_pati_orthogonal(
     bound is reported.  Pure states only; ``psi_perp`` must be orthogonal
     to ``psi`` within 1e-10.
     """
-    return _single(Relation.MACCONE_PATI_ORTHOGONAL, ObservableSet((a, b)), psi, psi_perp)
-
-
-# No command calls this; bench/tracing.py resolves the relations.pairwise span by this name.
-def maccone_pati_deviation(
-    a: Observable, b: Observable, psi: PureState
-) -> BoundReport:
-    """Sum bound through the deviation direction of A + B.
-
-    rhs = |<d|(A+B)|psi>|^2 / 2 where ``d`` is the normalized deviation
-    state of ``A + B``; this equals half the variance of ``A + B``, which
-    is how it is computed.  It is zero when ``psi`` is an eigenstate of
-    ``A + B``.
-    """
-    return _single(Relation.MACCONE_PATI_DEVIATION, ObservableSet((a, b)), psi)
+    if isinstance(psi, DensityMatrix):
+        raise UnsupportedStateError("mp_orthogonal is defined for pure states only")
+    values = _values(ObservableSet((a, b)), psi, psi_perp)[Relation.MACCONE_PATI_ORTHOGONAL]
+    return _reports([Relation.MACCONE_PATI_ORTHOGONAL], *values, [None], [None])[0]
 
 
 # -- batch evaluation ---------------------------------------------------------

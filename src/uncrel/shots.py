@@ -7,8 +7,7 @@ expectations; a parametric bootstrap (redraw counts at the estimated p,
 re-evaluate the closed forms) propagates it without any linearization.
 
 Every random draw is tied to an explicit seed.  Each basis gets its own
-child stream, so adding or dropping a basis never shifts the counts
-observed in the others.
+child stream, keyed by its index in the Pauli axis order.
 """
 from __future__ import annotations
 
@@ -18,12 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .qubit import _PAULI_STACK, closed_form_bounds
+from .qubit import _PAULI_STACK, PAULI_AXES, closed_form_bounds
 from .core import QuantumState, moment_table, state_array
 from .relations import Relation, SUM_FORM_RELATIONS
-
-BASIS_ORDER = ("x", "y", "z")
-_BASIS_INDEX = {"x": 0, "y": 1, "z": 2}
 
 #: Counting-run length used when a plan does not say otherwise.
 DEFAULT_SHOTS_PER_BASIS = 2400
@@ -46,32 +42,21 @@ def derive_seed(seed: int, *path: int) -> int:
 
 @dataclass(frozen=True)
 class ShotPlan:
-    """How to run a simulated counting session.
+    """How to run a simulated counting session in the three Pauli bases.
 
-    ``bases`` may be any subset of {'x', 'y', 'z'}; a plain string like
-    ``"xz"`` works too.  The same plan always reproduces the same counts.
+    The same plan always reproduces the same counts.
     """
 
     shots_per_basis: int = DEFAULT_SHOTS_PER_BASIS
     seed: int = 0
-    bases: tuple[str, ...] = BASIS_ORDER
 
     def __post_init__(self) -> None:
         if not 1 <= int(self.shots_per_basis) <= _MAX_SHOTS:
             raise ValueError(f"shots_per_basis must be in [1, {_MAX_SHOTS}], got {self.shots_per_basis}")
         if int(self.seed) < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        bases = tuple(self.bases)
-        if not bases:
-            raise ValueError("at least one measurement basis is required")
-        unknown = [b for b in bases if b not in _BASIS_INDEX]
-        if unknown:
-            raise ValueError(f"unknown bases {unknown}, expected subset of {BASIS_ORDER}")
-        if len(set(bases)) != len(bases):
-            raise ValueError(f"duplicate bases in {bases}")
         object.__setattr__(self, "shots_per_basis", int(self.shots_per_basis))
         object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "bases", bases)
 
 
 @dataclass(frozen=True)
@@ -83,7 +68,7 @@ class MeasurementRecord:
     n_minus: int
 
     def __post_init__(self) -> None:
-        if self.basis not in _BASIS_INDEX:
+        if self.basis not in PAULI_AXES:
             raise ValueError(f"unknown basis {self.basis!r}")
         if self.n_plus < 0 or self.n_minus < 0:
             raise ValueError("outcome counts cannot be negative")
@@ -108,20 +93,20 @@ class EstimateWithError:
 
 
 def simulate_counts(state: QuantumState, plan: ShotPlan) -> list[MeasurementRecord]:
-    """Draw outcome counts for each planned basis on a qubit state.
+    """Draw outcome counts in each Pauli basis on a qubit state.
 
-    The up-count for basis b is one binomial draw with success probability
-    ``(1 + <sigma_b>) / 2``, taken from the child stream keyed by
-    ``(plan.seed, basis index)``.  Records come back in plan order.
+    The up-count for basis ``k`` of ``x, y, z`` is one binomial draw with
+    success probability ``(1 + <sigma_k>) / 2``, taken from the child stream
+    keyed by ``(plan.seed, k)``.  Records come back in that order.
     """
     if state.dim != 2:
         raise DimensionError(f"shot simulation is for qubits, got dim {state.dim}")
     means, _, _ = moment_table(_PAULI_STACK, state_array(state))
     p_up = np.clip((1.0 + means) / 2.0, 0.0, 1.0)
     records = []
-    for basis in plan.bases:
-        rng = np.random.default_rng([plan.seed, _BASIS_INDEX[basis]])
-        n_plus = int(rng.binomial(plan.shots_per_basis, p_up[_BASIS_INDEX[basis]]))
+    for k, basis in enumerate(PAULI_AXES):
+        rng = np.random.default_rng([plan.seed, k])
+        n_plus = int(rng.binomial(plan.shots_per_basis, p_up[k]))
         records.append(MeasurementRecord(basis, n_plus, plan.shots_per_basis - n_plus))
     return records
 
@@ -169,7 +154,7 @@ def bootstrap_bounds(
         if record.basis in by_basis:
             raise ValueError(f"duplicate record for basis {record.basis!r}")
         by_basis[record.basis] = record
-    missing = [b for b in BASIS_ORDER if b not in by_basis]
+    missing = [b for b in PAULI_AXES if b not in by_basis]
     if missing:
         raise ValueError(f"records missing for bases {missing}")
 
@@ -178,7 +163,7 @@ def bootstrap_bounds(
     # lying outside the Bloch ball.
     rng = np.random.default_rng(seed)
     means = []
-    for basis in BASIS_ORDER:
+    for basis in PAULI_AXES:
         n = by_basis[basis].total
         point = estimate_expectation(by_basis[basis]).value
         p_up = (1.0 + point) / 2.0

@@ -22,7 +22,6 @@ from uncrel import (
     bloch_to_state,
     closed_form_bounds,
     evaluate_all,
-    maccone_pati_deviation,
     maccone_pati_orthogonal,
     moments_from_angles,
     pauli,
@@ -246,7 +245,10 @@ def test_equality_witness_and_deviation_dual_path():
         state = random_pure_state(2, derive_seed(23, trial, 0))
         a = random_observable(2, derive_seed(23, trial, 1))
         b = random_observable(2, derive_seed(23, trial, 2))
-        rep = maccone_pati_deviation(a, b, state)
+        rep = next(
+            r for r in evaluate_all(ObservableSet((a, b)), state, include_pairwise=True)
+            if r.relation is Relation.MACCONE_PATI_DEVIATION
+        )
         reference = 0.5 * o.var(a.matrix + b.matrix, state.amplitudes)
         worst = max(worst, abs(rep.rhs - reference))
     assert worst <= 1e-10

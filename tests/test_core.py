@@ -409,7 +409,7 @@ def test_variance_consistency_error_on_corrupt_input():
 
 def test_batched_moment_table_equals_per_instance_tables():
     from uncrel.core import moment_table
-    from uncrel.relations import bound_values
+    from uncrel.relations import instance_values
 
     kets = np.array([random_pure_state(3, seed=s).amplitudes for s in range(40)])
     rhos = np.array([np.outer(k, k.conj()) * 0.6 + np.eye(3) * 0.4 / 3 for k in kets])
@@ -428,8 +428,8 @@ def test_batched_moment_table_equals_per_instance_tables():
             assert np.array_equal(one[0], m[b])
             assert np.array_equal(one[1], G[b])
             assert (W is None and one[2] is None) or np.array_equal(one[2], W[b])
-    # The relations on a table are the same bits for one instance, a batch
-    # of one and a row of a batch.  6 observables give 15 pairs, and
+    # The relations, companion overlaps included, are the same bits for one
+    # instance, a batch of one and a row of a batch.  6 observables give 15 pairs, and
     # ndarray.sum adds a contiguous run of 8 or more values pairwise, so
     # this needs every sum over observables and pairs to add rows in order.
     # Any vectors serve as companions for the arithmetic tested here.
@@ -437,13 +437,11 @@ def test_batched_moment_table_equals_per_instance_tables():
     mats = np.array([
         [random_observable(3, seed=100 * s + i).matrix for i in range(6)] for s in range(40)
     ])
-    m, G, W = moment_table(mats, kets)
-    X = (W.conj() @ perps[..., None])[..., 0]
-    batched = bound_values(m, G, X)
+    batched = instance_values(mats, kets, perps)
     assert len(batched) == 7  # every relation but the three triple bounds
     for b in range(40):
-        alone = bound_values(m[b], G[b], X[b])
-        one = bound_values(m[b : b + 1], G[b : b + 1], X[b : b + 1])
+        alone = instance_values(mats[b], kets[b], perps[b])
+        one = instance_values(mats[b : b + 1], kets[b : b + 1], perps[b : b + 1])
         for rel, entry in batched.items():
             for batch_row, single, row_of_one in zip(entry, alone[rel], one[rel]):
                 assert np.array_equal(single, batch_row[b]), rel
@@ -505,7 +503,6 @@ def test_package_exports_the_public_api():
         "emit",
         "estimate_expectation",
         "evaluate_all",
-        "maccone_pati_deviation",
         "maccone_pati_orthogonal",
         "moments_from_angles",
         "orthogonal_qubit",
@@ -513,7 +510,6 @@ def test_package_exports_the_public_api():
         "pauli_triple",
         "random_observable",
         "random_pure_state",
-        "robertson",
         "run_sweep",
         "run_verify",
         "simulate_counts",

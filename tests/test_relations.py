@@ -17,14 +17,12 @@ from uncrel import (
     UnsupportedCountError,
     UnsupportedStateError,
     evaluate_all,
-    maccone_pati_deviation,
     maccone_pati_orthogonal,
     orthogonal_qubit,
     pauli,
     pauli_triple,
     random_observable,
     random_pure_state,
-    robertson,
 )
 
 SX, SY, SZ = pauli("x"), pauli("y"), pauli("z")
@@ -40,6 +38,12 @@ def report(relation, observables, state):
     return next(r for r in reports if r.relation is relation)
 
 
+def pair_report(relation, a, b, state):
+    """The pair (0, 1) report of one pairwise relation, as evaluate_all gives it."""
+    reports = evaluate_all(ObservableSet((a, b)), state, include_pairwise=True)
+    return next(r for r in reports if r.relation is relation)
+
+
 def random_instance(dim, n, seed):
     obs = ObservableSet(
         tuple(random_observable(dim, seed=1000 * seed + k) for k in range(n))
@@ -50,7 +54,7 @@ def random_instance(dim, n, seed):
 # -- report bookkeeping -------------------------------------------------------
 
 def test_report_slack_and_holds_are_consistent():
-    rep = robertson(SX, SY, KET0)
+    rep = pair_report(Relation.ROBERTSON, SX, SY, KET0)
     assert rep.slack == rep.lhs - rep.rhs
     assert rep.holds == (rep.slack >= -1e-9)
     assert rep.relation is Relation.ROBERTSON
@@ -79,19 +83,19 @@ def test_observable_set_contracts():
 # -- product bound ------------------------------------------------------------
 
 def test_robertson_equality_at_pole():
-    rep = robertson(SX, SY, KET0)
+    rep = pair_report(Relation.ROBERTSON, SX, SY, KET0)
     assert rep.lhs == pytest.approx(1.0, abs=1e-12)
     assert rep.rhs == pytest.approx(1.0, abs=1e-12)
     assert rep.holds
 
 
 def test_robertson_self_commutator():
-    assert robertson(SX, SX, KET0).rhs == 0.0
+    assert pair_report(Relation.ROBERTSON, SX, SX, KET0).rhs == 0.0
 
 
 def test_robertson_trivial_on_equator():
     # The x eigenstate kills both sides: zero variance and zero <sigma_z>.
-    rep = robertson(SX, SY, EQUATOR_X)
+    rep = pair_report(Relation.ROBERTSON, SX, SY, EQUATOR_X)
     assert rep.lhs == pytest.approx(0.0, abs=1e-12)
     assert rep.rhs == pytest.approx(0.0, abs=1e-12)
     assert rep.holds
@@ -102,7 +106,7 @@ def test_robertson_matches_oracle_on_random_instances():
         a = random_observable(3, seed=seed)
         b = random_observable(3, seed=500 + seed)
         psi = random_pure_state(3, seed=seed)
-        rep = robertson(a, b, psi)
+        rep = pair_report(Relation.ROBERTSON, a, b, psi)
         assert rep.rhs == pytest.approx(
             o.robertson_rhs(a.matrix, b.matrix, psi.amplitudes), abs=1e-12
         )
@@ -158,26 +162,21 @@ def test_orthogonal_bound_matches_oracle():
 # -- deviation sum bound ------------------------------------------------------
 
 def test_deviation_bound_at_pole():
-    rep = maccone_pati_deviation(SX, SY, KET0)
+    rep = pair_report(Relation.MACCONE_PATI_DEVIATION, SX, SY, KET0)
     assert rep.lhs == pytest.approx(2.0, abs=1e-12)
     assert rep.rhs == pytest.approx(1.0, abs=1e-12)
 
 
 def test_deviation_bound_degenerates_on_eigenstate():
-    assert maccone_pati_deviation(SZ, SZ, KET0).rhs == 0.0
+    assert pair_report(Relation.MACCONE_PATI_DEVIATION, SZ, SZ, KET0).rhs == 0.0
 
 
 def test_deviation_bound_dual_path():
     state = PureState(o.ket(math.pi / 4, 0.0))
-    rep = maccone_pati_deviation(SX, SZ, state)
+    rep = pair_report(Relation.MACCONE_PATI_DEVIATION, SX, SZ, state)
     assert rep.rhs == pytest.approx(
         o.mp_deviation_rhs(o.PX, o.PZ, state.amplitudes), abs=1e-10
     )
-
-
-def test_deviation_bound_rejects_mixed():
-    with pytest.raises(UnsupportedStateError):
-        maccone_pati_deviation(SX, SY, MIXED)
 
 
 def test_deviation_bound_dual_path_random():
@@ -185,7 +184,7 @@ def test_deviation_bound_dual_path_random():
         a = random_observable(2, seed=seed)
         b = random_observable(2, seed=900 + seed)
         psi = random_pure_state(2, seed=seed)
-        rep = maccone_pati_deviation(a, b, psi)
+        rep = pair_report(Relation.MACCONE_PATI_DEVIATION, a, b, psi)
         assert rep.rhs == pytest.approx(
             o.mp_deviation_rhs(a.matrix, b.matrix, psi.amplitudes), abs=1e-10
         )

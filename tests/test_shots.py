@@ -32,7 +32,6 @@ KET0 = PureState(o.KET0)
 def test_shot_plan_defaults():
     plan = ShotPlan()
     assert plan.shots_per_basis == 2400
-    assert plan.bases == ("x", "y", "z")
 
 
 def test_shot_plan_validation():
@@ -43,13 +42,6 @@ def test_shot_plan_validation():
     assert ShotPlan(shots_per_basis=2**63 - 1).shots_per_basis == 2**63 - 1
     with pytest.raises(ValueError):
         ShotPlan(seed=-1)
-    with pytest.raises(ValueError):
-        ShotPlan(bases=())
-    with pytest.raises(ValueError):
-        ShotPlan(bases=("x", "q"))
-    with pytest.raises(ValueError):
-        ShotPlan(bases=("x", "x"))
-    assert ShotPlan(bases="xz").bases == ("x", "z")
 
 
 def test_measurement_record_contracts():
@@ -78,9 +70,9 @@ def test_derive_seed_is_deterministic_and_path_sensitive():
 # -- counting -----------------------------------------------------------------
 
 def test_simulate_counts_eigenstate_pole():
-    records = simulate_counts(KET0, ShotPlan(shots_per_basis=500, seed=1, bases="z"))
-    assert records[0].n_plus == 500
-    assert records[0].n_minus == 0
+    records = simulate_counts(KET0, ShotPlan(shots_per_basis=500, seed=1))
+    assert records[2].n_plus == 500
+    assert records[2].n_minus == 0
 
 
 def test_simulate_counts_deterministic():
@@ -96,18 +88,18 @@ def test_simulate_counts_rejects_qutrits():
 
 
 def test_simulate_counts_basis_streams_are_independent():
-    # dropping or adding bases must not perturb remaining draws
+    # Basis k draws from its own stream (seed, k) alone, at (1 + <sigma_k>) / 2.
     state = bloch_to_state(BlochAngles(1.0, 0.4))
     full = simulate_counts(state, ShotPlan(shots_per_basis=900, seed=5))
-    only_z = simulate_counts(state, ShotPlan(shots_per_basis=900, seed=5, bases="z"))
-    assert only_z[0] == full[2]
-    xy = simulate_counts(state, ShotPlan(shots_per_basis=900, seed=5, bases="xy"))
-    assert xy == full[:2]
+    for k, (axis, sigma) in enumerate(zip("xyz", o.PAULIS)):
+        p_up = (1.0 + o.expect(sigma, state.amplitudes)) / 2.0
+        n_plus = int(np.random.default_rng([5, k]).binomial(900, p_up))
+        assert full[k] == MeasurementRecord(axis, n_plus, 900 - n_plus)
 
 
 def test_simulate_counts_concentration():
     records = simulate_counts(
-        KET0, ShotPlan(shots_per_basis=1_000_000, seed=2, bases="x")
+        KET0, ShotPlan(shots_per_basis=1_000_000, seed=2)
     )
     fraction = records[0].n_plus / records[0].total
     assert abs(fraction - 0.5) < 0.002
