@@ -89,25 +89,6 @@ class Observable:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def __add__(self, other: "Observable") -> "Observable":
-        if not isinstance(other, Observable):
-            return NotImplemented
-        _check_same_dim(self.dim, other.dim)
-        return Observable(self.matrix + other.matrix)
-
-    def __sub__(self, other: "Observable") -> "Observable":
-        if not isinstance(other, Observable):
-            return NotImplemented
-        _check_same_dim(self.dim, other.dim)
-        return Observable(self.matrix - other.matrix)
-
-    def __mul__(self, scale: float) -> "Observable":
-        if not isinstance(scale, (int, float)):
-            return NotImplemented
-        return Observable(self.matrix * float(scale))
-
-    __rmul__ = __mul__
-
     def __repr__(self) -> str:
         return f"Observable(dim={self.dim})"
 

@@ -408,10 +408,6 @@ def _merge_findings(summary: VerificationSummary, findings: list) -> None:
 
 # -- serialization ------------------------------------------------------------
 
-#: How json spells the non-finite floats that repr writes as nan and inf.
-_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
 def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
@@ -431,8 +427,8 @@ def _base_metadata(metadata: dict | None) -> dict:
 def emit(data, fmt: str = "csv", destination=None, *, metadata: dict | None = None) -> str:
     """Render a sweep table, bound reports, or a verification summary.
 
-    A :class:`SweepTable` is rendered from its columns, one format pass per
-    column, in either format.
+    A :class:`SweepTable` is rendered from its columns, a block of rows at
+    a time, in either format.
 
     Args:
         data: a :class:`SweepTable`, a list of
@@ -489,35 +485,51 @@ def _json_dump(payload: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+#: Rows per rendered block: a block's cell strings die before the next is made.
+_BLOCK_ROWS = 512
+
+
 def _render_sweep(table: SweepTable, fmt: str, meta: dict) -> str:
-    """The CSV or JSON text of a sweep, built column by column."""
+    """The CSV or JSON text of a sweep, built ``_BLOCK_ROWS`` rows at a time
+    from one row template, so only the block texts and their join coexist."""
     labels = [rel.label for rel in table.bounds]
     columns = [table.theta, table.phi, table.lhs, table.lhs_err]
-    columns += [column for rhs, err, _ in table.bounds.values() for column in (rhs, err)]
-    cells = [[_fmt(x) for x in column.tolist()] for column in columns]
-    verdicts = [ok.tolist() for _, _, ok in table.bounds.values()]
     if fmt == "csv":
         header = ["theta", "phi", "lhs", "lhs_err"]
         header += [name for label in labels for name in (label, f"{label}_err")]
         header += [f"{label}_holds" for label in labels]
-        cells += [["1" if ok else "0" for ok in column] for column in verdicts]
-        return "".join([_comment_block(meta), *(",".join(row) + "\n" for row in (header, *zip(*cells)))])
-    # The text json.dumps(indent=2) gives: a row template whose nulls take
-    # each value as json spells it, repr of the float apart from NaN and
-    # the infinities.
-    numbers = [[_JSON_NONFINITE.get(text, text) for text in map(repr, map(float, column))]
-               for column in cells]
-    flags = [["true" if ok else "false" for ok in column] for column in verdicts]
-    ordered = numbers[:4] + [c for triple in zip(numbers[4::2], numbers[5::2], flags) for c in triple]
-    row = {"theta": None, "phi": None, "estimated": table.estimated,
-           "lhs": {"value": None, "std_error": None},
-           "bounds": {label: {"value": None, "std_error": None, "holds": None} for label in labels}}
-    template = json.dumps(row, indent=2).replace("null", "%s").replace("\n", "\n    ")
-    head, _, tail = _json_dump({"metadata": meta, "rows": [0]}).rpartition("0")
+        columns += [column for rhs, err, _ in table.bounds.values() for column in (rhs, err)]
+        columns += [ok for _, _, ok in table.bounds.values()]
+        # "%.12g" spells a float as _fmt does, and "%d" a verdict as 1 or 0.
+        row = ",".join(["%.12g"] * (len(columns) - len(labels)) + ["%d"] * len(labels)) + "\n"
+        head, tail = _comment_block(meta) + ",".join(header) + "\n", ""
+        sep, spell = "", np.ndarray.tolist
+    else:
+        columns += [column for triple in table.bounds.values() for column in triple]
+        # The text json.dumps(indent=2) gives, with each null a value's spelling.
+        cell = {"value": None, "std_error": None, "holds": None}
+        row = json.dumps({"theta": None, "phi": None, "estimated": table.estimated,
+                          "lhs": {"value": None, "std_error": None},
+                          "bounds": {label: cell for label in labels}}, indent=2)
+        row = row.replace("null", "%s").replace("\n", "\n    ")
+        head, _, tail = _json_dump({"metadata": meta, "rows": [0]}).rpartition("0")
+        sep, spell = ",\n    ", _json_cells
+    blocks = []
+    for start in range(0, len(table.theta), _BLOCK_ROWS):
+        cells = [spell(column[start:start + _BLOCK_ROWS]) for column in columns]
+        blocks += [sep, sep.join(map(row.__mod__, zip(*cells)))]
     # One join makes the only whole copy of the text: a second one, made after the
-    # rows are freed, may or may not reuse their memory, so the peak would vary.
-    rows = zip(*ordered)
-    return "".join([head + template % next(rows), *((",\n    " + template) % row for row in rows), tail])
+    # blocks are freed, may or may not reuse their memory, so the peak would vary.
+    return "".join([head, *blocks[1:], tail])
+
+
+def _json_cells(column: np.ndarray) -> list[str]:
+    # json's C encoder spells a float as repr does, or NaN, Infinity and
+    # -Infinity, and a bool as true or false, as json.dumps(indent=2) does.
+    values = column.tolist()
+    if column.dtype != bool:
+        values = list(map(float, map("%.12g".__mod__, values)))  # as _quant rounds
+    return json.dumps(values)[1:-1].split(", ")
 
 
 def _render_reports(reports, fmt: str, meta: dict) -> str:

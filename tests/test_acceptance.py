@@ -31,7 +31,7 @@ from uncrel import (
     run_sweep,
     run_verify,
 )
-from uncrel.relations import ObservableSet
+from uncrel.relations import instance_values
 from uncrel.shots import derive_seed, estimate_expectation, simulate_counts
 
 THETA_SWEEP = SweepSpec("theta", 0.0, 13)
@@ -190,21 +190,24 @@ def test_pair_sum_bounds_add_to_lhs():
     """The plus and minus pair-sum bounds always add up to the variance sum."""
     worst = 0.0
     checked = 0
-    for trial in range(834):
-        for dim in (2, 3, 4):
-            for n in (2, 3, 4, 5):
-                state = random_pure_state(dim, derive_seed(11, trial, dim, n, 0))
-                obs = ObservableSet(
-                    tuple(
-                        random_observable(dim, derive_seed(11, trial, dim, n, 1 + i))
-                        for i in range(n)
-                    )
-                )
-                reports = {r.relation: r for r in evaluate_all(obs, state)}
-                plus = reports[Relation.SUM_PLUS]
-                minus = reports[Relation.SUM_MINUS]
-                worst = max(worst, abs(plus.rhs + minus.rhs - plus.lhs))
-                checked += 1
+    trials = range(834)
+    for dim in (2, 3, 4):
+        for n in (2, 3, 4, 5):
+            # With trials=range(1) a draw is the same instance, as an array.
+            kets = np.array([
+                random_pure_state(dim, derive_seed(11, trial, dim, n, 0), range(1))[0]
+                for trial in trials
+            ])
+            stacks = np.array([
+                [random_observable(dim, derive_seed(11, trial, dim, n, 1 + i), range(1))[0]
+                 for i in range(n)]
+                for trial in trials
+            ])
+            values = instance_values(stacks, kets)
+            lhs, plus = values[Relation.SUM_PLUS]
+            minus = values[Relation.SUM_MINUS][1]
+            worst = max(worst, float(np.abs(plus + minus - lhs).max()))
+            checked += len(kets)
     assert checked == 10_008
     assert worst <= 1e-10
     _pass(f"M1 + M2 = lhs within 1e-10 on {checked} instances (worst {worst:.2e})")
@@ -213,19 +216,15 @@ def test_pair_sum_bounds_add_to_lhs():
 def test_closed_forms_match_matrix_engine():
     """Qubit closed forms and the generic engine agree at random angles."""
     rng = np.random.default_rng(2024)
-    worst = 0.0
-    for _ in range(10_000):
-        angles = BlochAngles(
-            math.acos(rng.uniform(-1.0, 1.0)), rng.uniform(0.0, 2.0 * math.pi)
-        )
-        _, closed = closed_form_bounds(*moments_from_angles(angles.theta, angles.phi))
-        engine = {
-            rep.relation: rep.rhs
-            for rep in evaluate_all(pauli_triple(), bloch_to_state(angles))
-            if not hasattr(rep, "reason")
-        }
-        for rel in SUM_FORM_RELATIONS:
-            worst = max(worst, abs(closed[rel] - engine[rel]))
+    # Row k holds the k-th pair of draws, as two scalar uniform() calls give them.
+    draws = rng.uniform((-1.0, 0.0), (1.0, 2.0 * math.pi), size=(10_000, 2))
+    angles = [BlochAngles(math.acos(u), phi) for u, phi in draws.tolist()]
+    theta, phi = np.array([(a.theta, a.phi) for a in angles]).T
+    _, closed = closed_form_bounds(*moments_from_angles(theta, phi))
+    kets = np.array([bloch_to_state(a).amplitudes for a in angles])
+    stack = np.array([obs.matrix for obs in pauli_triple()])
+    engine = instance_values(stack[None], kets)
+    worst = max(float(np.abs(closed[rel] - engine[rel][1]).max()) for rel in SUM_FORM_RELATIONS)
     assert worst <= 1e-12
     _pass(f"closed forms match the engine within 1e-12 at 10^4 angles (worst {worst:.2e})")
 
@@ -240,17 +239,17 @@ def test_equality_witness_and_deviation_dual_path():
     assert abs(report.lhs - 2.0) <= 1e-12
     assert abs(report.rhs - 2.0) <= 1e-12
 
-    worst = 0.0
-    for trial in range(10_000):
-        state = random_pure_state(2, derive_seed(23, trial, 0))
-        a = random_observable(2, derive_seed(23, trial, 1))
-        b = random_observable(2, derive_seed(23, trial, 2))
-        rep = next(
-            r for r in evaluate_all(ObservableSet((a, b)), state, include_pairwise=True)
-            if r.relation is Relation.MACCONE_PATI_DEVIATION
-        )
-        reference = 0.5 * o.var(a.matrix + b.matrix, state.amplitudes)
-        worst = max(worst, abs(rep.rhs - reference))
+    trials = range(10_000)
+    kets = np.array([
+        random_pure_state(2, derive_seed(23, trial, 0), range(1))[0] for trial in trials
+    ])
+    stacks = np.array([
+        [random_observable(2, derive_seed(23, trial, k), range(1))[0] for k in (1, 2)]
+        for trial in trials
+    ])
+    rhs = instance_values(stacks, kets)[Relation.MACCONE_PATI_DEVIATION][1][:, 0]
+    reference = [0.5 * o.var(a + b, psi) for (a, b), psi in zip(stacks, kets)]
+    worst = float(np.abs(rhs - reference).max())
     assert worst <= 1e-10
     _pass(
         "orthogonal-state bound tight at 2 within 1e-12; deviation bound "

@@ -82,19 +82,6 @@ def test_observable_stores_readonly_copy():
         obs.matrix[0, 0] = 5.0
 
 
-def test_observable_arithmetic():
-    sx, sz = Observable(o.PX), Observable(o.PZ)
-    np.testing.assert_allclose((sx + sz).matrix, o.PX + o.PZ)
-    np.testing.assert_allclose((sx - sz).matrix, o.PX - o.PZ)
-    np.testing.assert_allclose((2.0 * sx).matrix, 2.0 * o.PX)
-    np.testing.assert_allclose((sx * 3).matrix, 3.0 * o.PX)
-
-
-def test_observable_add_mismatched_dims():
-    with pytest.raises(DimensionError):
-        Observable(o.PX) + Observable(np.eye(3))
-
-
 def test_pure_state_rejects_unnormalized():
     with pytest.raises(ValueError, match="normalized"):
         PureState(np.array([1.0, 1.0]))

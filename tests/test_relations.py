@@ -203,7 +203,8 @@ def test_triple_sum_on_pole_and_equator():
 
 def test_triple_sum_commuting_constants():
     ident = Observable(np.eye(2))
-    rep = report(Relation.TRIPLE_SUM, (ident, 2.0 * ident, 3.0 * ident), KET0)
+    twice, thrice = (Observable(ident.matrix * c) for c in (2.0, 3.0))
+    rep = report(Relation.TRIPLE_SUM, (ident, twice, thrice), KET0)
     assert rep.lhs == pytest.approx(0.0, abs=1e-12)
     assert rep.rhs == pytest.approx(0.0, abs=1e-12)
 
@@ -475,7 +476,7 @@ def test_rescaled_observables_scale_every_relation(seed, dim, n, k):
     factor = 10.0**k
     unit = evaluate_all(obs, psi, include_pairwise=True)
     scaled = evaluate_all(
-        ObservableSet(tuple(factor * ob for ob in obs)), psi, include_pairwise=True
+        ObservableSet(tuple(Observable(ob.matrix * factor) for ob in obs)), psi, include_pairwise=True
     )
     assert [type(r) for r in scaled] == [type(r) for r in unit]
     for a, b in zip(unit, scaled):

@@ -1,0 +1,91 @@
+"""Run a fixed list of ``uncrel`` commands against two source trees and
+report every difference in stdout, stderr, exit code or ``--out`` file.
+
+    python tools/cli_diff.py OLD_ROOT NEW_ROOT
+
+Each root is a checkout with ``src/uncrel``.  Every command runs as
+``python -m uncrel.cli`` with that root's ``src`` first on ``PYTHONPATH``,
+in a scratch directory of its own laid out the same way for both roots, so
+both see the same arguments.  The list (:func:`commands`) holds the
+``sweeps``, ``bounds-queries`` and campaign workload commands that
+``bench/inputs.py`` writes at seeds 3, 7 and 11, plus exact sweeps at 511,
+512, 513 and 10,001 steps, as JSON to a file and as CSV to stdout.  The
+exit status is 0 when every command is identical on both roots, else 1.
+"""
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SEEDS = (3, 7, 11)
+WORKLOADS = ("sweeps", "bounds-queries", "pauli-campaign", "random-campaign")
+EXACT_STEPS = (511, 512, 513, 10_001)
+
+
+def _bench_inputs():
+    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def commands(base: Path) -> list[tuple[str, list[str]]]:
+    """``(name, argv)`` of every command, with its input files written under
+    ``base`` and every path in ``argv`` relative to ``base``."""
+    inputs = _bench_inputs()
+    listed = []
+    for workload in WORKLOADS:
+        for seed in SEEDS:
+            folder = f"{workload}-s{seed}"
+            for op in inputs.write_inputs(workload, seed, base / folder):
+                argv = [arg.replace(f"{base}{os.sep}", "") for arg in op["argv"]]
+                listed.append((f"{folder}/{op['name']}", argv))
+    for steps in EXACT_STEPS:
+        sweep = ["sweep", "--mode", "theta", "--steps", str(steps)]
+        listed.append((f"exact-{steps}-json", [*sweep, "--format", "json", "--out", f"exact-{steps}.json"]))
+        listed.append((f"exact-{steps}-csv", [*sweep, "--format", "csv"]))
+    return listed
+
+
+def run(root: Path, base: Path, argv: list[str]) -> tuple:
+    """Exit code, stdout, stderr and ``--out`` file bytes (None if absent)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "uncrel.cli", *argv], cwd=base, env=env,
+                          capture_output=True)
+    out = base / argv[argv.index("--out") + 1] if "--out" in argv else None
+    written = out.read_bytes() if out is not None and out.exists() else None
+    return done.returncode, done.stdout, done.stderr, written
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("old", type=Path, help="root of the first checkout")
+    parser.add_argument("new", type=Path, help="root of the second checkout")
+    args = parser.parse_args()
+    roots = [args.old.resolve(), args.new.resolve()]
+    if not all((root / "src" / "uncrel").is_dir() for root in roots):
+        parser.error("each root must contain src/uncrel")
+    fields = ("exit code", "stdout", "stderr", "--out file")
+    with tempfile.TemporaryDirectory() as scratch:
+        bases = [Path(scratch) / side for side in ("old", "new")]
+        listed = commands(bases[0])
+        assert commands(bases[1]) == listed
+        differ = 0
+        for name, argv in listed:
+            old, new = (run(root, base, argv) for root, base in zip(roots, bases))
+            changed = [field for field, a, b in zip(fields, old, new) if a != b]
+            differ += bool(changed)
+            print(f"{'DIFF' if changed else 'same'} {name}" + (f": {', '.join(changed)}" if changed else ""))
+    print(f"{len(listed) - differ} of {len(listed)} commands identical")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
