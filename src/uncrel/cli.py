@@ -5,18 +5,28 @@ Exit codes:
 * 0 - success
 * 1 - usage error, invalid input data, or an input too large to allocate
 * 2 - a bound violation beyond tolerance was found
-* 3 - I/O failure
+* 3 - I/O failure, a failed write to stdout or a closed stdout included
 * 4 - a numerical consistency check failed: the input is too large for
   double precision, or its moments are inconsistent beyond round-off
 
 Angles are radians by default; append ``deg`` to give degrees, e.g.
 ``--fixed 60deg``.
+
+:func:`run` is the process entry point, behind both the ``uncrel``
+console script and ``python -m uncrel.cli``.  It freezes the objects
+alive at its start (``gc.freeze``), so neither the collections during a
+command nor the full collection at shutdown walk the import graph of
+numpy and uncrel again, and it keeps a failed stdout buffer from failing
+a second time at shutdown.  Library callers call :func:`main` with an
+argument list; it returns the exit code and changes no interpreter state.
 """
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -348,7 +358,16 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    raise SystemExit(main())
+    gc.freeze()
+    code = main()
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError:
+        # emit has reported the failed write; what is left in the buffer
+        # goes to /dev/null, so the interpreter's own final flush succeeds.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

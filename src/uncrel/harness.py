@@ -441,7 +441,8 @@ def emit(data, fmt: str = "csv", destination=None, *, metadata: dict | None = No
         metadata: extra key/value pairs recorded alongside the data.
 
     Returns the rendered text (also written to the destination).  A failed
-    write raises ``OSError`` naming the path.
+    write raises ``OSError`` naming the path, or stdout; text for stdout is
+    flushed before returning, so its failure surfaces here too.
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
@@ -461,14 +462,18 @@ def emit(data, fmt: str = "csv", destination=None, *, metadata: dict | None = No
 
 
 def _write_text(text: str, destination) -> None:
-    if destination is None:
-        _write_slices(sys.stdout, text)
-        return
+    name = "stdout" if destination is None else destination
     try:
-        with open(destination, "w") as out:
-            _write_slices(out, text)
+        if destination is None:
+            if sys.stdout is None:
+                raise OSError("stdout is closed")
+            _write_slices(sys.stdout, text)
+            sys.stdout.flush()
+        else:
+            with open(destination, "w") as out:
+                _write_slices(out, text)
     except OSError as err:
-        raise OSError(f"cannot write output to {destination}: {err}") from err
+        raise OSError(f"cannot write output to {name}: {err}") from err
 
 
 def _write_slices(out, text: str, size: int = 1 << 16) -> None:

@@ -1,0 +1,129 @@
+"""The process entry point ``uncrel.cli.run`` against ``main``.
+
+The subprocess tests drop ``PYTHONUNBUFFERED`` from the child's
+environment, so stdout is block-buffered as in an ordinary shell and a
+failed write surfaces at a flush, not inside ``write``.
+"""
+import functools
+import gc
+import json
+import os
+import subprocess
+import sys
+from itertools import zip_longest
+from pathlib import Path
+
+import pytest
+
+import uncrel
+from uncrel import cli
+
+SRC = Path(uncrel.__file__).resolve().parents[1]
+STDOUT_ERROR = "uncrel: error: cannot write output to stdout: "
+
+
+def run_cli(args, *, entry=("-m", "uncrel.cli"), **kwargs):
+    """Run the CLI in a child interpreter with buffered stdout."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    return subprocess.run([sys.executable, *entry, *args], env=env, stderr=subprocess.PIPE,
+                          **kwargs)
+
+
+def in_process_text(monkeypatch, args):
+    """The text ``emit`` returns when ``main(args)`` runs in this process."""
+    emit, texts = cli.emit, []
+
+    def recording_emit(*emit_args, **emit_kwargs):
+        texts.append(emit(*emit_args, **emit_kwargs))
+        return texts[-1]
+
+    monkeypatch.setattr(cli, "emit", recording_emit)
+    cli.main(args)
+    [text] = texts
+    return text
+
+
+def first_difference(text, expected):
+    """None, or the first line where the texts differ, numbered, from each
+    (pytest's own diff of two long texts takes minutes)."""
+    pairs = zip_longest(text.split("\n"), expected.split("\n"))
+    return next(((k, got, want) for k, (got, want) in enumerate(pairs) if got != want), None)
+
+
+@pytest.fixture
+def state_file(tmp_path):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"amplitudes": [[0.6, 0.0], [0.0, 0.8]]}))
+    return path
+
+
+COMMANDS = {
+    "sweep": ["sweep", "--mode", "theta", "--steps", "3"],
+    "verify": ["verify", "--trials", "5"],
+    "bounds": ["bounds", "--state-file", "{state}"],
+}
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_failed_stdout_write_exits_3_with_one_line(command, state_file):
+    args = [arg.format(state=state_file) for arg in COMMANDS[command]]
+    with open("/dev/full", "w") as full:
+        done = run_cli(args, stdout=full)
+    lines = done.stderr.decode().splitlines()
+    assert done.returncode == 3, lines
+    assert len(lines) == 1 and lines[0].startswith(STDOUT_ERROR), lines
+
+
+def test_closed_stdout_exits_3_with_one_line():
+    done = run_cli(COMMANDS["sweep"], stdout=None, preexec_fn=functools.partial(os.close, 1))
+    assert done.returncode == 3
+    assert done.stderr.decode().splitlines() == [STDOUT_ERROR + "stdout is closed"]
+
+
+def test_main_in_process_reports_closed_stdout(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", None)
+    assert cli.main(COMMANDS["sweep"]) == 3
+    assert capsys.readouterr().err.splitlines() == [STDOUT_ERROR + "stdout is closed"]
+
+
+def test_main_in_process_freezes_nothing(tmp_path):
+    frozen = gc.get_freeze_count()
+    assert cli.main([*COMMANDS["sweep"], "--out", str(tmp_path / "sweep.csv")]) == 0
+    assert gc.get_freeze_count() == frozen
+
+
+def test_run_freezes_the_objects_alive_at_its_start():
+    child = (
+        "import gc, sys, uncrel.cli\n"
+        "before = gc.get_freeze_count()\n"
+        "try:\n"
+        "    uncrel.cli.run()\n"
+        "except SystemExit as done:\n"
+        "    print(before, gc.get_freeze_count(), done.code, file=sys.stderr)\n"
+    )
+    done = run_cli(["--version"], entry=("-c", child))
+    before, after, code = map(int, done.stderr.split())
+    assert done.stdout.decode() == f"uncrel {uncrel.__version__}\n"
+    assert (before, code) == (0, 0)
+    assert after > 1000
+
+
+def test_stdout_sweep_is_complete_at_exit(monkeypatch, capsys):
+    args = ["sweep", "--mode", "phi", "--steps", "2001"]
+    text = in_process_text(monkeypatch, args)
+    capsys.readouterr()
+    done = run_cli(args)
+    assert done.returncode == 0 and done.stderr == b""
+    assert first_difference(done.stdout.decode(), text) is None
+
+
+def test_verify_out_file_is_complete_at_exit(monkeypatch, tmp_path):
+    args = ["verify", "--trials", "200", "--dim", "2,3", "--format", "json"]
+    text = in_process_text(monkeypatch, [*args, "--out", str(tmp_path / "in.json")])
+    out = tmp_path / "out.json"
+    done = run_cli([*args, "--out", str(out)])
+    assert done.returncode == 0 and done.stdout == b"" and done.stderr == b""
+    assert first_difference(out.read_text(), text) is None

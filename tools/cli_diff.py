@@ -53,12 +53,17 @@ def commands(base: Path) -> list[tuple[str, list[str]]]:
     return listed
 
 
-def run(root: Path, base: Path, argv: list[str]) -> tuple:
-    """Exit code, stdout, stderr and ``--out`` file bytes (None if absent)."""
+def child_env(root: Path) -> dict:
+    """This process's environment with ``root``'s ``src`` first on ``PYTHONPATH``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-m", "uncrel.cli", *argv], cwd=base, env=env,
-                          capture_output=True)
+    return env
+
+
+def run(root: Path, base: Path, argv: list[str]) -> tuple:
+    """Exit code, stdout, stderr and ``--out`` file bytes (None if absent)."""
+    done = subprocess.run([sys.executable, "-m", "uncrel.cli", *argv], cwd=base,
+                          env=child_env(root), capture_output=True)
     out = base / argv[argv.index("--out") + 1] if "--out" in argv else None
     written = out.read_bytes() if out is not None and out.exists() else None
     return done.returncode, done.stdout, done.stderr, written
