@@ -16,9 +16,11 @@ Angles are radians by default; append ``deg`` to give degrees, e.g.
 console script and ``python -m uncrel.cli``.  It freezes the objects
 alive at its start (``gc.freeze``), so neither the collections during a
 command nor the full collection at shutdown walk the import graph of
-numpy and uncrel again, and it keeps a failed stdout buffer from failing
-a second time at shutdown.  Library callers call :func:`main` with an
-argument list; it returns the exit code and changes no interpreter state.
+numpy and uncrel again.  It flushes stdout, reporting a failed flush of
+``--help`` or ``--version`` output with exit code 3, and keeps a failed
+stdout buffer from failing a second time at shutdown.  Library callers
+call :func:`main` with an argument list; it returns the exit code and
+changes no interpreter state.
 """
 from __future__ import annotations
 
@@ -278,6 +280,13 @@ def _load_json(path: str) -> dict:
 
 def _complex_entries(data, what: str) -> np.ndarray:
     """Convert nested ``[re, im]`` pairs into a complex array."""
+    nested = [data]
+    while nested:  # numpy would read "1" and true as numbers
+        item = nested.pop()
+        if isinstance(item, list):
+            nested += item
+        elif isinstance(item, bool) or not isinstance(item, (int, float)):
+            raise ValueError(f"{what} must be nested lists of numbers, got {json.dumps(item)}")
     try:
         arr = np.asarray(data, dtype=float)
     except (TypeError, ValueError, OverflowError):
@@ -291,6 +300,9 @@ def _load_state(path: str) -> QuantumState:
     payload = _load_json(path)
     if not isinstance(payload, dict):
         raise ValueError(f"state file {path} must hold a JSON object")
+    forms = [form for form in ("amplitudes", "density", "stokes", "bloch") if form in payload]
+    if len(forms) > 1:
+        raise ValueError(f"state file {path} names more than one form: {', '.join(forms)}")
     if "amplitudes" in payload:
         return PureState(_complex_entries(payload["amplitudes"], "amplitudes"))
     if "density" in payload:
@@ -359,13 +371,21 @@ def main(argv=None) -> int:
 
 def run() -> None:
     gc.freeze()
-    code = main()
+    try:
+        code, reported = main(), True
+    except SystemExit as done:
+        # argparse exits inside main on --help, --version and usage errors,
+        # so nothing has flushed what they printed or reported its failure.
+        code, reported = done.code, False
     try:
         if sys.stdout is not None:
             sys.stdout.flush()
-    except OSError:
-        # emit has reported the failed write; what is left in the buffer
-        # goes to /dev/null, so the interpreter's own final flush succeeds.
+    except OSError as err:
+        if not reported:
+            print(f"uncrel: error: cannot write output to stdout: {err}", file=sys.stderr)
+            code = 3
+        # What is left in the buffer goes to /dev/null, so the interpreter's
+        # own final flush succeeds.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     raise SystemExit(code)
 

@@ -16,6 +16,7 @@ Output is deterministic: same inputs and seeds, byte-identical text.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -492,11 +493,18 @@ def _json_dump(payload: dict) -> str:
 
 #: Rows per rendered block: a block's cell strings die before the next is made.
 _BLOCK_ROWS = 512
+#: JSON's spellings of a verdict.
+_JSON_BOOLS = ("false", "true")
 
 
 def _render_sweep(table: SweepTable, fmt: str, meta: dict) -> str:
     """The CSV or JSON text of a sweep, built ``_BLOCK_ROWS`` rows at a time
-    from one row template, so only the block texts and their join coexist."""
+    from a row template, so only the block texts and their join coexist.
+
+    Each block's template holds a slot per column: ``"%.12g"`` spells the
+    floats of a block in either format, unless the block's column holds one
+    value, spelled once, or JSON cells that :func:`_odd_cells` flags.
+    """
     labels = [rel.label for rel in table.bounds]
     columns = [table.theta, table.phi, table.lhs, table.lhs_err]
     if fmt == "csv":
@@ -505,36 +513,74 @@ def _render_sweep(table: SweepTable, fmt: str, meta: dict) -> str:
         header += [f"{label}_holds" for label in labels]
         columns += [column for rhs, err, _ in table.bounds.values() for column in (rhs, err)]
         columns += [ok for _, _, ok in table.bounds.values()]
-        # "%.12g" spells a float as _fmt does, and "%d" a verdict as 1 or 0.
-        row = ",".join(["%.12g"] * (len(columns) - len(labels)) + ["%d"] * len(labels)) + "\n"
+        pieces = ["", *[","] * (len(columns) - 1), "\n"]
         head, tail = _comment_block(meta) + ",".join(header) + "\n", ""
-        sep, spell = "", np.ndarray.tolist
+        sep = ""
     else:
         columns += [column for triple in table.bounds.values() for column in triple]
-        # The text json.dumps(indent=2) gives, with each null a value's spelling.
+        # The text json.dumps(indent=2) gives, with each null a cell's slot.
         cell = {"value": None, "std_error": None, "holds": None}
         row = json.dumps({"theta": None, "phi": None, "estimated": table.estimated,
                           "lhs": {"value": None, "std_error": None},
                           "bounds": {label: cell for label in labels}}, indent=2)
-        row = row.replace("null", "%s").replace("\n", "\n    ")
+        pieces = row.replace("\n", "\n    ").split("null")
         head, _, tail = _json_dump({"metadata": meta, "rows": [0]}).rpartition("0")
-        sep, spell = ",\n    ", _json_cells
+        sep = ",\n    "
+    plain = np.zeros(len(table.theta), dtype=bool)
+    odd = [_odd_cells(c) if fmt == "json" and c.dtype != bool else plain for c in columns]
     blocks = []
     for start in range(0, len(table.theta), _BLOCK_ROWS):
-        cells = [spell(column[start:start + _BLOCK_ROWS]) for column in columns]
+        block = slice(start, start + _BLOCK_ROWS)
+        slots, cells = zip(*(_block_cells(column[block], odd_cells[block], fmt)
+                             for column, odd_cells in zip(columns, odd)))
+        row = "".join([piece for pair in zip(pieces, slots) for piece in pair] + pieces[-1:])
         blocks += [sep, sep.join(map(row.__mod__, zip(*cells)))]
     # One join makes the only whole copy of the text: a second one, made after the
     # blocks are freed, may or may not reuse their memory, so the peak would vary.
     return "".join([head, *blocks[1:], tail])
 
 
-def _json_cells(column: np.ndarray) -> list[str]:
-    # json's C encoder spells a float as repr does, or NaN, Infinity and
-    # -Infinity, and a bool as true or false, as json.dumps(indent=2) does.
+def _block_cells(column: np.ndarray, odd: np.ndarray, fmt: str) -> tuple[str, list]:
+    """The template slot and the cells of one block of one column.
+
+    ``"%.12g"`` spells a float as :func:`_fmt` does, ``"%d"`` a CSV verdict
+    as 1 or 0, and :func:`_json_number` a JSON cell that ``odd`` flags.
+    """
     values = column.tolist()
-    if column.dtype != bool:
-        values = list(map(float, map("%.12g".__mod__, values)))  # as _quant rounds
-    return json.dumps(values)[1:-1].split(", ")
+    if column.dtype == bool:
+        return ("%d", values) if fmt == "csv" else ("%s", list(map(_JSON_BOOLS.__getitem__, values)))
+    bits = column.astype(float, copy=False).view(np.uint64)
+    if (bits == bits[0]).all():  # one value, such as every error of an exact sweep
+        text = "%.12g" % values[0]
+        return "%s", [text if fmt == "csv" else _json_number(text)] * len(values)
+    if not odd.any():
+        return "%.12g", values
+    texts = list(map("%.12g".__mod__, values))
+    for k in np.flatnonzero(odd).tolist():
+        texts[k] = _json_number(texts[k])
+    return "%s", texts
+
+
+def _odd_cells(column: np.ndarray) -> np.ndarray:
+    """A mask of the cells whose JSON spelling may differ from ``"%.12g"``.
+
+    JSON spells a number as ``json.dumps(float("%.12g" % v))``: the shortest
+    ``repr`` of ``v`` rounded to 12 digits.  Two decimals of at most 12 digits
+    never round to the same normal double, so the two spellings agree unless
+    ``"%.12g"`` writes an integer (``2``, ``-0``), an exponent where ``repr``
+    writes none (from 1e12), a subnormal, NaN or an infinity.  The mask flags
+    every cell within 1e-11 of an integer, relative above 1, so every finite
+    cell below 1e-11 or from 1e11 in magnitude, and every one not finite.
+    """
+    with np.errstate(invalid="ignore"):  # inf - inf
+        integral = np.abs(column - np.rint(column)) <= 1e-11 * np.maximum(np.abs(column), 1.0)
+    return integral | ~np.isfinite(column)
+
+
+@functools.lru_cache(maxsize=1024)
+def _json_number(text: str) -> str:
+    # json's C encoder spells a float as repr does, or NaN, Infinity and -Infinity.
+    return json.dumps(float(text))
 
 
 def _render_reports(reports, fmt: str, meta: dict) -> str:

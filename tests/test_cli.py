@@ -63,6 +63,10 @@ COMMANDS = {
     "sweep": ["sweep", "--mode", "theta", "--steps", "3"],
     "verify": ["verify", "--trials", "5"],
     "bounds": ["bounds", "--state-file", "{state}"],
+    # argparse answers these itself, raising SystemExit inside main.
+    "--version": ["--version"],
+    "--help": ["--help"],
+    "sweep --help": ["sweep", "--help"],
 }
 
 

@@ -306,9 +306,10 @@ def test_emit_writes_large_text_in_slices(monkeypatch):
 #: Rows per rendered sweep block.
 BLOCK = harness._BLOCK_ROWS
 
-#: Values whose spellings differ between formatters; planted in the first
-#: and the last row of a rendered sweep.
-SPECIALS = (math.nan, math.inf, -math.inf, -0.0, 1e-300, 1.5e12, 1e16)
+#: Values whose spellings differ between formatters, or nearly do; planted
+#: in the first and the last row of a rendered sweep.
+SPECIALS = (math.nan, math.inf, -math.inf, -0.0, 1e-300, 1.5e12, 1e16, 5e-324, 2.0,
+            999999999999.5, 0.99999999999996, 9.99999999999995e-05, 3.5e11)
 
 
 def _planted(table):
@@ -316,7 +317,7 @@ def _planted(table):
     the first and the last block, and verdicts taken from the planted values."""
     def plant(column, j):
         column = column.astype(float)
-        column[0], column[-1] = SPECIALS[j % 7], SPECIALS[(j + 3) % 7]
+        column[0], column[-1] = SPECIALS[j % len(SPECIALS)], SPECIALS[(j + 3) % len(SPECIALS)]
         return column
 
     bounds = {rel: (plant(rhs, 4 + 2 * k), plant(err, 5 + 2 * k))
@@ -377,6 +378,45 @@ def test_sweep_text_is_the_same_across_block_boundaries(shots, steps):
             with contextlib.redirect_stdout(io.StringIO()):
                 text = emit(data, fmt, None, metadata=meta)
             assert _first_difference(text, _oracle_text(data, fmt, meta)) is None
+
+
+#: Cells whose JSON spelling differs from "%.12g", or nearly does: subnormals
+#: and zeros, small integers, magnitudes across [1e11, 1e17], and values
+#: that round to a power of ten.
+SPELLING_CASES = (
+    *SPECIALS, 0.0, -5e-324, 1e-310, -2.2250738585072014e-308, 9.9e-301, 1e-5, 1e-4,
+    *map(float, range(-3, 13)), 99999999999.95, 999999999999.4, -999999999999.5,
+    *np.geomspace(1e11, 1e17, 25).tolist(), 123456789012.5, 4503599627370495.5, 1e17 - 16,
+    1.0000000000004, -0.99999999999996, -9.99999999999995e-05, 9.99999999999995e-06,
+)
+
+
+def _spelling_text(values):
+    """The JSON text, and the text the parent rule ``json.dumps(float("%.12g"
+    % v))`` gives, of a sweep with ``values`` down two columns, reversed down
+    one, and its first and its last value down a whole column each."""
+    column = np.array(values, dtype=float)
+    first, last = np.full(column.size, column[0]), np.full(column.size, column[-1])
+    table = harness.SweepTable(column, column[::-1], first, last,
+                               {Relation.SONG: (column, last, ~np.signbit(column))}, False)
+    with warnings.catch_warnings(), np.errstate(all="warn"):
+        warnings.simplefilter("error")  # no numpy warning may reach stderr
+        with contextlib.redirect_stdout(io.StringIO()):
+            text = emit(table, "json", None)
+    return text, _oracle_text(table, "json", {})
+
+
+@pytest.mark.parametrize("value", SPELLING_CASES, ids=repr)
+def test_json_cell_is_the_number_rounded_to_12_digits(value):
+    text, expected = _spelling_text([value, 0.25, value])
+    assert _first_difference(text, expected) is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=20))
+def test_json_cells_are_the_numbers_rounded_to_12_digits(values):
+    text, expected = _spelling_text(values)
+    assert _first_difference(text, expected) is None
 
 
 @pytest.mark.parametrize("fmt, ratio", [("json", 2.5), ("csv", 4.0)])
@@ -553,9 +593,7 @@ def test_cli_bounds_custom_observables(tmp_path):
     state_file = tmp_path / "state.json"
     state_file.write_text(json.dumps({"stokes": [1.0, 0.0, 0.0, 0.0]}))
     obs_file = tmp_path / "obs.json"
-    sx = [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]
-    sz = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]
-    obs_file.write_text(json.dumps({"observables": [sx, sz]}))
+    obs_file.write_text(json.dumps({"observables": [SX, SZ]}))
     code = main([
         "bounds", "--state-file", str(state_file),
         "--observables-file", str(obs_file),
@@ -602,6 +640,45 @@ def test_cli_bounds_rejects_malformed_state(tmp_path, capsys, payload):
     assert main(["bounds", "--state-file", str(state_file)]) == 1
     err = capsys.readouterr().err
     assert "error" in err and "Traceback" not in err
+
+
+SX = [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]
+SZ = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]
+
+
+@pytest.mark.parametrize(
+    "state, observables, reason",
+    [
+        ({"amplitudes": [["1", 0.0], [0.0, 0.0]]}, None, 'amplitudes must be nested lists of numbers, got "1"'),
+        ({"amplitudes": [[True, 0.0], [0.0, 0.0]]}, None, "amplitudes must be nested lists of numbers, got true"),
+        ({"density": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [False, 0.0]]]}, None,
+         "density must be nested lists of numbers, got false"),
+        ({"stokes": [1.0, 0.0, 0.0, 1.0]}, [SX, [[[True, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]],
+         "observable must be nested lists of numbers, got true"),
+        ({"stokes": [1.0, 0.0, 0.0, 1.0]}, [SX, [[["1", 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]],
+         'observable must be nested lists of numbers, got "1"'),
+        ({"amplitudes": [[1.0, 0.0], [0.0, 0.0]], "bloch": {"theta": 1.0}}, None,
+         "names more than one form: amplitudes, bloch"),
+        ({"bloch": {"theta": 1.0}, "density": [], "stokes": [1.0, 0.0, 0.0, 1.0]}, [SX, SZ],
+         "names more than one form: density, stokes, bloch"),
+    ],
+    ids=["amplitude-string", "amplitude-bool", "density-bool", "observable-bool",
+         "observable-string", "two-forms", "three-forms"],
+)
+def test_cli_bounds_refuses_non_numbers_and_more_than_one_form(tmp_path, capsys, state, observables, reason):
+    # numpy reads "1" and true as 1.0, and the first form in check order won.
+    state_file = tmp_path / "state.json"
+    state_file.write_text(json.dumps(state))
+    argv = ["bounds", "--state-file", str(state_file)]
+    if observables is not None:
+        obs_file = tmp_path / "obs.json"
+        obs_file.write_text(json.dumps(observables))
+        argv += ["--observables-file", str(obs_file)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("uncrel: error: ") and captured.err.count("\n") == 1
+    assert reason in captured.err
 
 
 def test_cli_verify_refuses_empty_lists(capsys):

@@ -9,8 +9,11 @@ in a scratch directory of its own laid out the same way for both roots, so
 both see the same arguments.  The list (:func:`commands`) holds the
 ``sweeps``, ``bounds-queries`` and campaign workload commands that
 ``bench/inputs.py`` writes at seeds 3, 7 and 11, plus exact sweeps at 511,
-512, 513 and 10,001 steps, as JSON to a file and as CSV to stdout.  The
-exit status is 0 when every command is identical on both roots, else 1.
+512, 513 and 10,001 steps, as JSON to a file and as CSV to stdout, plus
+JSON sweeps with integral cells and columns of one value: exact phi sweeps
+at both poles, and shot sweeps at 1, 3 and 10 shots, where expectation
+estimates reach +-1.  The exit status is 0 when every command is identical
+on both roots, else 1.
 """
 from __future__ import annotations
 
@@ -25,6 +28,19 @@ from pathlib import Path
 SEEDS = (3, 7, 11)
 WORKLOADS = ("sweeps", "bounds-queries", "pauli-campaign", "random-campaign")
 EXACT_STEPS = (511, 512, 513, 10_001)
+#: JSON sweeps whose cells JSON spells apart from "%.12g": integral values
+#: and columns of one value at the poles, and at few shots, where every
+#: expectation estimate may be +-1.
+SPECIAL_SWEEPS = {
+    "pole-0": ["--mode", "phi", "--fixed", "0", "--steps", "1025"],
+    "pole-pi": ["--mode", "phi", "--fixed", "180deg", "--steps", "1025"],
+    "shots1-theta": ["--mode", "theta", "--steps", "601", "--shots", "1", "--seed", "5",
+                     "--resamples", "100"],
+    "shots3-phi": ["--mode", "phi", "--fixed", "0.4", "--steps", "601", "--shots", "3",
+                   "--seed", "6", "--resamples", "100"],
+    "shots10-pole": ["--mode", "phi", "--fixed", "0", "--steps", "25", "--shots", "10",
+                     "--resamples", "100"],
+}
 
 
 def _bench_inputs():
@@ -50,6 +66,8 @@ def commands(base: Path) -> list[tuple[str, list[str]]]:
         sweep = ["sweep", "--mode", "theta", "--steps", str(steps)]
         listed.append((f"exact-{steps}-json", [*sweep, "--format", "json", "--out", f"exact-{steps}.json"]))
         listed.append((f"exact-{steps}-csv", [*sweep, "--format", "csv"]))
+    for name, args in SPECIAL_SWEEPS.items():
+        listed.append((f"{name}-json", ["sweep", *args, "--format", "json", "--out", f"{name}.json"]))
     return listed
 
 
