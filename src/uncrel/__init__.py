@@ -16,20 +16,10 @@ from .core import (
     PureState,
     QuantumState,
     deviation_state,
-    orthogonal_qubit,
     random_observable,
     random_pure_state,
 )
-from .errors import (
-    ConsistencyError,
-    ContractError,
-    DimensionError,
-    OrthogonalityError,
-    UnsupportedCountError,
-    UnsupportedDimensionError,
-    UnsupportedRelationError,
-    UnsupportedStateError,
-)
+from .errors import ConsistencyError, ContractError
 from .harness import (
     SweepSpec,
     SweepTable,

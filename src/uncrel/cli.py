@@ -16,8 +16,8 @@ Angles are radians by default; append ``deg`` to give degrees, e.g.
 console script and ``python -m uncrel.cli``.  It freezes the objects
 alive at its start (``gc.freeze``), so neither the collections during a
 command nor the full collection at shutdown walk the import graph of
-numpy and uncrel again.  It flushes stdout, reporting a failed flush of
-``--help`` or ``--version`` output with exit code 3, and keeps a failed
+numpy and uncrel again.  It flushes stdout, reporting a failed write or
+flush of ``--help`` or ``--version`` output with exit code 3, and keeps a failed
 stdout buffer from failing a second time at shutdown.  Library callers
 call :func:`main` with an argument list; it returns the exit code and
 changes no interpreter state.
@@ -55,11 +55,18 @@ _EXIT_CODES = {OSError: 3, ConsistencyError: 4, ValueError: 1, MemoryError: 1}
 
 class _Parser(argparse.ArgumentParser):
     """Argparse exits with status 2 on bad flags; this CLI reserves 2 for
-    verification failures, so usage errors are remapped to 1."""
+    verification failures, so usage errors are remapped to 1.  A failed
+    write to stdout, which argparse drops, is raised for :func:`run`."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+    def _print_message(self, message, file=None):
+        if file is not None and file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
 
 
 def parse_angle(text: str) -> float:
@@ -275,7 +282,10 @@ def _cmd_bounds(args) -> int:
 
 def _load_json(path: str) -> dict:
     with open(path) as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except RecursionError:
+            raise ValueError(f"{path} nests JSON too deeply to read") from None
 
 
 def _complex_entries(data, what: str) -> np.ndarray:
@@ -371,13 +381,14 @@ def main(argv=None) -> int:
 
 def run() -> None:
     gc.freeze()
+    # argparse prints and exits inside main on --help, --version and usage
+    # errors; nothing has flushed that text or reported a failed write of it.
+    code, reported = 3, False
     try:
-        code, reported = main(), True
-    except SystemExit as done:
-        # argparse exits inside main on --help, --version and usage errors,
-        # so nothing has flushed what they printed or reported its failure.
-        code, reported = done.code, False
-    try:
+        try:
+            code, reported = main(), True
+        except SystemExit as done:
+            code = done.code
         if sys.stdout is not None:
             sys.stdout.flush()
     except OSError as err:

@@ -14,11 +14,7 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import (
-    ConsistencyError,
-    DimensionError,
-    UnsupportedDimensionError,
-)
+from .errors import ConsistencyError, ContractError
 
 # Construction-time tolerances.
 HERMITICITY_ATOL = 1e-12
@@ -57,7 +53,7 @@ def _as_square_complex(values, what: str) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{what} must be a square matrix, got shape {m.shape}")
     if m.shape[0] < 2:
-        raise UnsupportedDimensionError(
+        raise ContractError(
             f"{what} must act on a space of dimension >= 2, got {m.shape[0]}"
         )
     return m
@@ -105,7 +101,7 @@ class PureState:
     def __post_init__(self) -> None:
         v = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         if v.size < 2:
-            raise UnsupportedDimensionError(
+            raise ContractError(
                 f"state vector must have dimension >= 2, got {v.size}"
             )
         norm_sq = float(np.vdot(v, v).real)
@@ -122,11 +118,6 @@ class PureState:
     @property
     def dim(self) -> int:
         return self.amplitudes.size
-
-    def density(self) -> "DensityMatrix":
-        """The rank-one projector onto this state."""
-        v = self.amplitudes
-        return DensityMatrix(np.outer(v, v.conj()))
 
     def __repr__(self) -> str:
         return f"PureState(dim={self.dim})"
@@ -173,7 +164,7 @@ QuantumState = PureState | DensityMatrix
 
 def _check_same_dim(*dims: int) -> None:
     if len(set(dims)) > 1:
-        raise DimensionError(f"dimension mismatch: {dims}")
+        raise ContractError(f"dimension mismatch: {dims}")
 
 
 def state_array(state: QuantumState) -> np.ndarray:
@@ -263,21 +254,6 @@ def deviation_state(obs: Observable, psi: PureState) -> tuple[float, PureState |
     return norm, PureState(residual / norm)
 
 
-def orthogonal_qubit(psi: PureState) -> PureState:
-    """The unique (up to phase) state orthogonal to a qubit state.
-
-    Uses the fixed phase convention of :func:`qubit_companions`, so the
-    result is deterministic.  Only defined for dimension 2.
-    """
-    if not isinstance(psi, PureState):
-        raise TypeError(f"orthogonal_qubit needs a PureState, got {psi!r}")
-    if psi.dim != 2:
-        raise UnsupportedDimensionError(
-            f"orthogonal complement choice is only fixed for qubits, got dim {psi.dim}"
-        )
-    return PureState(qubit_companions(psi.amplitudes))
-
-
 def qubit_companions(kets: np.ndarray) -> np.ndarray:
     """``(a, b) -> (-conj(b), conj(a))``, orthogonal to each qubit ket of a ``(..., 2)`` array."""
     return np.stack([-kets[..., 1].conj(), kets[..., 0].conj()], axis=-1)
@@ -325,9 +301,8 @@ def orthogonal_companions(kets: np.ndarray, draws: np.ndarray) -> np.ndarray:
     return perps
 
 
-def _gaussians(seed, trials: range | None, count: int) -> np.ndarray:
-    """``(len(trials), count)`` standard complex normals from one Philox stream
-    (``trials`` None stands for ``range(1)``).
+def _gaussians(seed, trials: range, count: int) -> np.ndarray:
+    """``(len(trials), count)`` standard complex normals from one Philox stream.
 
     The stream is ``numpy.random.Philox`` keyed by ``SeedSequence(seed)``.
     Trial ``t`` owns ``S = ceil(count / 2)`` counter steps of 4 raw 64-bit
@@ -336,7 +311,6 @@ def _gaussians(seed, trials: range | None, count: int) -> np.ndarray:
     + i sin 2 pi x_b)`` by Box-Muller, with ``x = (word >> 11) 2^-53`` in
     [0, 1).  A block of trials is one ``advance`` and one ``random_raw``.
     """
-    trials = range(1) if trials is None else trials
     if trials.step != 1 or trials.start < 0 or len(trials) < 1:
         raise ValueError(f"trials must be a non-empty range of consecutive indices >= 0: {trials}")
     steps = -(-count // 2)
@@ -349,7 +323,7 @@ def _gaussians(seed, trials: range | None, count: int) -> np.ndarray:
     return radius * np.cos(angle) + 1j * (radius * np.sin(angle))
 
 
-def random_pure_state(dim: int, seed, trials: range | None = None):
+def random_pure_state(dim: int, seed, trials: range) -> np.ndarray:
     """Haar-random pure states: normalized complex Gaussian vectors.
 
     Args:
@@ -357,31 +331,28 @@ def random_pure_state(dim: int, seed, trials: range | None = None):
         seed: any ``numpy.random.SeedSequence`` entropy (an int or a tuple
             of ints); it keys the Philox stream of :func:`_gaussians`, in
             which trial ``t`` takes ``2 dim`` words.
-        trials: a ``range`` of consecutive trial indices, or None.
+        trials: a ``range`` of consecutive trial indices.
 
-    Returns trial 0 as a validated :class:`PureState` when ``trials`` is
-    None, otherwise the ``(len(trials), dim)`` array of those trials' kets,
-    each with the same bits as when drawn alone.  A draw of norm below
+    Returns the ``(len(trials), dim)`` array of those trials' kets, each
+    with the same bits as when drawn alone.  A draw of norm below
     ``DEGENERATE_NORM`` (probability below ``1e-12 ** dim``) becomes the
     basis state ``|0>``.
     """
     if dim < 2:
-        raise UnsupportedDimensionError(f"dimension must be >= 2, got {dim}")
+        raise ContractError(f"dimension must be >= 2, got {dim}")
     kets, degenerate = _unit_rows(_gaussians(seed, trials, dim))
     kets[degenerate] = np.eye(1, dim)
-    return kets if trials is not None else PureState(kets[0])
+    return kets
 
 
-def random_observable(dim: int, seed, trials: range | None = None):
+def random_observable(dim: int, seed, trials: range) -> np.ndarray:
     """Random Hermitian matrices ``(G + G^dagger) / 2`` with Gaussian ``G``.
 
     ``seed`` and ``trials`` are as for :func:`random_pure_state`; trial
-    ``t`` takes ``2 dim^2`` words and fills ``G`` row by row.  Returns trial
-    0 as a validated :class:`Observable` when ``trials`` is None, otherwise
-    the ``(len(trials), dim, dim)`` array.
+    ``t`` takes ``2 dim^2`` words and fills ``G`` row by row.  Returns the
+    ``(len(trials), dim, dim)`` array.
     """
     if dim < 2:
-        raise UnsupportedDimensionError(f"dimension must be >= 2, got {dim}")
+        raise ContractError(f"dimension must be >= 2, got {dim}")
     g = _gaussians(seed, trials, dim * dim).reshape(-1, dim, dim)
-    mats = (g + g.conj().swapaxes(-1, -2)) / 2.0
-    return mats if trials is not None else Observable(mats[0])
+    return (g + g.conj().swapaxes(-1, -2)) / 2.0

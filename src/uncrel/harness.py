@@ -28,7 +28,7 @@ import numpy as np
 
 from ._version import __version__
 from .core import orthogonal_companions, qubit_companions, random_observable, random_pure_state
-from .errors import ContractError, UnsupportedCountError
+from .errors import ContractError
 from .qubit import (
     _PAULI_STACK,
     _require_sum_form,
@@ -140,27 +140,25 @@ def run_sweep(spec: SweepSpec, *, resamples: int = 1000) -> SweepTable:
     if spec.shots is None:
         lhs, rhs = closed_form_bounds(*moments_from_angles(theta, phi), spec.relations)
         lhs_err = np.zeros_like(lhs)
-        columns = [column for rel in spec.relations for column in (rhs[rel], lhs_err)]
+        rhs_err = dict.fromkeys(rhs, lhs_err)
     else:
-        lhs, lhs_err, *columns = _simulated_columns(spec, theta, phi, resamples)
-    triples = zip(spec.relations, columns[0::2], columns[1::2])
-    bounds = {rel: (rhs, err, holds(lhs, rhs)) for rel, rhs, err in triples}
+        lhs, lhs_err, rhs, rhs_err = _simulated_columns(spec, theta, phi, resamples)
+    bounds = {rel: (rhs[rel], rhs_err[rel], holds(lhs, rhs[rel])) for rel in spec.relations}
     return SweepTable(theta, phi, lhs, lhs_err, bounds, spec.shots is not None)
 
 
-def _simulated_columns(spec: SweepSpec, theta, phi, resamples: int) -> np.ndarray:
-    """The rows ``lhs, lhs_err``, then ``rhs, rhs_err`` per relation, of a
-    shot sweep: one bootstrap per point, stacked."""
+def _simulated_columns(spec: SweepSpec, theta, phi, resamples: int) -> tuple:
+    """``lhs, lhs_err, {relation: rhs}, {relation: rhs_err}`` columns of a
+    shot sweep, from one bootstrap per point."""
     points = []
     for index, angles in enumerate(zip(theta.tolist(), phi.tolist())):
         plan = replace(spec.shots, seed=derive_seed(spec.shots.seed, index))
         records = simulate_counts(bloch_to_state(BlochAngles(*angles)), plan)
         child = derive_seed(spec.shots.seed, index, 1)
-        estimates = bootstrap_bounds(records, spec.relations, resamples=resamples, seed=child)
-        lhs = next(iter(estimates.values()))[0]
-        points.append([x for e in (lhs, *(rhs for _, rhs in estimates.values()))
-                       for x in (e.value, e.std_error)])
-    return np.array(points).T
+        lhs, rhs = bootstrap_bounds(records, spec.relations, resamples=resamples, seed=child)
+        points.append([(e.value, e.std_error) for e in (lhs, *rhs.values())])
+    (lhs, *rhs), (lhs_err, *rhs_err) = np.array(points).T
+    return lhs, lhs_err, dict(zip(spec.relations, rhs)), dict(zip(spec.relations, rhs_err))
 
 
 # -- randomized verification --------------------------------------------------
@@ -288,7 +286,7 @@ def run_verify(
         # No instance would run, and the campaign would pass vacuously.
         raise ContractError(f"dims {list(dims)} and counts {list(counts)} must not be empty")
     if min(counts) < 2:
-        raise UnsupportedCountError(f"every observable count must be >= 2, got {list(counts)}")
+        raise ContractError(f"every observable count must be >= 2, got {list(counts)}")
     if len(set(dims)) < len(dims) or len(set(counts)) < len(counts):
         # A repeated value would run and count the same instances twice.
         raise ContractError(f"dims {list(dims)} and counts {list(counts)} must not repeat a value")
@@ -358,13 +356,15 @@ def _block_values(seed: int, trials: range, dim: int, n: int, use_paulis: bool) 
 
     Each role draws the whole block from its own stream ``(seed, dim, n,
     role)``: role 0 for the kets, ``1 + i`` for observable ``i`` and 99 for
-    the companions.
+    the companions above dimension 2.  Qubits take the canonical companion
+    :func:`~uncrel.core.qubit_companions`, as
+    :func:`~uncrel.relations.evaluate_all` does.
     """
     kets = random_pure_state(dim, (seed, dim, n, 0), trials)
     if use_paulis:
         return instance_values(_PAULI_STACK[None], kets)
     mats = np.stack([random_observable(dim, (seed, dim, n, 1 + i), trials) for i in range(n)], 1)
-    if dim == 2:  # the canonical companion of core.orthogonal_qubit
+    if dim == 2:
         perps = qubit_companions(kets)
     else:
         perps = orthogonal_companions(kets, random_pure_state(dim, (seed, dim, n, 99), trials))

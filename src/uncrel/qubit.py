@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DensityMatrix, Observable, PureState
-from .errors import UnsupportedRelationError
+from .errors import ContractError
 from .relations import ObservableSet, Relation, SUM_FORM_RELATIONS, bound_values
 
 PAULI_AXES = ("x", "y", "z")
@@ -106,7 +106,7 @@ def moments_from_angles(theta, phi):
 def _require_sum_form(relations) -> None:
     bad = [rel.value for rel in relations if rel not in SUM_FORM_RELATIONS]
     if bad:
-        raise UnsupportedRelationError(
+        raise ContractError(
             f"no closed form for {bad}; only sum-form relations reduce to Pauli moments"
         )
 

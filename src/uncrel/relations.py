@@ -33,12 +33,7 @@ import numpy as np
 
 from . import core
 from .core import _add_rows, DensityMatrix, Observable, PureState, QuantumState
-from .errors import (
-    DimensionError,
-    OrthogonalityError,
-    UnsupportedCountError,
-    UnsupportedStateError,
-)
+from .errors import ContractError
 
 # A report may undershoot its bound by this much, times max(1, |lhs|),
 # before it counts as a violation; anything worse is a genuine failure, not
@@ -170,14 +165,14 @@ class ObservableSet:
     def __post_init__(self) -> None:
         obs = tuple(self.observables)
         if len(obs) < 2:
-            raise UnsupportedCountError(
+            raise ContractError(
                 f"an observable set needs at least 2 members, got {len(obs)}"
             )
         if any(not isinstance(o, Observable) for o in obs):
             raise TypeError("observable set members must be Observable instances")
         dims = {o.dim for o in obs}
         if len(dims) > 1:
-            raise DimensionError(f"observables have mixed dimensions: {sorted(dims)}")
+            raise ContractError(f"observables have mixed dimensions: {sorted(dims)}")
         stack = np.stack([o.matrix for o in obs])
         stack.flags.writeable = False
         object.__setattr__(self, "observables", obs)
@@ -190,15 +185,6 @@ class ObservableSet:
     @property
     def count(self) -> int:
         return len(self.observables)
-
-    def __len__(self) -> int:
-        return len(self.observables)
-
-    def __iter__(self):
-        return iter(self.observables)
-
-    def __getitem__(self, index: int) -> Observable:
-        return self.observables[index]
 
 
 # -- the formula set ----------------------------------------------------------
@@ -293,22 +279,6 @@ def instance_values(stack: np.ndarray, state: np.ndarray, companions=None) -> di
     return bound_values(m, G, (W.conj() @ companions[..., None])[..., 0])
 
 
-def _values(observables: ObservableSet, state: QuantumState, psi_perp=None) -> dict:
-    array = core.state_array(state)
-    core._check_same_dim(observables.dim, state.dim)
-    if psi_perp is None:
-        return instance_values(observables.stack, array)
-    if not isinstance(psi_perp, PureState):
-        raise TypeError(f"psi_perp must be a PureState, got {psi_perp!r}")
-    core._check_same_dim(state.dim, psi_perp.dim)
-    overlap = abs(complex(np.vdot(state.amplitudes, psi_perp.amplitudes)))
-    if overlap > 1e-10:
-        raise OrthogonalityError(
-            f"psi_perp has overlap {overlap!r} with psi, expected orthogonal"
-        )
-    return instance_values(observables.stack, array, psi_perp.amplitudes)
-
-
 # -- pairwise relations -------------------------------------------------------
 
 # No command calls this.  Tests replay the campaign's seeded companions above d = 2
@@ -324,12 +294,22 @@ def maccone_pati_orthogonal(
     rhs = s*i<[A,B]> + |<psi|A + s*iB|psi_perp>|^2 with the sign ``s``
     chosen so the commutator term is non-negative.  When the commutator
     expectation is exactly zero both signs are evaluated and the larger
-    bound is reported.  Pure states only; ``psi_perp`` must be orthogonal
-    to ``psi`` within 1e-10.
+    bound is reported.  Pure states only; ``psi_perp``, the one companion a
+    caller passes in, must be a same-dimension :class:`PureState`
+    orthogonal to ``psi`` within 1e-10.
     """
     if isinstance(psi, DensityMatrix):
-        raise UnsupportedStateError("mp_orthogonal is defined for pure states only")
-    values = _values(ObservableSet((a, b)), psi, psi_perp)[Relation.MACCONE_PATI_ORTHOGONAL]
+        raise ContractError("mp_orthogonal is defined for pure states only")
+    pair = ObservableSet((a, b))
+    ket = core.state_array(psi)
+    core._check_same_dim(pair.dim, psi.dim)
+    if not isinstance(psi_perp, PureState):
+        raise TypeError(f"psi_perp must be a PureState, got {psi_perp!r}")
+    core._check_same_dim(psi.dim, psi_perp.dim)
+    overlap = abs(complex(np.vdot(ket, psi_perp.amplitudes)))
+    if overlap > 1e-10:
+        raise ContractError(f"psi_perp has overlap {overlap!r} with psi, expected orthogonal")
+    values = instance_values(pair.stack, ket, psi_perp.amplitudes)[Relation.MACCONE_PATI_ORTHOGONAL]
     return _reports([Relation.MACCONE_PATI_ORTHOGONAL], *values, [None], [None])[0]
 
 
@@ -347,19 +327,21 @@ def evaluate_all(
     :class:`SkippedRelation` markers where the observable count rules one
     out.  With ``include_pairwise`` the pairwise relations follow, one
     report per observable pair; the Maccone-Pati forms are skipped for
-    mixed states.  The orthogonal form uses the canonical
-    :func:`~uncrel.core.orthogonal_qubit` companion in dimension 2 and is
-    skipped above it, where no canonical choice exists.
+    mixed states.  The orthogonal form uses the canonical companion
+    :func:`~uncrel.core.qubit_companions` in dimension 2, as ``verify``
+    campaigns do, and is skipped above it, where no canonical choice exists.
 
-    Every relation comes from one moment table of the state, and all
-    sum-form reports share one lhs value (the total of the single
-    variances).
+    Every relation comes from one :func:`instance_values` call, the step
+    the campaign blocks take, and all sum-form reports share one lhs value
+    (the total of the single variances).
     """
     pure = isinstance(state, PureState)
-    psi_perp = None
+    array = core.state_array(state)
+    core._check_same_dim(observables.dim, state.dim)
+    companions = None
     if include_pairwise and pure and observables.dim == 2:
-        psi_perp = core.orthogonal_qubit(state)
-    values = _values(observables, state, psi_perp)
+        companions = core.qubit_companions(array)
+    values = instance_values(observables.stack, array, companions)
     n = observables.count
     summed = [rel for rel in SUM_FORM_RELATIONS if rel in values]
     reports = _reports(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import ContractError
 from .qubit import _PAULI_STACK, PAULI_AXES, closed_form_bounds
 from .core import QuantumState, moment_table, state_array
 from .relations import Relation, SUM_FORM_RELATIONS
@@ -100,7 +100,7 @@ def simulate_counts(state: QuantumState, plan: ShotPlan) -> list[MeasurementReco
     keyed by ``(plan.seed, k)``.  Records come back in that order.
     """
     if state.dim != 2:
-        raise DimensionError(f"shot simulation is for qubits, got dim {state.dim}")
+        raise ContractError(f"shot simulation is for qubits, got dim {state.dim}")
     means, _, _ = moment_table(_PAULI_STACK, state_array(state))
     p_up = np.clip((1.0 + means) / 2.0, 0.0, 1.0)
     records = []
@@ -132,7 +132,7 @@ def bootstrap_bounds(
     relations=SUM_FORM_RELATIONS,
     resamples: int = 1000,
     seed: int = 0,
-) -> dict[Relation, tuple[EstimateWithError, EstimateWithError]]:
+) -> tuple[EstimateWithError, dict[Relation, EstimateWithError]]:
     """Point estimates and bootstrap error bars for closed-form bounds.
 
     Needs one record per Pauli basis.  Point values plug the estimated
@@ -142,8 +142,9 @@ def bootstrap_bounds(
     parametric replicates, each drawn by redrawing every basis count from a
     binomial at its estimated success probability.
 
-    Returns a map ``relation -> (lhs estimate, rhs estimate)``; the lhs
-    entry repeats the shared sum-of-variances estimate for convenience.
+    Returns ``(lhs, {relation: rhs})`` estimates, the shape of
+    :func:`~uncrel.qubit.closed_form_bounds`: ``lhs`` is the shared
+    sum-of-variances estimate.
     """
     if resamples < MIN_BOOTSTRAP_RESAMPLES:
         raise ValueError(
@@ -174,5 +175,4 @@ def bootstrap_bounds(
         return EstimateWithError(float(values[0]), float(np.std(values[1:], ddof=1)))
 
     lhs, rhs = closed_form_bounds(*means, relations)
-    lhs_estimate = estimate(lhs)
-    return {rel: (lhs_estimate, estimate(rhs[rel])) for rel in relations}
+    return estimate(lhs), {rel: estimate(rhs[rel]) for rel in relations}

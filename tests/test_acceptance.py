@@ -222,8 +222,7 @@ def test_closed_forms_match_matrix_engine():
     theta, phi = np.array([(a.theta, a.phi) for a in angles]).T
     _, closed = closed_form_bounds(*moments_from_angles(theta, phi))
     kets = np.array([bloch_to_state(a).amplitudes for a in angles])
-    stack = np.array([obs.matrix for obs in pauli_triple()])
-    engine = instance_values(stack[None], kets)
+    engine = instance_values(pauli_triple().stack[None], kets)
     worst = max(float(np.abs(closed[rel] - engine[rel][1]).max()) for rel in SUM_FORM_RELATIONS)
     assert worst <= 1e-12
     _pass(f"closed forms match the engine within 1e-12 at 10^4 angles (worst {worst:.2e})")

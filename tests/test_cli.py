@@ -2,7 +2,8 @@
 
 The subprocess tests drop ``PYTHONUNBUFFERED`` from the child's
 environment, so stdout is block-buffered as in an ordinary shell and a
-failed write surfaces at a flush, not inside ``write``.
+failed write surfaces at a flush, not inside ``write``.  The tests of a
+full stdout also run with it set, where the write itself fails.
 """
 import functools
 import gc
@@ -22,9 +23,11 @@ SRC = Path(uncrel.__file__).resolve().parents[1]
 STDOUT_ERROR = "uncrel: error: cannot write output to stdout: "
 
 
-def run_cli(args, *, entry=("-m", "uncrel.cli"), **kwargs):
-    """Run the CLI in a child interpreter with buffered stdout."""
+def run_cli(args, *, entry=("-m", "uncrel.cli"), unbuffered=False, **kwargs):
+    """Run the CLI in a child interpreter, with buffered stdout unless ``unbuffered``."""
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     kwargs.setdefault("stdout", subprocess.PIPE)
     return subprocess.run([sys.executable, *entry, *args], env=env, stderr=subprocess.PIPE,
@@ -70,15 +73,48 @@ COMMANDS = {
 }
 
 
-@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-@pytest.mark.parametrize("command", sorted(COMMANDS))
-def test_failed_stdout_write_exits_3_with_one_line(command, state_file):
+def full_stdout_run(command, state_file, unbuffered):
+    """Exit code and stderr lines of a command whose stdout is a full device."""
     args = [arg.format(state=state_file) for arg in COMMANDS[command]]
     with open("/dev/full", "w") as full:
-        done = run_cli(args, stdout=full)
-    lines = done.stderr.decode().splitlines()
-    assert done.returncode == 3, lines
+        done = run_cli(args, stdout=full, unbuffered=unbuffered)
+    return done.returncode, done.stderr.decode().splitlines()
+
+
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+
+
+@needs_dev_full
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_failed_stdout_write_exits_3_with_one_line(command, state_file):
+    code, lines = full_stdout_run(command, state_file, unbuffered=False)
+    assert code == 3, lines
     assert len(lines) == 1 and lines[0].startswith(STDOUT_ERROR), lines
+
+
+@needs_dev_full
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_failed_unbuffered_stdout_write_exits_3_with_one_line(command, state_file):
+    """argparse drops a failed write of --help or --version; the CLI reports it."""
+    code, lines = full_stdout_run(command, state_file, unbuffered=True)
+    assert code == 3, lines
+    assert len(lines) == 1 and lines[0].startswith(STDOUT_ERROR), lines
+
+
+@pytest.mark.parametrize("deep", ["state", "observables"])
+def test_json_nested_beyond_the_recursion_limit_exits_1_with_one_line(deep, tmp_path, state_file):
+    """A state 100,000 lists deep and an observables list 5,000 deep, as
+    the JSON decoder cannot read them, are refused without a traceback."""
+    path = tmp_path / f"{deep}.json"
+    if deep == "state":
+        path.write_text('{"amplitudes": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        args = ["bounds", "--state-file", str(path)]
+    else:
+        path.write_text("[" * 5_000 + "]" * 5_000)
+        args = ["bounds", "--state-file", str(state_file), "--observables-file", str(path)]
+    done = run_cli(args)
+    assert (done.returncode, done.stdout) == (1, b"")
+    assert done.stderr.decode().splitlines() == [f"uncrel: error: {path} nests JSON too deeply to read"]
 
 
 def test_closed_stdout_exits_3_with_one_line():

@@ -8,19 +8,17 @@ from hypothesis import strategies as st
 import _oracles as o
 from uncrel import (
     ConsistencyError,
+    ContractError,
     DensityMatrix,
-    DimensionError,
     Observable,
     ObservableSet,
     PureState,
-    UnsupportedDimensionError,
     deviation_state,
     evaluate_all,
-    orthogonal_qubit,
     random_observable,
     random_pure_state,
 )
-from uncrel.core import moment_table, state_array
+from uncrel.core import moment_table, qubit_companions, state_array
 
 KET0 = PureState(o.KET0)
 KET1 = PureState(o.KET1)
@@ -34,6 +32,16 @@ angles = st.tuples(
 
 def bloch_ket(theta, phi):
     return PureState(o.ket(theta, phi))
+
+
+def draw_state(dim, seed):
+    """Trial 0 of the stream keyed by ``seed``, as a validated state."""
+    return PureState(random_pure_state(dim, seed, range(1))[0])
+
+
+def draw_observable(dim, seed):
+    """Trial 0 of the stream keyed by ``seed``, as a validated observable."""
+    return Observable(random_observable(dim, seed, range(1))[0])
 
 
 def table(state, *observables):
@@ -69,7 +77,7 @@ def test_observable_rejects_non_square():
 
 
 def test_observable_rejects_dim_one():
-    with pytest.raises(UnsupportedDimensionError):
+    with pytest.raises(ContractError, match="dimension >= 2, got 1"):
         Observable(np.array([[1.0]]))
 
 
@@ -85,12 +93,6 @@ def test_observable_stores_readonly_copy():
 def test_pure_state_rejects_unnormalized():
     with pytest.raises(ValueError, match="normalized"):
         PureState(np.array([1.0, 1.0]))
-
-
-def test_pure_state_density_is_projector():
-    rho = bloch_ket(0.7, 1.1).density()
-    np.testing.assert_allclose(rho.matrix @ rho.matrix, rho.matrix, atol=1e-14)
-    assert abs(np.trace(rho.matrix) - 1.0) < 1e-14
 
 
 def test_density_matrix_rejects_bad_trace():
@@ -139,16 +141,15 @@ def test_expectation_maximally_mixed():
 
 def test_expectation_dimension_mismatch():
     qutrit = Observable(np.eye(3))
-    with pytest.raises(DimensionError):
+    with pytest.raises(ContractError, match=r"dimension mismatch: \(3, 2\)"):
         evaluate_all(ObservableSet((qutrit, qutrit)), KET0)
 
 
 def test_expectation_pure_vs_projector():
-    obs = random_observable(3, seed=11)
-    psi = random_pure_state(3, seed=12)
-    assert mean(obs, psi) == pytest.approx(
-        mean(obs, psi.density()), abs=1e-12
-    )
+    obs = draw_observable(3, 11)
+    psi = draw_state(3, 12)
+    rho = DensityMatrix(np.outer(psi.amplitudes, psi.amplitudes.conj()))
+    assert mean(obs, psi) == pytest.approx(mean(obs, rho), abs=1e-12)
 
 
 # -- variance -----------------------------------------------------------------
@@ -169,7 +170,7 @@ def test_variance_summed_observable():
 
 
 def test_variance_mixed_state_matches_oracle():
-    obs = random_observable(2, seed=21)
+    obs = draw_observable(2, 21)
     rho = MIXED
     assert var(obs, rho) == pytest.approx(
         o.var(obs.matrix, rho.matrix), abs=1e-10
@@ -181,7 +182,7 @@ def test_variance_mixed_state_matches_oracle():
 def test_variance_equals_deviation_norm_squared(ang, obs_seed):
     # Two independent paths: <A^2> - <A>^2 versus |(A - <A>) psi|^2.
     psi = bloch_ket(*ang)
-    obs = random_observable(2, seed=obs_seed)
+    obs = draw_observable(2, obs_seed)
     norm, _ = deviation_state(obs, psi)
     assert var(obs, psi) == pytest.approx(norm * norm, abs=1e-10)
 
@@ -207,9 +208,9 @@ def test_commutator_cyclic_pair_on_equator():
 def test_commutator_swap_symmetry():
     # Swapping the arguments negates the value and conjugates it; together
     # the two identities force the expectation onto the imaginary axis.
-    a = random_observable(3, seed=31)
-    b = random_observable(3, seed=32)
-    psi = random_pure_state(3, seed=33)
+    a = draw_observable(3, 31)
+    b = draw_observable(3, 32)
+    psi = draw_state(3, 33)
     fwd = comm(a, b, psi)
     rev = comm(b, a, psi)
     assert fwd == pytest.approx(-rev, abs=1e-12)
@@ -248,54 +249,52 @@ def test_deviation_state_summed_pair():
 
 def test_deviation_norm_is_standard_deviation():
     for seed in range(8):
-        obs = random_observable(3, seed=seed)
-        psi = random_pure_state(3, seed=100 + seed)
+        obs = draw_observable(3, seed)
+        psi = draw_state(3, 100 + seed)
         norm, _ = deviation_state(obs, psi)
         assert norm == pytest.approx(math.sqrt(var(obs, psi)), abs=1e-10)
 
 
-# -- orthogonal qubit ---------------------------------------------------------
+# -- qubit companions ---------------------------------------------------------
 
-def test_orthogonal_qubit_basis():
-    got = orthogonal_qubit(KET0)
-    np.testing.assert_allclose(got.amplitudes, o.KET1, atol=1e-15)
+def test_qubit_companions_basis():
+    np.testing.assert_allclose(qubit_companions(o.KET0), o.KET1, atol=1e-15)
 
 
-def test_orthogonal_qubit_plus_state():
-    plus = bloch_ket(math.pi / 2, 0.0)
-    got = orthogonal_qubit(plus)
-    assert abs(np.vdot(plus.amplitudes, got.amplitudes)) < 1e-12
+def test_qubit_companions_plus_state():
+    plus = o.ket(math.pi / 2, 0.0)
+    got = qubit_companions(plus)
+    assert abs(np.vdot(plus, got)) < 1e-12
     # stated convention (a, b) -> (-conj(b), conj(a))
     expected = np.array([-1.0, 1.0]) / math.sqrt(2.0)
-    np.testing.assert_allclose(got.amplitudes, expected, atol=1e-12)
+    np.testing.assert_allclose(got, expected, atol=1e-12)
 
 
 @settings(max_examples=80, deadline=None)
 @given(angles)
-def test_orthogonal_qubit_property(ang):
-    psi = bloch_ket(*ang)
-    perp = orthogonal_qubit(psi)
-    assert abs(np.vdot(psi.amplitudes, perp.amplitudes)) < 1e-12
-    assert np.linalg.norm(perp.amplitudes) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_orthogonal_qubit_rejects_qutrit():
-    with pytest.raises(UnsupportedDimensionError):
-        orthogonal_qubit(random_pure_state(3, seed=5))
+def test_qubit_companions_property(ang):
+    psi = o.ket(*ang)
+    perp = qubit_companions(psi)
+    assert abs(np.vdot(psi, perp)) < 1e-12
+    assert np.linalg.norm(perp) == pytest.approx(1.0, abs=1e-12)
+    # (-conj(b), conj(a)) exactly, and the same bits as a row of any batch
+    assert np.array_equal(perp, [-np.conj(psi[1]), np.conj(psi[0])])
+    batch = np.array([o.KET0, psi, o.KET1])
+    assert np.array_equal(qubit_companions(batch)[1], perp)
 
 
 # -- random generation --------------------------------------------------------
 
 def test_random_pure_state_deterministic():
-    first = random_pure_state(2, seed=42)
-    second = random_pure_state(2, seed=42)
-    np.testing.assert_array_equal(first.amplitudes, second.amplitudes)
+    first = random_pure_state(2, 42, range(1))
+    second = random_pure_state(2, 42, range(1))
+    np.testing.assert_array_equal(first, second)
 
 
 def test_random_pure_state_normalized():
     for seed in range(20):
-        psi = random_pure_state(5, seed=seed)
-        assert np.linalg.norm(psi.amplitudes) == pytest.approx(1.0, abs=1e-12)
+        psi = random_pure_state(5, seed, range(1))[0]
+        assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_random_pure_state_haar_symmetry():
@@ -303,15 +302,15 @@ def test_random_pure_state_haar_symmetry():
     obs = Observable(np.kron(o.PZ, np.eye(2)))
     total = 0.0
     for seed in range(10_000):
-        total += mean(obs, random_pure_state(4, seed=seed))
+        total += mean(obs, draw_state(4, seed))
     assert abs(total / 10_000) < 0.05
 
 
 def test_random_observable_deterministic_and_hermitian():
-    first = random_observable(2, seed=7)
-    second = random_observable(2, seed=7)
-    np.testing.assert_array_equal(first.matrix, second.matrix)
-    m = random_observable(3, seed=123).matrix
+    first = random_observable(2, 7, range(1))
+    second = random_observable(2, 7, range(1))
+    np.testing.assert_array_equal(first, second)
+    m = random_observable(3, 123, range(1))[0]
     np.testing.assert_allclose(m, m.conj().T, atol=1e-12)
     assert abs(np.trace(m).imag) < 1e-12
 
@@ -320,7 +319,7 @@ def test_random_observable_deterministic_and_hermitian():
 def test_stream_trials_rebuilt_alone_equal_their_rows_in_any_block(dim):
     """Trial ``t`` sits at a fixed offset of its stream: rebuilt alone from
     the raw Philox words it has the bits of its row in blocks of 1, 7 and
-    512, and trial 0 is the single draw."""
+    512."""
     seed, trials = (5, dim, 3, 1), 1030
     rows = {}
     for block in (1, 7, 512):
@@ -338,8 +337,6 @@ def test_stream_trials_rebuilt_alone_equal_their_rows_in_any_block(dim):
         for kets, mats in rows.values():
             assert np.array_equal(kets[t], ket), t
             assert np.array_equal(mats[t], mat), t
-    assert np.array_equal(random_pure_state(dim, seed).amplitudes, o.stream_ket(seed, 0, dim))
-    assert np.array_equal(random_observable(dim, seed).matrix, o.stream_observable(seed, 0, dim))
 
 
 def test_stream_trials_must_be_a_consecutive_range():
@@ -398,12 +395,12 @@ def test_batched_moment_table_equals_per_instance_tables():
     from uncrel.core import moment_table
     from uncrel.relations import instance_values
 
-    kets = np.array([random_pure_state(3, seed=s).amplitudes for s in range(40)])
+    kets = np.array([draw_state(3, s).amplitudes for s in range(40)])
     rhos = np.array([np.outer(k, k.conj()) * 0.6 + np.eye(3) * 0.4 / 3 for k in kets])
     mats = np.array([
-        [random_observable(3, seed=100 * s + i).matrix for i in range(4)] for s in range(40)
+        [draw_observable(3, 100 * s + i).matrix for i in range(4)] for s in range(40)
     ])
-    pauli_kets = np.array([random_pure_state(2, seed=s).amplitudes for s in range(40)])
+    pauli_kets = np.array([draw_state(2, s).amplitudes for s in range(40)])
     stack = np.array(o.PAULIS)
     cases = [(mats, kets), (mats, rhos), (stack[None], pauli_kets)]
     for batch_mats, states in cases:
@@ -420,9 +417,9 @@ def test_batched_moment_table_equals_per_instance_tables():
     # ndarray.sum adds a contiguous run of 8 or more values pairwise, so
     # this needs every sum over observables and pairs to add rows in order.
     # Any vectors serve as companions for the arithmetic tested here.
-    perps = np.array([random_pure_state(3, seed=1000 + s).amplitudes for s in range(40)])
+    perps = np.array([draw_state(3, 1000 + s).amplitudes for s in range(40)])
     mats = np.array([
-        [random_observable(3, seed=100 * s + i).matrix for i in range(6)] for s in range(40)
+        [draw_observable(3, 100 * s + i).matrix for i in range(6)] for s in range(40)
     ])
     batched = instance_values(mats, kets, perps)
     assert len(batched) == 7  # every relation but the three triple bounds
@@ -438,7 +435,7 @@ def test_batched_moment_table_equals_per_instance_tables():
 def test_batched_moment_table_raises_on_one_corrupt_instance():
     from uncrel.core import moment_table
 
-    kets = np.array([random_pure_state(2, seed=s).amplitudes for s in range(10)])
+    kets = np.array([draw_state(2, s).amplitudes for s in range(10)])
     stack = np.array(o.PAULIS)[None]
     moment_table(stack, kets)
     kets[7] *= 2.0  # a non-normalized vector: negative variance beyond round-off
@@ -460,12 +457,10 @@ def test_package_exports_the_public_api():
         "ConsistencyError",
         "ContractError",
         "DensityMatrix",
-        "DimensionError",
         "EstimateWithError",
         "MeasurementRecord",
         "Observable",
         "ObservableSet",
-        "OrthogonalityError",
         "PAIRWISE_RELATIONS",
         "PureState",
         "QuantumState",
@@ -476,10 +471,6 @@ def test_package_exports_the_public_api():
         "StokesVector",
         "SweepSpec",
         "SweepTable",
-        "UnsupportedCountError",
-        "UnsupportedDimensionError",
-        "UnsupportedRelationError",
-        "UnsupportedStateError",
         "VerificationSummary",
         "__version__",
         "bloch_to_state",
@@ -492,7 +483,6 @@ def test_package_exports_the_public_api():
         "evaluate_all",
         "maccone_pati_orthogonal",
         "moments_from_angles",
-        "orthogonal_qubit",
         "pauli",
         "pauli_triple",
         "random_observable",

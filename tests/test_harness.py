@@ -440,8 +440,8 @@ def test_emit_io_error_names_path(tmp_path):
 
 
 def test_emit_reports_with_skip_markers():
-    obs = ObservableSet(tuple(random_observable(2, seed=k) for k in range(4)))
-    results = evaluate_all(obs, random_pure_state(2, seed=1))
+    obs = ObservableSet(tuple(Observable(random_observable(2, k, range(1))[0]) for k in range(4)))
+    results = evaluate_all(obs, PureState(random_pure_state(2, 1, range(1))[0]))
     text = emit(results, "csv", None)
     reader = csv.DictReader(data_lines(text))
     by_status = {}
@@ -918,7 +918,8 @@ def _reports_one_by_one(trials, dims, counts, seed):
                 # Rebuilt from the raw stream words, not through the library.
                 ket, mats, companion = o.campaign_instance(seed, trial, dim, n)
                 psi = PureState(ket)
-                obs = ObservableSet(tuple(Observable(m) for m in mats))
+                members = tuple(Observable(m) for m in mats)
+                obs = ObservableSet(members)
                 reports = [
                     r for r in evaluate_all(obs, psi, include_pairwise=True)
                     if isinstance(r, BoundReport)
@@ -928,7 +929,7 @@ def _reports_one_by_one(trials, dims, counts, seed):
                     # canonical one, which exists only for qubits.
                     perp = PureState(companion)
                     mpo = [
-                        replace(maccone_pati_orthogonal(obs[i], obs[j], psi, perp), pair=(i, j))
+                        replace(maccone_pati_orthogonal(members[i], members[j], psi, perp), pair=(i, j))
                         for i, j in combinations(range(n), 2)
                     ]
                     at = [r.relation for r in reports].index(Relation.MACCONE_PATI_DEVIATION)
@@ -1050,11 +1051,12 @@ def test_min_slack_witnesses_replay_from_the_output_alone(tmp_path, args):
         psi, mats, perp = o.campaign_instance(summary["seed"], w["trial"], dim, n)
         if summary["use_paulis"]:
             mats = o.PAULIS
-        obs = ObservableSet(tuple(Observable(m) for m in mats))
+        members = tuple(Observable(m) for m in mats)
+        obs = ObservableSet(members)
         reports = evaluate_all(obs, PureState(psi), include_pairwise=not summary["use_paulis"])
         if dim > 2:
             reports += [
-                replace(maccone_pati_orthogonal(obs[i], obs[j], PureState(psi), PureState(perp)),
+                replace(maccone_pati_orthogonal(members[i], members[j], PureState(psi), PureState(perp)),
                         pair=(i, j))
                 for i, j in combinations(range(n), 2)
             ]

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 import _oracles as o
 from uncrel import (
     BlochAngles,
+    ContractError,
     Relation,
     SUM_FORM_RELATIONS,
     StokesVector,
-    UnsupportedRelationError,
     bloch_to_state,
     closed_form_bounds,
     evaluate_all,
@@ -78,9 +78,9 @@ def test_pauli_unknown_axis():
 
 def test_pauli_triple_order():
     triple = pauli_triple()
-    np.testing.assert_array_equal(triple[0].matrix, o.PX)
-    np.testing.assert_array_equal(triple[1].matrix, o.PY)
-    np.testing.assert_array_equal(triple[2].matrix, o.PZ)
+    np.testing.assert_array_equal(triple.stack, np.array(o.PAULIS))
+    for ob, matrix in zip(triple.observables, o.PAULIS, strict=True):
+        np.testing.assert_array_equal(ob.matrix, matrix)
 
 
 # -- Bloch angles and states --------------------------------------------------
@@ -226,7 +226,7 @@ def test_closed_form_center_pair_bound():
 
 def test_closed_form_rejects_pairwise_relation():
     m = moments_from_angles(1.0, 2.0)
-    with pytest.raises(UnsupportedRelationError):
+    with pytest.raises(ContractError, match=r"no closed form for \['robertson'\]"):
         rhs(m, Relation.ROBERTSON)
 
 

@@ -7,23 +7,22 @@ from hypothesis import strategies as st
 
 import _oracles as o
 from uncrel import (
+    ContractError,
     DensityMatrix,
     Observable,
     ObservableSet,
-    OrthogonalityError,
     PureState,
     Relation,
     SkippedRelation,
-    UnsupportedCountError,
-    UnsupportedStateError,
     evaluate_all,
     maccone_pati_orthogonal,
-    orthogonal_qubit,
     pauli,
     pauli_triple,
     random_observable,
     random_pure_state,
 )
+from uncrel.core import qubit_companions
+from uncrel.relations import instance_values
 
 SX, SY, SZ = pauli("x"), pauli("y"), pauli("z")
 KET0 = PureState(o.KET0)
@@ -34,7 +33,9 @@ MIXED = DensityMatrix(np.eye(2) / 2.0)
 
 def report(relation, observables, state):
     """The report of one sum-form relation, as evaluate_all gives it."""
-    reports = evaluate_all(ObservableSet(tuple(observables)), state)
+    if not isinstance(observables, ObservableSet):
+        observables = ObservableSet(tuple(observables))
+    reports = evaluate_all(observables, state)
     return next(r for r in reports if r.relation is relation)
 
 
@@ -44,11 +45,25 @@ def pair_report(relation, a, b, state):
     return next(r for r in reports if r.relation is relation)
 
 
+def draw_state(dim, seed):
+    """Trial 0 of the stream keyed by ``seed``, as a validated state."""
+    return PureState(random_pure_state(dim, seed, range(1))[0])
+
+
+def draw_observable(dim, seed):
+    """Trial 0 of the stream keyed by ``seed``, as a validated observable."""
+    return Observable(random_observable(dim, seed, range(1))[0])
+
+
+def canonical_companion(psi):
+    return PureState(qubit_companions(psi.amplitudes))
+
+
 def random_instance(dim, n, seed):
     obs = ObservableSet(
-        tuple(random_observable(dim, seed=1000 * seed + k) for k in range(n))
+        tuple(draw_observable(dim, 1000 * seed + k) for k in range(n))
     )
-    return obs, random_pure_state(dim, seed=seed)
+    return obs, draw_state(dim, seed)
 
 
 # -- report bookkeeping -------------------------------------------------------
@@ -71,13 +86,13 @@ def test_relation_labels():
 
 
 def test_observable_set_contracts():
-    with pytest.raises(UnsupportedCountError):
+    with pytest.raises(ContractError, match="at least 2 members, got 1"):
         ObservableSet((SX,))
-    with pytest.raises(Exception, match="mixed dimensions"):
-        ObservableSet((SX, random_observable(3, seed=0)))
+    with pytest.raises(ContractError, match="mixed dimensions"):
+        ObservableSet((SX, draw_observable(3, 0)))
     triple = pauli_triple()
-    assert triple.count == 3 and len(triple) == 3
-    assert triple[2].matrix[0, 0] == 1.0
+    assert triple.count == 3 and len(triple.observables) == 3
+    assert triple.observables[2].matrix[0, 0] == 1.0
 
 
 # -- product bound ------------------------------------------------------------
@@ -103,9 +118,9 @@ def test_robertson_trivial_on_equator():
 
 def test_robertson_matches_oracle_on_random_instances():
     for seed in range(20):
-        a = random_observable(3, seed=seed)
-        b = random_observable(3, seed=500 + seed)
-        psi = random_pure_state(3, seed=seed)
+        a = draw_observable(3, seed)
+        b = draw_observable(3, 500 + seed)
+        psi = draw_state(3, seed)
         rep = pair_report(Relation.ROBERTSON, a, b, psi)
         assert rep.rhs == pytest.approx(
             o.robertson_rhs(a.matrix, b.matrix, psi.amplitudes), abs=1e-12
@@ -130,27 +145,35 @@ def test_orthogonal_bound_zero_commutator_tie_break():
 
 def test_orthogonal_bound_inequality_on_equator():
     state = EQUATOR_X
-    rep = maccone_pati_orthogonal(SX, SY, state, orthogonal_qubit(state))
+    rep = maccone_pati_orthogonal(SX, SY, state, canonical_companion(state))
     assert rep.lhs == pytest.approx(1.0, abs=1e-12)
     assert rep.rhs <= 1.0 + 1e-9
 
 
 def test_orthogonal_bound_rejects_non_orthogonal():
-    with pytest.raises(OrthogonalityError):
+    with pytest.raises(ContractError, match="psi_perp has overlap 1.0 with psi"):
         maccone_pati_orthogonal(SX, SY, KET0, KET0)
 
 
 def test_orthogonal_bound_rejects_mixed():
-    with pytest.raises(UnsupportedStateError):
+    with pytest.raises(ContractError, match="defined for pure states only"):
         maccone_pati_orthogonal(SX, SY, MIXED, KET1)
+
+
+def test_orthogonal_bound_rejects_companion_of_another_dimension():
+    qutrit = PureState(np.array([0.0, 1.0, 0.0]))
+    with pytest.raises(ContractError, match=r"dimension mismatch: \(2, 3\)"):
+        maccone_pati_orthogonal(SX, SY, KET0, qutrit)
+    with pytest.raises(TypeError, match="psi_perp must be a PureState"):
+        maccone_pati_orthogonal(SX, SY, KET0, o.KET1)
 
 
 def test_orthogonal_bound_matches_oracle():
     for seed in range(30):
-        a = random_observable(2, seed=seed)
-        b = random_observable(2, seed=700 + seed)
-        psi = random_pure_state(2, seed=seed)
-        perp = orthogonal_qubit(psi)
+        a = draw_observable(2, seed)
+        b = draw_observable(2, 700 + seed)
+        psi = draw_state(2, seed)
+        perp = canonical_companion(psi)
         rep = maccone_pati_orthogonal(a, b, psi, perp)
         assert rep.rhs == pytest.approx(
             o.mp_orthogonal_rhs(a.matrix, b.matrix, psi.amplitudes, perp.amplitudes),
@@ -181,9 +204,9 @@ def test_deviation_bound_dual_path():
 
 def test_deviation_bound_dual_path_random():
     for seed in range(30):
-        a = random_observable(2, seed=seed)
-        b = random_observable(2, seed=900 + seed)
-        psi = random_pure_state(2, seed=seed)
+        a = draw_observable(2, seed)
+        b = draw_observable(2, 900 + seed)
+        psi = draw_state(2, seed)
         rep = pair_report(Relation.MACCONE_PATI_DEVIATION, a, b, psi)
         assert rep.rhs == pytest.approx(
             o.mp_deviation_rhs(a.matrix, b.matrix, psi.amplitudes), abs=1e-10
@@ -218,7 +241,7 @@ def test_triple_commutator_commuting_diagonals():
     d1 = Observable(np.diag([1.0, 2.0]))
     d2 = Observable(np.diag([-1.0, 3.0]))
     d3 = Observable(np.diag([0.5, 0.5]))
-    psi = random_pure_state(2, seed=4)
+    psi = draw_state(2, 4)
     assert report(Relation.TRIPLE_COMMUTATOR, (d1, d2, d3), psi).rhs == 0.0
 
 
@@ -250,10 +273,10 @@ def test_triple_pairwise_maximally_mixed():
 def test_triple_pairwise_chain():
     # lhs >= mid >= rhs links through the pairwise deviation products.
     for seed in range(20):
-        a = random_observable(2, seed=seed)
-        b = random_observable(2, seed=300 + seed)
-        c = random_observable(2, seed=600 + seed)
-        psi = random_pure_state(2, seed=seed)
+        a = draw_observable(2, seed)
+        b = draw_observable(2, 300 + seed)
+        c = draw_observable(2, 600 + seed)
+        psi = draw_state(2, seed)
         rep = report(Relation.TRIPLE_PAIRWISE, (a, b, c), psi)
         assert rep.lhs >= rep.mid - 1e-10
         assert rep.mid >= rep.rhs - 1e-10
@@ -284,7 +307,7 @@ def test_sum_minus_at_pole():
 
 
 def test_sum_minus_identical_pair():
-    rep = report(Relation.SUM_MINUS, ObservableSet((SX, SX)), random_pure_state(2, seed=9))
+    rep = report(Relation.SUM_MINUS, ObservableSet((SX, SX)), draw_state(2, 9))
     assert rep.rhs == pytest.approx(0.0, abs=1e-12)
 
 
@@ -333,7 +356,7 @@ def test_nary_bounds_match_oracle_random():
     for seed in range(12):
         for n in (3, 4, 5):
             obs, psi = random_instance(dim=2, n=n, seed=10 * seed + n)
-            mats = [ob.matrix for ob in obs]
+            mats = [ob.matrix for ob in obs.observables]
             v = psi.amplitudes
             for rel, oracle in (
                 (Relation.SUM_PLUS, o.sum_plus_rhs),
@@ -425,6 +448,27 @@ def test_evaluate_all_pairwise_reports():
     assert all(rep.holds for rep in pairs)
 
 
+def test_evaluate_all_orthogonal_form_is_the_campaign_step_on_qubits():
+    """On qubits the orthogonal-state reports carry the bits of
+    ``instance_values`` with the canonical companions, as a campaign block
+    computes them, and of ``maccone_pati_orthogonal`` with that companion."""
+    cases = [random_instance(dim=2, n=n, seed=seed) for seed in range(10) for n in (2, 3, 4)]
+    cases.append((pauli_triple(), KET0))  # a companion with exact zeros
+    for obs, psi in cases:
+        n, ket = obs.count, psi.amplitudes
+        lhs, rhs = instance_values(obs.stack, ket, qubit_companions(ket))[
+            Relation.MACCONE_PATI_ORTHOGONAL]
+        got = [r for r in evaluate_all(obs, psi, include_pairwise=True)
+               if r.relation is Relation.MACCONE_PATI_ORTHOGONAL]
+        assert [r.pair for r in got] == [(i, j) for i in range(n) for j in range(i + 1, n)]
+        assert [(r.lhs, r.rhs) for r in got] == list(zip(lhs.tolist(), rhs.tolist()))
+        for r in got:
+            i, j = r.pair
+            alone = maccone_pati_orthogonal(obs.observables[i], obs.observables[j], psi,
+                                            canonical_companion(psi))
+            assert (alone.lhs, alone.rhs) == (r.lhs, r.rhs)
+
+
 def test_evaluate_all_pairwise_skips_on_mixed_state():
     results = evaluate_all(pauli_triple(), MIXED, include_pairwise=True)
     skipped = {r.relation for r in results if isinstance(r, SkippedRelation)}
@@ -454,7 +498,7 @@ def test_commutator_ratio_between_triple_bounds():
     # The two commutator-driven triple bounds scale the same sum, so their
     # ratio is fixed at 2/sqrt(3) whenever the smaller one is nonzero.
     for seed in range(25):
-        psi = random_pure_state(2, seed=seed)
+        psi = draw_state(2, seed)
         t2 = report(Relation.TRIPLE_COMMUTATOR, (SX, SY, SZ), psi)
         t3 = report(Relation.TRIPLE_PAIRWISE, (SX, SY, SZ), psi)
         if t3.rhs > 1e-12:
@@ -476,7 +520,8 @@ def test_rescaled_observables_scale_every_relation(seed, dim, n, k):
     factor = 10.0**k
     unit = evaluate_all(obs, psi, include_pairwise=True)
     scaled = evaluate_all(
-        ObservableSet(tuple(Observable(ob.matrix * factor) for ob in obs)), psi, include_pairwise=True
+        ObservableSet(tuple(Observable(ob.matrix * factor) for ob in obs.observables)), psi,
+        include_pairwise=True,
     )
     assert [type(r) for r in scaled] == [type(r) for r in unit]
     for a, b in zip(unit, scaled):
@@ -526,7 +571,7 @@ def test_joint_unitary_leaves_every_relation_unchanged(seed, dim, n, mixed):
     # traces of their products, which a joint change of basis preserves.
     obs, psi = random_instance(dim, n, seed)
     u = _random_unitary(dim, seed + 1)
-    rotated = ObservableSet(tuple(Observable(u @ ob.matrix @ u.conj().T) for ob in obs))
+    rotated = ObservableSet(tuple(Observable(u @ ob.matrix @ u.conj().T) for ob in obs.observables))
     if mixed:
         rho = _random_density(dim, seed + 2)
         state, turned = DensityMatrix(rho), DensityMatrix(u @ rho @ u.conj().T)
@@ -550,5 +595,5 @@ def test_permuting_observables_leaves_sum_form_bounds_unchanged(seed, dim, n, mi
     obs, psi = random_instance(dim, n, seed)
     state = DensityMatrix(_random_density(dim, seed + 2)) if mixed else psi
     order = np.random.default_rng(seed + 3).permutation(n)
-    permuted = ObservableSet(tuple(obs[int(k)] for k in order))
+    permuted = ObservableSet(tuple(obs.observables[int(k)] for k in order))
     _assert_same_reports(evaluate_all(obs, state), evaluate_all(permuted, state))

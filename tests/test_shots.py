@@ -6,7 +6,7 @@ import pytest
 import _oracles as o
 from uncrel import (
     BlochAngles,
-    DimensionError,
+    ContractError,
     EstimateWithError,
     MeasurementRecord,
     PureState,
@@ -83,8 +83,9 @@ def test_simulate_counts_deterministic():
 
 
 def test_simulate_counts_rejects_qutrits():
-    with pytest.raises(DimensionError):
-        simulate_counts(random_pure_state(3, seed=1), ShotPlan())
+    qutrit = PureState(random_pure_state(3, 1, range(1))[0])
+    with pytest.raises(ContractError, match="shot simulation is for qubits, got dim 3"):
+        simulate_counts(qutrit, ShotPlan())
 
 
 def test_simulate_counts_basis_streams_are_independent():
@@ -134,7 +135,7 @@ def test_moment_consistency_at_large_shots():
     failures = 0
     checks = 0
     for trial in range(300):
-        state = random_pure_state(2, seed=trial)
+        state = PureState(random_pure_state(2, trial, range(1))[0])
         plan = ShotPlan(shots_per_basis=1_000_000, seed=derive_seed(123, trial))
         means, _, _ = moment_table(pauli_triple().stack, state.amplitudes)
         for record in simulate_counts(state, plan):
@@ -190,11 +191,12 @@ def test_bootstrap_requires_minimum_resamples():
 def test_bootstrap_point_values_are_plug_in():
     records = exact_records(1000, 0.5, 0.0, 0.8)
     _, exact = closed_form_bounds(0.5, 0.0, 0.8)
-    estimates = bootstrap_bounds(records, resamples=200, seed=1)
+    lhs_est, estimates = bootstrap_bounds(records, resamples=200, seed=1)
+    assert lhs_est.value == pytest.approx(3.0 - (0.5**2 + 0.8**2), abs=1e-12)
+    assert list(estimates) == list(SUM_FORM_RELATIONS)
     for rel in SUM_FORM_RELATIONS:
-        lhs_est, rhs_est = estimates[rel]
+        rhs_est = estimates[rel]
         assert rhs_est.value == pytest.approx(exact[rel], abs=1e-12)
-        assert lhs_est.value == pytest.approx(3.0 - (0.5**2 + 0.8**2), abs=1e-12)
         assert rhs_est.std_error > 0.0
 
 
@@ -202,33 +204,34 @@ def test_bootstrap_point_independent_of_resamples():
     records = exact_records(2400, 0.3, -0.2, 0.7)
     first = bootstrap_bounds(records, resamples=200, seed=9)
     second = bootstrap_bounds(records, resamples=400, seed=9)
+    assert first[0].value == second[0].value
     for rel in SUM_FORM_RELATIONS:
-        assert first[rel][1].value == second[rel][1].value
-        assert first[rel][0].value == second[rel][0].value
+        assert first[1][rel].value == second[1][rel].value
 
 
 def test_bootstrap_deterministic_per_seed():
     records = exact_records(2400, 0.3, -0.2, 0.7)
     first = bootstrap_bounds(records, resamples=300, seed=4)
     second = bootstrap_bounds(records, resamples=300, seed=4)
+    assert first[0].std_error == second[0].std_error
     for rel in SUM_FORM_RELATIONS:
-        assert first[rel][1].std_error == second[rel][1].std_error
+        assert first[1][rel].std_error == second[1][rel].std_error
 
 
 def test_bootstrap_error_bars_stable_across_seeds():
     records = exact_records(2400, 0.4, 0.1, 0.6)
-    first = bootstrap_bounds(records, resamples=1000, seed=100)
-    second = bootstrap_bounds(records, resamples=1000, seed=200)
+    _, first = bootstrap_bounds(records, resamples=1000, seed=100)
+    _, second = bootstrap_bounds(records, resamples=1000, seed=200)
     for rel in SUM_FORM_RELATIONS:
-        a = first[rel][1].std_error
-        b = second[rel][1].std_error
+        a = first[rel].std_error
+        b = second[rel].std_error
         assert abs(a - b) / max(a, b) < 0.15, rel.label
 
 
 def test_bootstrap_hits_exact_bound_at_large_shots():
     records = simulate_counts(KET0, ShotPlan(shots_per_basis=1_000_000, seed=3))
-    estimates = bootstrap_bounds(records, resamples=500, seed=3)
-    _, rhs_est = estimates[Relation.TRIPLE_COMMUTATOR]
+    _, estimates = bootstrap_bounds(records, resamples=500, seed=3)
+    rhs_est = estimates[Relation.TRIPLE_COMMUTATOR]
     assert abs(rhs_est.value - o.ANCHOR_T2) <= 3.0 * rhs_est.std_error
 
 
@@ -240,9 +243,9 @@ def test_statistical_violations_are_rare_at_ten_thousand_shots():
     for index, angles in enumerate(grid):
         plan = ShotPlan(shots_per_basis=10_000, seed=derive_seed(0, index))
         records = simulate_counts(bloch_to_state(angles), plan)
-        estimates = bootstrap_bounds(records, resamples=100, seed=index)
+        lhs_est, estimates = bootstrap_bounds(records, resamples=100, seed=index)
         for rel in SUM_FORM_RELATIONS:
-            lhs_est, rhs_est = estimates[rel]
+            rhs_est = estimates[rel]
             if lhs_est.value - rhs_est.value < 0.0:
                 negative[rel] += 1
     for rel, count in negative.items():

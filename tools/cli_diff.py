@@ -12,13 +12,16 @@ both see the same arguments.  The list (:func:`commands`) holds the
 512, 513 and 10,001 steps, as JSON to a file and as CSV to stdout, plus
 JSON sweeps with integral cells and columns of one value: exact phi sweeps
 at both poles, and shot sweeps at 1, 3 and 10 shots, where expectation
-estimates reach +-1.  The exit status is 0 when every command is identical
-on both roots, else 1.
+estimates reach +-1, plus refusals: ``verify`` with one observable or
+dimension 1, and ``bounds`` on inputs of the wrong dimensions or counts
+(:data:`REFUSALS`), whose input files it writes.  The exit status is 0
+when every command is identical on both roots, else 1.
 """
 from __future__ import annotations
 
 import argparse
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -40,6 +43,26 @@ SPECIAL_SWEEPS = {
                    "--seed", "6", "--resamples", "100"],
     "shots10-pole": ["--mode", "phi", "--fixed", "0", "--steps", "25", "--shots", "10",
                      "--resamples", "100"],
+}
+
+SX = [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]
+SZ = [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]
+QUTRIT_Z = [[[1, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [-1, 0]]]
+#: Commands refused with exit 1 and one error line: ``(argv, input files)``.
+REFUSALS = {
+    "verify-one-observable": (["verify", "--n-observables", "1"], {}),
+    "verify-dim-1": (["verify", "--dim", "1"], {}),
+    "bounds-qutrit-state-qubit-observables": (
+        ["bounds", "--state-file", "qutrit.json", "--observables-file", "qubits.json"],
+        {"qutrit.json": {"amplitudes": [[1, 0], [0, 0], [0, 0]]}, "qubits.json": [SX, SZ]}),
+    "bounds-one-observable": (
+        ["bounds", "--state-file", "qubit.json", "--observables-file", "one.json"],
+        {"qubit.json": {"amplitudes": [[1, 0], [0, 0]]}, "one.json": [SX]}),
+    "bounds-mixed-dimensions": (
+        ["bounds", "--state-file", "qubit.json", "--observables-file", "mixed.json"],
+        {"qubit.json": {"amplitudes": [[1, 0], [0, 0]]}, "mixed.json": [SX, QUTRIT_Z]}),
+    "bounds-density-1x1": (
+        ["bounds", "--state-file", "tiny.json"], {"tiny.json": {"density": [[[1, 0]]]}}),
 }
 
 
@@ -68,6 +91,10 @@ def commands(base: Path) -> list[tuple[str, list[str]]]:
         listed.append((f"exact-{steps}-csv", [*sweep, "--format", "csv"]))
     for name, args in SPECIAL_SWEEPS.items():
         listed.append((f"{name}-json", ["sweep", *args, "--format", "json", "--out", f"{name}.json"]))
+    for name, (args, files) in REFUSALS.items():
+        for file_name, payload in files.items():
+            (base / file_name).write_text(json.dumps(payload))
+        listed.append((f"refuse-{name}", args))
     return listed
 
 
