@@ -79,7 +79,13 @@ def parse_angle(text: str) -> float:
             return float(cleaned[:-3])
         return float(cleaned)
     except ValueError:
-        raise ValueError(f"cannot parse angle {text!r}") from None
+        raise ValueError(f"cannot parse angle {_clip(repr(text))}") from None
+
+
+def _clip(text: str) -> str:
+    """``text``, or its first 60 characters and ``...``: an error line
+    echoes input without growing with it."""
+    return text if len(text) <= 60 else text[:60] + "..."
 
 
 def _nonneg_int(text: str) -> int:
@@ -296,7 +302,7 @@ def _complex_entries(data, what: str) -> np.ndarray:
         if isinstance(item, list):
             nested += item
         elif isinstance(item, bool) or not isinstance(item, (int, float)):
-            raise ValueError(f"{what} must be nested lists of numbers, got {json.dumps(item)}")
+            raise ValueError(f"{what} must be nested lists of numbers, got {_clip(json.dumps(item))}")
     try:
         arr = np.asarray(data, dtype=float)
     except (TypeError, ValueError, OverflowError):
@@ -338,7 +344,7 @@ def _number(value) -> float:
     # The bound also refuses NaN, infinities and ints too large for a float.
     finite = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
     if isinstance(value, bool) or not finite:
-        raise ValueError(f"expected a finite number, got {value!r}")
+        raise ValueError(f"expected a finite number, got {_clip(repr(value))}")
     return float(value)
 
 

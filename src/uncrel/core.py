@@ -9,7 +9,6 @@ a whole batch at once.  All functions are pure.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -59,8 +58,22 @@ def _as_square_complex(values, what: str) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True, eq=False)
-class Observable:
+class _Frozen:
+    """Base of the immutable value types.  ``__init__`` assigns each field
+    once; assigning or deleting a field afterwards raises ``AttributeError``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        if hasattr(self, name):
+            raise AttributeError(f"cannot assign to field {name!r}")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Observable(_Frozen):
     """A Hermitian matrix of finite entries on a d-dimensional system, d >= 2.
 
     The stored array is a read-only copy of the input; Hermiticity is
@@ -69,17 +82,17 @@ class Observable:
     original is.
     """
 
-    matrix: np.ndarray
+    __slots__ = ("matrix",)
 
-    def __post_init__(self) -> None:
-        m = _as_square_complex(self.matrix, "observable")
+    def __init__(self, matrix: np.ndarray) -> None:
+        m = _as_square_complex(matrix, "observable")
         if not _is_hermitian(m, max(1.0, float(np.abs(m).max()))):
             raise ValueError(
                 "observable matrix is not Hermitian within 1e-12 times max(1, largest |entry|)"
             )
         m = m.copy()
         m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+        self.matrix = m
 
     @property
     def dim(self) -> int:
@@ -89,17 +102,16 @@ class Observable:
         return f"Observable(dim={self.dim})"
 
 
-@dataclass(frozen=True, eq=False)
-class PureState:
+class PureState(_Frozen):
     """A normalized state vector of finite amplitudes.
 
     Invariant: the squared amplitudes sum to 1 within ``NORMALIZATION_ATOL``.
     """
 
-    amplitudes: np.ndarray
+    __slots__ = ("amplitudes",)
 
-    def __post_init__(self) -> None:
-        v = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
+    def __init__(self, amplitudes: np.ndarray) -> None:
+        v = np.asarray(amplitudes, dtype=complex).reshape(-1)
         if v.size < 2:
             raise ContractError(
                 f"state vector must have dimension >= 2, got {v.size}"
@@ -113,7 +125,7 @@ class PureState:
             )
         v = v.copy()
         v.flags.writeable = False
-        object.__setattr__(self, "amplitudes", v)
+        self.amplitudes = v
 
     @property
     def dim(self) -> int:
@@ -123,8 +135,7 @@ class PureState:
         return f"PureState(dim={self.dim})"
 
 
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
+class DensityMatrix(_Frozen):
     """A mixed state: finite, Hermitian, unit trace, positive semidefinite.
 
     Positivity is checked through the eigenvalue spectrum; the smallest
@@ -132,10 +143,10 @@ class DensityMatrix:
     round-off from reconstructed matrices.
     """
 
-    matrix: np.ndarray
+    __slots__ = ("matrix",)
 
-    def __post_init__(self) -> None:
-        m = _as_square_complex(self.matrix, "density matrix")
+    def __init__(self, matrix: np.ndarray) -> None:
+        m = _as_square_complex(matrix, "density matrix")
         if not _is_hermitian(m):
             raise ValueError("density matrix is not Hermitian within 1e-12")
         trace = complex(np.trace(m))
@@ -148,7 +159,7 @@ class DensityMatrix:
             )
         m = m.copy()
         m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+        self.matrix = m
 
     @property
     def dim(self) -> int:

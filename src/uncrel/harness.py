@@ -21,13 +21,18 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
 from itertools import combinations
 
 import numpy as np
 
 from ._version import __version__
-from .core import orthogonal_companions, qubit_companions, random_observable, random_pure_state
+from .core import (
+    _Frozen,
+    orthogonal_companions,
+    qubit_companions,
+    random_observable,
+    random_pure_state,
+)
 from .errors import ContractError
 from .qubit import (
     _PAULI_STACK,
@@ -63,8 +68,7 @@ _MAX_EXAMPLES = 3
 _TOTAL_SUM_NOTE = "total_sum_bound_not_dominant"
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(_Frozen):
     """A one-parameter sweep over Bloch angles.
 
     ``mode`` selects which angle varies: "theta" walks the polar angle over
@@ -75,31 +79,29 @@ class SweepSpec:
     otherwise it evaluates the closed forms exactly.
     """
 
-    mode: str
-    fixed_angle: float
-    steps: int
-    relations: tuple[Relation, ...] = SUM_FORM_RELATIONS
-    shots: ShotPlan | None = None
+    __slots__ = ("mode", "fixed_angle", "steps", "relations", "shots")
 
-    def __post_init__(self) -> None:
-        if self.mode not in ("theta", "phi"):
-            raise ValueError(f"mode must be 'theta' or 'phi', got {self.mode!r}")
-        if self.steps < 2:
-            raise ValueError(f"steps must be >= 2, got {self.steps}")
-        fixed_max = _TWO_PI if self.mode == "theta" else math.pi
-        if not -1e-12 <= self.fixed_angle <= fixed_max + 1e-12:
+    def __init__(self, mode: str, fixed_angle: float, steps: int,
+                 relations: tuple[Relation, ...] = SUM_FORM_RELATIONS,
+                 shots: ShotPlan | None = None) -> None:
+        if mode not in ("theta", "phi"):
+            raise ValueError(f"mode must be 'theta' or 'phi', got {mode!r}")
+        if steps < 2:
+            raise ValueError(f"steps must be >= 2, got {steps}")
+        fixed_max = _TWO_PI if mode == "theta" else math.pi
+        if not -1e-12 <= fixed_angle <= fixed_max + 1e-12:
             raise ValueError(
-                f"fixed angle {self.fixed_angle!r} outside [0, {fixed_max!r}]"
+                f"fixed angle {fixed_angle!r} outside [0, {fixed_max!r}]"
             )
-        rels = tuple(self.relations)
+        rels = tuple(relations)
         if not rels:
             raise ValueError("at least one relation is required")
         _require_sum_form(rels)
         if len(set(rels)) != len(rels):
             raise ValueError("duplicate relations in sweep spec")
-        object.__setattr__(self, "relations", rels)
+        self.mode, self.steps, self.relations, self.shots = mode, steps, rels, shots
         # Clipped onto the closed interval, as BlochAngles clips it.
-        object.__setattr__(self, "fixed_angle", min(max(float(self.fixed_angle), 0.0), fixed_max))
+        self.fixed_angle = min(max(float(fixed_angle), 0.0), fixed_max)
 
     def grid(self) -> tuple[np.ndarray, np.ndarray]:
         """The ``(theta, phi)`` columns of the grid points, in sweep order."""
@@ -109,8 +111,7 @@ class SweepSpec:
         return fixed, np.linspace(0.0, _TWO_PI, self.steps)
 
 
-@dataclass(frozen=True)
-class SweepTable:
+class SweepTable(_Frozen):
     """A sweep as columns, one entry per grid point in sweep order.
 
     ``bounds`` maps each relation to its ``(rhs, rhs_err, holds)`` columns.
@@ -119,12 +120,13 @@ class SweepTable:
     about noisy point values, not a claimed violation of theory.
     """
 
-    theta: np.ndarray
-    phi: np.ndarray
-    lhs: np.ndarray
-    lhs_err: np.ndarray
-    bounds: dict[Relation, tuple[np.ndarray, np.ndarray, np.ndarray]]
-    estimated: bool
+    __slots__ = ("theta", "phi", "lhs", "lhs_err", "bounds", "estimated")
+
+    def __init__(self, theta: np.ndarray, phi: np.ndarray, lhs: np.ndarray, lhs_err: np.ndarray,
+                 bounds: dict[Relation, tuple[np.ndarray, np.ndarray, np.ndarray]],
+                 estimated: bool) -> None:
+        self.theta, self.phi, self.lhs, self.lhs_err = theta, phi, lhs, lhs_err
+        self.bounds, self.estimated = bounds, estimated
 
 
 def run_sweep(spec: SweepSpec, *, resamples: int = 1000) -> SweepTable:
@@ -152,7 +154,7 @@ def _simulated_columns(spec: SweepSpec, theta, phi, resamples: int) -> tuple:
     shot sweep, from one bootstrap per point."""
     points = []
     for index, angles in enumerate(zip(theta.tolist(), phi.tolist())):
-        plan = replace(spec.shots, seed=derive_seed(spec.shots.seed, index))
+        plan = ShotPlan(spec.shots.shots_per_basis, derive_seed(spec.shots.seed, index))
         records = simulate_counts(bloch_to_state(BlochAngles(*angles)), plan)
         child = derive_seed(spec.shots.seed, index, 1)
         lhs, rhs = bootstrap_bounds(records, spec.relations, resamples=resamples, seed=child)
@@ -163,7 +165,6 @@ def _simulated_columns(spec: SweepSpec, theta, phi, resamples: int) -> tuple:
 
 # -- randomized verification --------------------------------------------------
 
-@dataclass
 class RelationTally:
     """Aggregate outcome of one relation across a verification campaign.
 
@@ -171,17 +172,18 @@ class RelationTally:
     coordinates that produced the smallest slack seen for this relation.
     """
 
-    evaluated: int = 0
-    violations: int = 0
-    min_slack: float = math.inf
-    min_slack_witness: dict | None = None
+    __slots__ = ("evaluated", "violations", "min_slack", "min_slack_witness")
+
+    def __init__(self, evaluated: int = 0, violations: int = 0, min_slack: float = math.inf,
+                 min_slack_witness: dict | None = None) -> None:
+        self.evaluated, self.violations = evaluated, violations
+        self.min_slack, self.min_slack_witness = min_slack, min_slack_witness
 
     @property
     def held(self) -> int:
         return self.evaluated - self.violations
 
 
-@dataclass
 class VerificationSummary:
     """What a randomized campaign saw, with enough detail to reproduce.
 
@@ -195,16 +197,21 @@ class VerificationSummary:
     over to arbitrary observable sets.
     """
 
-    trials: int
-    dims: tuple[int, ...]
-    counts: tuple[int, ...]
-    seed: int
-    use_paulis: bool
-    total_instances: int = 0
-    tallies: dict[Relation, RelationTally] = field(default_factory=dict)
-    violation_witnesses: list[dict] = field(default_factory=list)
-    ratio_max_error: float = 0.0
-    notes: dict = field(default_factory=dict)
+    __slots__ = ("trials", "dims", "counts", "seed", "use_paulis", "total_instances", "tallies",
+                 "violation_witnesses", "ratio_max_error", "notes")
+
+    def __init__(self, trials: int, dims: tuple[int, ...], counts: tuple[int, ...], seed: int,
+                 use_paulis: bool, total_instances: int = 0,
+                 tallies: dict[Relation, RelationTally] | None = None,
+                 violation_witnesses: list[dict] | None = None, ratio_max_error: float = 0.0,
+                 notes: dict | None = None) -> None:
+        self.trials, self.dims, self.counts, self.seed = trials, dims, counts, seed
+        self.use_paulis, self.total_instances = use_paulis, total_instances
+        # A new dict or list per summary where none is given.
+        self.tallies = {} if tallies is None else tallies
+        self.violation_witnesses = [] if violation_witnesses is None else violation_witnesses
+        self.ratio_max_error = ratio_max_error
+        self.notes = {} if notes is None else notes
 
     @property
     def has_violations(self) -> bool:

@@ -16,11 +16,10 @@ side at exactly 2 no matter where they sit on the Bloch sphere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DensityMatrix, Observable, PureState
+from .core import _Frozen, DensityMatrix, Observable, PureState
 from .errors import ContractError
 from .relations import ObservableSet, Relation, SUM_FORM_RELATIONS, bound_values
 
@@ -51,23 +50,20 @@ def pauli_triple() -> ObservableSet:
 _PAULI_STACK = pauli_triple().stack
 
 
-@dataclass(frozen=True)
-class BlochAngles:
+class BlochAngles(_Frozen):
     """Polar angle theta in [0, pi] and azimuth phi in [0, 2 pi], radians."""
 
-    theta: float
-    phi: float = 0.0
+    __slots__ = ("theta", "phi")
 
-    def __post_init__(self) -> None:
-        t, p = float(self.theta), float(self.phi)
+    def __init__(self, theta: float, phi: float = 0.0) -> None:
+        t, p = float(theta), float(phi)
         # Accept 1e-12 of slop at the ends so grid arithmetic cannot trip
         # the check, then clip onto the closed interval.
         if not -1e-12 <= t <= math.pi + 1e-12:
             raise ValueError(f"theta must be in [0, pi], got {t!r}")
         if not -1e-12 <= p <= 2.0 * math.pi + 1e-12:
             raise ValueError(f"phi must be in [0, 2 pi], got {p!r}")
-        object.__setattr__(self, "theta", min(max(t, 0.0), math.pi))
-        object.__setattr__(self, "phi", min(max(p, 0.0), 2.0 * math.pi))
+        self.theta, self.phi = min(max(t, 0.0), math.pi), min(max(p, 0.0), 2.0 * math.pi)
 
 
 def bloch_to_state(angles: BlochAngles) -> PureState:
@@ -137,8 +133,7 @@ def closed_form_bounds(ex, ey, ez, relations=SUM_FORM_RELATIONS):
     return lhs, dict(zip(relations, rhs))
 
 
-@dataclass(frozen=True)
-class StokesVector:
+class StokesVector(_Frozen):
     """Light-polarization Stokes parameters ``(s0, s1, s2, s3)``.
 
     ``s0`` is the total intensity and must be positive; the polarized part
@@ -147,20 +142,16 @@ class StokesVector:
     intensity scale is accepted.
     """
 
-    s0: float
-    s1: float
-    s2: float
-    s3: float
+    __slots__ = ("s0", "s1", "s2", "s3")
 
-    def __post_init__(self) -> None:
-        if not self.s0 > 0.0:
-            raise ValueError(f"s0 must be positive, got {self.s0!r}")
+    def __init__(self, s0: float, s1: float, s2: float, s3: float) -> None:
+        if not s0 > 0.0:
+            raise ValueError(f"s0 must be positive, got {s0!r}")
         # Products, not **, which raises OverflowError on huge values.
-        polarized = self.s1 * self.s1 + self.s2 * self.s2 + self.s3 * self.s3
-        if polarized > self.s0 * self.s0 * (1.0 + 1e-9):
-            raise ValueError(
-                f"polarized intensity {polarized!r} exceeds s0^2 = {self.s0 * self.s0!r}"
-            )
+        polarized = s1 * s1 + s2 * s2 + s3 * s3
+        if polarized > s0 * s0 * (1.0 + 1e-9):
+            raise ValueError(f"polarized intensity {polarized!r} exceeds s0^2 = {s0 * s0!r}")
+        self.s0, self.s1, self.s2, self.s3 = s0, s1, s2, s3
 
 
 def stokes_to_density(stokes: StokesVector) -> DensityMatrix:

@@ -24,7 +24,6 @@ index order, so a value has the same bits alone or in any batch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum, unique
 from functools import lru_cache
 from itertools import combinations, repeat
@@ -32,7 +31,7 @@ from itertools import combinations, repeat
 import numpy as np
 
 from . import core
-from .core import _add_rows, DensityMatrix, Observable, PureState, QuantumState
+from .core import _add_rows, _Frozen, DensityMatrix, Observable, PureState, QuantumState
 from .errors import ContractError
 
 # A report may undershoot its bound by this much, times max(1, |lhs|),
@@ -104,8 +103,7 @@ PAIRWISE_RELATIONS = (
 RELATION_BY_LABEL = {r.label: r for r in Relation}
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(_Frozen):
     """One evaluated relation instance.
 
     ``slack = lhs - rhs``; ``holds`` follows :func:`holds`.  ``mid``
@@ -114,21 +112,21 @@ class BoundReport:
     for pairwise relations.
     """
 
-    relation: Relation
-    lhs: float
-    rhs: float
-    slack: float
-    holds: bool
-    mid: float | None = None
-    pair: tuple[int, int] | None = None
+    __slots__ = ("relation", "lhs", "rhs", "slack", "holds", "mid", "pair")
+
+    def __init__(self, relation: Relation, lhs: float, rhs: float, slack: float, holds: bool,
+                 mid: float | None = None, pair: tuple[int, int] | None = None) -> None:
+        self.relation, self.lhs, self.rhs, self.slack = relation, lhs, rhs, slack
+        self.holds, self.mid, self.pair = holds, mid, pair
 
 
-@dataclass(frozen=True)
-class SkippedRelation:
+class SkippedRelation(_Frozen):
     """Marker for a relation that does not apply to the given inputs."""
 
-    relation: Relation
-    reason: str
+    __slots__ = ("relation", "reason")
+
+    def __init__(self, relation: Relation, reason: str) -> None:
+        self.relation, self.reason = relation, reason
 
 
 def holds(lhs, rhs):
@@ -152,18 +150,16 @@ def _reports(relations, lhs, rhs, mids, pairs) -> list[BoundReport]:
     ]
 
 
-@dataclass(frozen=True, eq=False)
-class ObservableSet:
+class ObservableSet(_Frozen):
     """An ordered collection of two or more same-dimension observables.
 
     ``stack`` holds their matrices as one ``(n, d, d)`` array, built once.
     """
 
-    observables: tuple[Observable, ...]
-    stack: np.ndarray = field(init=False, repr=False)
+    __slots__ = ("observables", "stack")
 
-    def __post_init__(self) -> None:
-        obs = tuple(self.observables)
+    def __init__(self, observables: tuple[Observable, ...]) -> None:
+        obs = tuple(observables)
         if len(obs) < 2:
             raise ContractError(
                 f"an observable set needs at least 2 members, got {len(obs)}"
@@ -175,8 +171,7 @@ class ObservableSet:
             raise ContractError(f"observables have mixed dimensions: {sorted(dims)}")
         stack = np.stack([o.matrix for o in obs])
         stack.flags.writeable = False
-        object.__setattr__(self, "observables", obs)
-        object.__setattr__(self, "stack", stack)
+        self.observables, self.stack = obs, stack
 
     @property
     def dim(self) -> int:

@@ -12,13 +12,12 @@ child stream, keyed by its index in the Pauli axis order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError
 from .qubit import _PAULI_STACK, PAULI_AXES, closed_form_bounds
-from .core import QuantumState, moment_table, state_array
+from .core import _Frozen, QuantumState, moment_table, state_array
 from .relations import Relation, SUM_FORM_RELATIONS
 
 #: Counting-run length used when a plan does not say otherwise.
@@ -40,56 +39,50 @@ def derive_seed(seed: int, *path: int) -> int:
     return int(np.random.SeedSequence(entropy).generate_state(1)[0])
 
 
-@dataclass(frozen=True)
-class ShotPlan:
+class ShotPlan(_Frozen):
     """How to run a simulated counting session in the three Pauli bases.
 
     The same plan always reproduces the same counts.
     """
 
-    shots_per_basis: int = DEFAULT_SHOTS_PER_BASIS
-    seed: int = 0
+    __slots__ = ("shots_per_basis", "seed")
 
-    def __post_init__(self) -> None:
-        if not 1 <= int(self.shots_per_basis) <= _MAX_SHOTS:
-            raise ValueError(f"shots_per_basis must be in [1, {_MAX_SHOTS}], got {self.shots_per_basis}")
-        if int(self.seed) < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-        object.__setattr__(self, "shots_per_basis", int(self.shots_per_basis))
-        object.__setattr__(self, "seed", int(self.seed))
+    def __init__(self, shots_per_basis: int = DEFAULT_SHOTS_PER_BASIS, seed: int = 0) -> None:
+        if not 1 <= int(shots_per_basis) <= _MAX_SHOTS:
+            raise ValueError(f"shots_per_basis must be in [1, {_MAX_SHOTS}], got {shots_per_basis}")
+        if int(seed) < 0:
+            raise ValueError(f"seed must be non-negative, got {seed}")
+        self.shots_per_basis, self.seed = int(shots_per_basis), int(seed)
 
 
-@dataclass(frozen=True)
-class MeasurementRecord:
+class MeasurementRecord(_Frozen):
     """Outcome counts of one basis: ``n_plus`` ups and ``n_minus`` downs."""
 
-    basis: str
-    n_plus: int
-    n_minus: int
+    __slots__ = ("basis", "n_plus", "n_minus")
 
-    def __post_init__(self) -> None:
-        if self.basis not in PAULI_AXES:
-            raise ValueError(f"unknown basis {self.basis!r}")
-        if self.n_plus < 0 or self.n_minus < 0:
+    def __init__(self, basis: str, n_plus: int, n_minus: int) -> None:
+        if basis not in PAULI_AXES:
+            raise ValueError(f"unknown basis {basis!r}")
+        if n_plus < 0 or n_minus < 0:
             raise ValueError("outcome counts cannot be negative")
-        if self.total < 1:
+        if n_plus + n_minus < 1:
             raise ValueError("a record needs at least one shot")
+        self.basis, self.n_plus, self.n_minus = basis, n_plus, n_minus
 
     @property
     def total(self) -> int:
         return self.n_plus + self.n_minus
 
 
-@dataclass(frozen=True)
-class EstimateWithError:
+class EstimateWithError(_Frozen):
     """A point value and its one-standard-deviation error bar."""
 
-    value: float
-    std_error: float
+    __slots__ = ("value", "std_error")
 
-    def __post_init__(self) -> None:
-        if self.std_error < 0.0:
-            raise ValueError(f"std_error must be >= 0, got {self.std_error!r}")
+    def __init__(self, value: float, std_error: float) -> None:
+        if std_error < 0.0:
+            raise ValueError(f"std_error must be >= 0, got {std_error!r}")
+        self.value, self.std_error = value, std_error
 
 
 def simulate_counts(state: QuantumState, plan: ShotPlan) -> list[MeasurementRecord]:

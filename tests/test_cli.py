@@ -1,4 +1,5 @@
-"""The process entry point ``uncrel.cli.run`` against ``main``.
+"""The process entry point ``uncrel.cli.run`` against ``main``, what a
+process imports at start-up, and the error lines of refused input files.
 
 The subprocess tests drop ``PYTHONUNBUFFERED`` from the child's
 environment, so stdout is block-buffered as in an ordinary shell and a
@@ -115,6 +116,44 @@ def test_json_nested_beyond_the_recursion_limit_exits_1_with_one_line(deep, tmp_
     done = run_cli(args)
     assert (done.returncode, done.stdout) == (1, b"")
     assert done.stderr.decode().splitlines() == [f"uncrel: error: {path} nests JSON too deeply to read"]
+
+
+@pytest.mark.parametrize("case", ["deep-stokes", "wide-leaf", "long-angle"])
+def test_echoed_input_is_clipped_to_one_short_line(case, tmp_path):
+    """A stokes entry 900 lists deep, a leaf object of 10,000 keys and an
+    angle string of 10,000 characters are echoed by their first 60
+    characters."""
+    if case == "deep-stokes":
+        text = '{"stokes": [' + "[" * 900 + "]" * 900 + ", 0, 0, 0]}"
+        reason = "expected a finite number, got " + "[" * 60 + "..."
+    elif case == "wide-leaf":
+        leaf = {f"k{i}": 0 for i in range(10_000)}
+        text = json.dumps({"amplitudes": [[leaf, 0.0], [0.0, 0.0]]})
+        reason = "amplitudes must be nested lists of numbers, got " + json.dumps(leaf)[:60] + "..."
+    else:
+        text = json.dumps({"bloch": {"theta": "x" * 10_000}})
+        reason = "cannot parse angle '" + "x" * 59 + "..."
+    path = tmp_path / "state.json"
+    path.write_text(text)
+    done = run_cli(["bounds", "--state-file", str(path)])
+    assert (done.returncode, done.stdout) == (1, b"")
+    lines = done.stderr.decode().splitlines()
+    assert lines == [f"uncrel: error: {reason}"] and len(lines[0]) < 200
+
+
+def test_import_runs_no_dataclass_code_generation():
+    """Start-up loads no ``dataclasses``: no class of uncrel is built by it."""
+    child = (
+        "import sys, uncrel.cli\n"
+        "loaded = 'dataclasses' in sys.modules\n"
+        "modules = [m for name, m in sys.modules.items() if name.split('.')[0] == 'uncrel']\n"
+        "built = sorted(f'{m.__name__}.{name}' for m in modules for name, v in vars(m).items()\n"
+        "               if isinstance(v, type) and hasattr(v, '__dataclass_fields__'))\n"
+        "print(loaded, built)\n"
+    )
+    done = run_cli([], entry=("-c", child))
+    assert done.returncode == 0, done.stderr.decode()
+    assert done.stdout.decode() == "False []\n"
 
 
 def test_closed_stdout_exits_3_with_one_line():

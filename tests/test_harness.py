@@ -7,7 +7,6 @@ import math
 import tempfile
 import tracemalloc
 import warnings
-from dataclasses import replace
 from itertools import combinations, zip_longest
 from pathlib import Path
 
@@ -27,6 +26,7 @@ from uncrel import (
     SUM_FORM_RELATIONS,
     ShotPlan,
     SweepSpec,
+    SweepTable,
     emit,
     evaluate_all,
     maccone_pati_orthogonal,
@@ -58,6 +58,12 @@ def data_lines(text):
 def rhs_of(table, rel):
     """The rhs column of ``rel`` in a sweep table."""
     return table.bounds[rel][0]
+
+
+def with_pair(report, pair):
+    """``report`` with its ``pair`` set to ``pair``."""
+    return BoundReport(report.relation, report.lhs, report.rhs, report.slack, report.holds,
+                       report.mid, pair)
 
 
 # -- sweep specification ------------------------------------------------------
@@ -270,7 +276,8 @@ def test_sweep_json_is_what_the_standard_encoder_writes(spec, resamples):
     # re-encoding the parsed text, must give the same bytes.  A "%" and a
     # "0" in the metadata must not disturb the template.
     table = run_sweep(spec, resamples=resamples)
-    odd = replace(table, lhs=np.array([math.nan, math.inf, -math.inf, -0.0, 1e-300][:len(table.lhs)]))
+    odd_lhs = np.array([math.nan, math.inf, -math.inf, -0.0, 1e-300][:len(table.lhs)])
+    odd = SweepTable(table.theta, table.phi, odd_lhs, table.lhs_err, table.bounds, table.estimated)
     for data in (table, odd):
         text = emit(data, "json", None, metadata={"note": "100% of 0"})
         assert text == json.dumps(json.loads(text), indent=2) + "\n"
@@ -325,9 +332,9 @@ def _planted(table):
     lhs = plant(table.lhs, 2)
     with np.errstate(invalid="ignore"):  # inf - inf
         verdicts = {rel: holds(lhs, rhs) for rel, (rhs, _) in bounds.items()}
-    return replace(table, theta=plant(table.theta, 0), phi=plant(table.phi, 1), lhs=lhs,
-                   lhs_err=plant(table.lhs_err, 3),
-                   bounds={rel: (rhs, err, verdicts[rel]) for rel, (rhs, err) in bounds.items()})
+    return SweepTable(plant(table.theta, 0), plant(table.phi, 1), lhs, plant(table.lhs_err, 3),
+                      {rel: (rhs, err, verdicts[rel]) for rel, (rhs, err) in bounds.items()},
+                      table.estimated)
 
 
 def _oracle_text(table, fmt, meta):
@@ -929,7 +936,7 @@ def _reports_one_by_one(trials, dims, counts, seed):
                     # canonical one, which exists only for qubits.
                     perp = PureState(companion)
                     mpo = [
-                        replace(maccone_pati_orthogonal(members[i], members[j], psi, perp), pair=(i, j))
+                        with_pair(maccone_pati_orthogonal(members[i], members[j], psi, perp), (i, j))
                         for i, j in combinations(range(n), 2)
                     ]
                     at = [r.relation for r in reports].index(Relation.MACCONE_PATI_DEVIATION)
@@ -1056,8 +1063,8 @@ def test_min_slack_witnesses_replay_from_the_output_alone(tmp_path, args):
         reports = evaluate_all(obs, PureState(psi), include_pairwise=not summary["use_paulis"])
         if dim > 2:
             reports += [
-                replace(maccone_pati_orthogonal(members[i], members[j], PureState(psi), PureState(perp)),
-                        pair=(i, j))
+                with_pair(maccone_pati_orthogonal(members[i], members[j], PureState(psi), PureState(perp)),
+                          (i, j))
                 for i, j in combinations(range(n), 2)
             ]
         pair = tuple(w["pair"]) if w["pair"] else None

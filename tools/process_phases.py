@@ -6,14 +6,21 @@ Each ROOT is a checkout with ``src/uncrel``.  For each command of
 ``tools/cli_diff.py``'s list (:func:`cli_diff.commands`), the script runs N
 child interpreters per root, one at a time and alternating between the
 roots, with that root's ``src`` first on ``PYTHONPATH``.  Each child
-imports ``uncrel.cli`` and calls ``uncrel.cli.run()``, the process entry
-point, with ``main`` wrapped to time its call.  The parent and the child
-both read ``time.monotonic``, one clock for every process, so the phases
-of one process are:
+imports numpy, then ``uncrel.cli``, and calls ``uncrel.cli.run()``, the
+process entry point, with ``main`` wrapped to time its call.  The parent
+and the child both read ``time.monotonic``, one clock for every process,
+so the phases of one process are:
 
-* start-up: from spawning the process to ``uncrel.cli`` being imported;
+* numpy: from spawning the process to numpy being imported, so the
+  interpreter's own start-up and numpy's import;
+* uncrel: from there to ``uncrel.cli`` being imported, the import of
+  uncrel's own modules;
 * command: the ``main`` call;
 * exit: from ``main`` returning until the parent sees the process gone.
+
+Start-up is the first two.  Under ``PYTHONDONTWRITEBYTECODE=1``, as the
+benchmark runs, the uncrel phase compiles uncrel's sources as well as
+executing them.
 
 Per root, it prints the median of each phase and of the whole wall time
 per command, then the medians over every process of a workload, in
@@ -35,11 +42,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 import cli_diff  # noqa: E402
 
 #: Runs ``uncrel.cli.run()`` as ``python -m uncrel.cli`` would, and writes
-#: the monotonic times of the import's end and the ``main`` call's start and
-#: end to the file named by its first argument.
+#: the monotonic times of the numpy and uncrel imports' ends and the
+#: ``main`` call's start and end to the file named by its first argument.
 CHILD = """
 import sys, time
 stamps_path = sys.argv.pop(1)
+import numpy
+numpy_imported = time.monotonic()
 import uncrel.cli
 imported = time.monotonic()
 main = uncrel.cli.main
@@ -51,25 +60,26 @@ def timed_main(argv=None):
             return main(argv)
         finally:
             end = time.monotonic()
-            stamps.write(f"{imported!r} {start!r} {end!r}")
+            stamps.write(f"{numpy_imported!r} {imported!r} {start!r} {end!r}")
 
 uncrel.cli.main = timed_main
 uncrel.cli.run()
 """
 
-PHASES = ("start-up", "command", "exit", "total")
+PHASES = ("numpy", "uncrel", "command", "exit", "total")
 
 
 def phases(root: Path, base: Path, argv: list[str], stamps: Path) -> tuple[float, ...]:
-    """Seconds of start-up, command, exit and the whole process, for one run."""
+    """Seconds of each of :data:`PHASES`, for one run."""
     stamps.unlink(missing_ok=True)
     spawned = time.monotonic()
     subprocess.run([sys.executable, "-c", CHILD, str(stamps), *argv], cwd=base,
                    env=cli_diff.child_env(root), stdout=subprocess.DEVNULL,
                    stderr=subprocess.DEVNULL)
     gone = time.monotonic()
-    imported, start, end = map(float, stamps.read_text().split())
-    return imported - spawned, end - start, gone - end, gone - spawned
+    numpy_imported, imported, start, end = map(float, stamps.read_text().split())
+    return (numpy_imported - spawned, imported - numpy_imported, end - start, gone - end,
+            gone - spawned)
 
 
 def workload(name: str) -> str:
