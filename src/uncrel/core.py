@@ -3,7 +3,7 @@
 Everything here is dense double-precision numpy.  Observables and states are
 immutable after construction and validated eagerly, so downstream code can
 assume Hermiticity, normalization and matching dimensions without re-checking.
-:func:`moment_table` gives the means and second moments of a stack of
+:func:`moment_table` gives the means and covariances of a stack of
 observables, the one table every relation is computed from, for one state or
 a whole batch at once.  All functions are pure.
 """
@@ -190,45 +190,47 @@ def state_array(state: QuantumState) -> np.ndarray:
 def moment_table(
     mats: np.ndarray, state: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Means ``m_i`` and second moments ``G_ij = <A_i A_j>`` of stacked observables.
+    """Means ``m_i`` and covariances ``C_ij = <(A_i - m_i)(A_j - m_j)>`` of stacked observables.
 
     ``mats`` is an ``(..., n, d, d)`` stack of Hermitian matrices and
     ``state`` a ket ``(..., d)`` or a density matrix ``(..., d, d)``; batch
     axes broadcast, so a shared stack serves a batch of kets as
     ``stack[None]``.  For a ket, ``W = A psi`` holds one row per observable,
-    ``m = Re(W psi*)`` and ``G = W* W^T``; for a density matrix ``G_ij =
-    Tr(rho A_i A_j)`` and ``W`` is None.  Returns ``(m, G, W)``.  An
-    ``Im G_ij`` within ``(d + 1) eps sqrt(G_ii G_jj)`` is round-off and is
-    returned as 0.
+    ``m = Re(W psi*)``, ``D = W - m psi`` and ``C = D* D^T``; for a density
+    matrix ``C_ij = Tr(rho A'_i A'_j)`` with ``A'_i = A_i - m_i 1``, and
+    ``D`` is None.  Returns ``(m, C, D)``.  No entry of ``C`` subtracts a
+    squared mean, so ``A_i + c_i 1`` leaves it as it is.  An ``Im C_ij``
+    within ``(d + 1) eps (|W_i| |D_j| + |D_i| |W_j|)``, with ``|W_i|^2 =
+    <A_i^2>`` and ``|D_i|^2 = C_ii``, is round-off and is returned as 0.
 
-    Each instance is judged on its own scale ``max(1, max_i G_ii)``.  A
+    Each instance is judged on its own scale ``max(1, max_i <A_i^2>)``.  A
     scale above ``MOMENT_SCALE_LIMIT`` or not finite, an imaginary part of a
-    mean at or above ``IMAG_RESIDUE_ATOL`` times it, or a variance
-    ``G_ii - m_i^2`` below ``-VARIANCE_CLAMP_ATOL`` times it raises
-    :class:`ConsistencyError`: the input is beyond double precision or
-    corrupted.  Overflow is left to that check, so no arithmetic warns.
+    mean at or above ``IMAG_RESIDUE_ATOL`` times it, or a variance ``<A_i^2>
+    - m_i^2`` below ``-VARIANCE_CLAMP_ATOL`` times it (the one check a ket
+    that is not normalized fails) raises :class:`ConsistencyError`: the
+    input is beyond double precision or corrupted.  Overflow is left to
+    these checks, so no arithmetic warns.
     """
     with np.errstate(all="ignore"):
         if state.ndim == mats.ndim - 2:  # a ket; a density matrix has one more axis
             W = (mats @ state[..., None, :, None])[..., 0]
             mean = (W @ state.conj()[..., None])[..., 0]
-            # einsum forms each product directly; a BLAS product can leave
-            # more round-off in Im G.
-            G = np.einsum("...ik,...jk->...ij", W.conj(), W)
+            second = np.einsum("...ik,...ik->...i", W.conj(), W).real
+            D = W - mean.real[..., None] * state[..., None, :]
+            # einsum forms each product directly; BLAS can leave more round-off in Im C.
+            C = np.einsum("...ik,...jk->...ij", D.conj(), D)
         else:
-            W = None
+            D = None
             rho_a = state[..., None, :, :] @ mats
             mean = np.trace(rho_a, axis1=-2, axis2=-1)
-            G = np.einsum("...iab,...jba->...ij", rho_a, mats)
+            second = np.einsum("...iab,...iba->...i", rho_a, mats).real
+            centered = mats - mean.real[..., None, None] * np.eye(mats.shape[-1])
+            C = np.einsum("...iab,...jba->...ij", state[..., None, :, :] @ centered, centered)
         m = mean.real
-        second = G.real.diagonal(0, -2, -1)
-        # Im G_ij is the commutator's expectation over 2i.  Where that is
-        # exactly 0, rounding in A psi still leaves up to about eps
-        # sqrt(G_ii G_jj); a value within (d + 1) eps sqrt(G_ii G_jj) is
-        # taken as 0, so commuting diagonal observables get a real G.
-        floor = (state.shape[-1] + 1) * np.finfo(float).eps * np.sqrt(
-            second[..., :, None] * second[..., None, :])
-        G.imag[np.abs(G.imag) <= floor] = 0.0
+        # Im C_ij is <[A_i, A_j]> / 2i; where that is 0, D_i's round-off, eps |W_i|, remains.
+        w_d = np.sqrt(second)[..., :, None] * np.sqrt(np.abs(C.real.diagonal(0, -2, -1)))[..., None, :]
+        floor = (state.shape[-1] + 1) * np.finfo(float).eps * (w_d + w_d.swapaxes(-1, -2))
+        C.imag[np.abs(C.imag) <= floor] = 0.0
         scale = second.max(-1, initial=1.0)
         residue = np.abs(mean.imag).max(-1)
         lowest = (second - m * m).min(-1)
@@ -242,7 +244,7 @@ def moment_table(
             # The first failing instance's value; only the scale message uses the limit.
             first = np.ravel(value)[np.ravel(failing)][0]
             raise ConsistencyError(message.format(float(first), MOMENT_SCALE_LIMIT))
-    return m, G, W
+    return m, C, D
 
 
 # No command calls this; it is the only name behind bench/tracing.py's core.moments span.
@@ -257,8 +259,7 @@ def deviation_state(obs: Observable, psi: PureState) -> tuple[float, PureState |
     if not isinstance(psi, PureState):
         raise TypeError(f"deviation_state needs a PureState, got {psi!r}")
     _check_same_dim(obs.dim, psi.dim)
-    m, _, W = moment_table(obs.matrix[None], psi.amplitudes)
-    residual = W[0] - m[0] * psi.amplitudes
+    residual = moment_table(obs.matrix[None], psi.amplitudes)[2][0]
     norm = float(np.linalg.norm(residual))
     if norm < DEVIATION_NORM_FLOOR:
         return norm, None

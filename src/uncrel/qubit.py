@@ -3,11 +3,11 @@
 For a qubit the seven sum-form bounds reduce to algebra in the Pauli
 expectations ``(ex, ey, ez)``.  :func:`closed_form_bounds` evaluates them
 over arrays of such triples without touching matrices: the Pauli algebra
-gives the moment table ``G_ij = delta_ij + i eps_ijk e_k`` directly, and the
-formulas of :mod:`uncrel.relations` run on it unchanged.  The matrix engine
-shares those formulas and differs only in building ``G`` from matrices and
-a state; the two constructions cross-check each other in the test suite.
-Stokes parameters enter as a density matrix (:func:`stokes_to_density`).
+gives the covariances ``C_ij = delta_ij - e_i e_j + i eps_ijk e_k`` directly,
+and the formulas of :mod:`uncrel.relations` run on them unchanged.  The
+matrix engine builds ``C`` from matrices and a state instead; the test suite
+checks the two against each other.  Stokes parameters enter as a density
+matrix (:func:`stokes_to_density`).
 
 For every state the sum of the three Pauli variances is ``3 - v`` with
 ``v = ex^2 + ey^2 + ez^2``, so pure states (``v = 1``) pin the left-hand
@@ -74,22 +74,18 @@ def bloch_to_state(angles: BlochAngles) -> PureState:
     )
 
 
-def pauli_table(ex, ey, ez) -> tuple[np.ndarray, np.ndarray]:
-    """The moment table of the Pauli triple at given expectations.
-
-    ``m = (ex, ey, ez)`` and ``G_ij = <sigma_i sigma_j> = delta_ij +
-    i eps_ijk e_k``, elementwise over same-shape arrays or floats.  The
-    relations evaluate on it exactly as on a table built from matrices.
+def pauli_table(ex, ey, ez) -> np.ndarray:
+    """The covariances ``C_ij = delta_ij - e_i e_j + i eps_ijk e_k`` of the
+    Pauli triple at expectations ``e``, elementwise over same-shape arrays or
+    floats; the relations evaluate on them exactly as on a table from matrices.
     """
     # Built with the Pauli axes first, the layout bound_values works in.
     e = np.array((ex, ey, ez), dtype=float)
-    g = np.zeros((3, 3) + e.shape[1:], dtype=complex)
-    g.real[(0, 1, 2), (0, 1, 2)] = 1.0
-    # sigma_y sigma_z = i sigma_x, cyclically: G_12, G_20, G_01 = i (ex, ey, ez)
-    g.imag[(1, 2, 0), (2, 0, 1)] = e
-    g.imag[(2, 0, 1), (1, 2, 0)] = -e
-    batch = tuple(range(1, e.ndim))
-    return e.transpose(batch + (0,)), g.transpose(tuple(k + 1 for k in batch) + (0, 1))
+    c = (np.eye(3).reshape((3, 3) + (1,) * (e.ndim - 1)) - e[:, None] * e).astype(complex)
+    # sigma_y sigma_z = i sigma_x, cyclically: Im C_12, Im C_20, Im C_01 = (ex, ey, ez)
+    c.imag[(1, 2, 0), (2, 0, 1)] = e
+    c.imag[(2, 0, 1), (1, 2, 0)] = -e
+    return c.transpose(tuple(range(2, e.ndim + 1)) + (0, 1))
 
 
 def moments_from_angles(theta, phi):
@@ -127,7 +123,7 @@ def closed_form_bounds(ex, ey, ez, relations=SUM_FORM_RELATIONS):
     # Slices of _CHUNK states keep every temporary small enough to be
     # reused from cache rather than drawn from fresh pages.
     for k in range(0, flat.shape[1], _CHUNK):
-        values = bound_values(*pauli_table(*flat[:, k : k + _CHUNK]))
+        values = bound_values(pauli_table(*flat[:, k : k + _CHUNK]))
         out[:, k : k + _CHUNK] = [values[Relation.SONG][0], *(values[r][1] for r in relations)]
     lhs, *rhs = out.reshape((-1,) + e.shape[1:])
     return lhs, dict(zip(relations, rhs))

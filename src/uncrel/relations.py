@@ -11,12 +11,12 @@ states only).  Sum-form relations bound the total variance of three or more
 observables through pair combinations, commutator means, or the variance of
 the summed observable.
 
-Every relation is a function of two things only: the means ``m_i`` and the
-second moments ``G_ij = <A_i A_j>`` (plus, for the orthogonal-state form, the
-overlaps ``<psi|A_i|psi_perp>``).  :func:`uncrel.core.moment_table` builds
-that table, for one instance or a batch, and :func:`bound_values` holds the
-one formula set.  It adds every sum over observables or pairs row by row in
-index order, so a value has the same bits alone or in any batch.
+Every relation is a function of the covariances ``C_ij = <(A_i - m_i)(A_j -
+m_j)>`` alone (plus, for the orthogonal-state form, the overlaps
+``<psi|A_i|psi_perp>``), which no shift ``A_i + c_i 1`` changes.
+:func:`uncrel.core.moment_table` builds that table and :func:`bound_values`
+holds the one formula set.  It adds every sum over observables or pairs row
+by row in index order, so a value has the same bits alone or in any batch.
 :func:`instance_values` is the one way from states to those values, for
 :func:`evaluate_all` and the campaign blocks of :mod:`uncrel.harness`;
 :mod:`uncrel.qubit` evaluates the same formulas on the Pauli table.
@@ -134,7 +134,8 @@ def holds(lhs, rhs):
 
     Every relation is homogeneous in the observables, so the allowance
     grows with the lhs and a verdict does not change when they are
-    rescaled.  Works elementwise on floats or numpy arrays.
+    rescaled; nor when they are shifted by multiples of the identity, which
+    no covariance sees.  Works elementwise on floats or numpy arrays.
     """
     return lhs - rhs >= -HOLDS_ATOL * np.maximum(1.0, np.abs(lhs))
 
@@ -194,50 +195,49 @@ _PURE_ONLY = (Relation.MACCONE_PATI_ORTHOGONAL, Relation.MACCONE_PATI_DEVIATION)
 
 _SIGNS = np.array([1.0, -1.0])
 
-# Rows and columns of G_12, G_20, G_01.
+# Rows and columns of C_12, C_20, C_01.
 _CYCLIC_ROWS, _CYCLIC_COLUMNS = np.array([1, 2, 0]), np.array([2, 0, 1])
 
 
-def bound_values(m: np.ndarray, G: np.ndarray, X: np.ndarray | None = None) -> dict:
-    """Every relation that applies, from means ``m`` ``(..., n)`` and second
-    moments ``G_ij = <A_i A_j>`` ``(..., n, n)`` over any leading batch shape.
+def bound_values(C: np.ndarray, X: np.ndarray | None = None) -> dict:
+    """Every relation that applies, from the covariances ``C_ij = <(A_i -
+    m_i)(A_j - m_j)>`` ``(..., n, n)`` over any leading batch shape.
 
     ``X`` holds ``<psi|A_i|psi_perp>`` ``(..., n)``; without it the
-    orthogonal-state bound is left out.  Variances are ``Re G_ii - m_i^2``,
-    ``Var(A_i +/- A_j) = Re(G_ii + G_jj +/- 2 G_ij) - (m_i +/- m_j)^2``
-    (clamped at 0) and ``<[A_i, A_j]> = 2i Im G_ij``.  Returns ``relation ->
-    (lhs, rhs)``, plus the middle term for the chained triple bound.
-    Pairwise entries add a trailing axis over the pairs ``i < j`` in
+    orthogonal-state bound is left out.  Variances are ``Re C_ii``,
+    ``Var(A_i +/- A_j) = Re(C_ii + C_jj +/- 2 C_ij)``, ``Var(sum_i A_i)`` is
+    the sum of ``Re C`` and ``<[A_i, A_j]> = 2i Im C_ij``.  Returns
+    ``relation -> (lhs, rhs)``, plus the middle term for the chained triple
+    bound.  Pairwise entries add a trailing axis over the pairs ``i < j`` in
     ``itertools.combinations`` order.  The triple bounds need exactly 3
     observables and the cross-term bound at least 3; otherwise they are absent.
     Sums over observables and pairs add rows in index order, so each
     instance's values are the same bits for any batch shape.
     """
-    n = m.shape[-1]
+    n = C.shape[-1]
     i, j = _pair_index(n)
     # .T puts the observable axes first, each term per observable a row, and
-    # reverses the batch axes, undone by .T on the way out; G.T[b, a] is G_ab.
-    second = np.ascontiguousarray(G.real.diagonal(0, -2, -1).T)
-    m, g = np.ascontiguousarray(m.T), G.T
-    g_ij = g[j, i]
-    var = second - m * m
+    # reverses the batch axes, undone by .T on the way out; cov[b, a] is C_ab.
+    var, cov = np.ascontiguousarray(C.real.diagonal(0, -2, -1).T), C.T
+    c_ij = cov[j, i]
     lhs = _add_rows(var)
     v_i, v_j = var[i], var[j]
     # Var(A_i + A_j) and Var(A_i - A_j) at once, along a leading sign axis.
-    sign = _SIGNS.reshape((2,) + (1,) * g_ij.ndim)
-    pair = np.maximum(
-        (second[i] + second[j]) + sign * (2.0 * g_ij.real) - (m[i] + sign * m[j]) ** 2, 0.0
-    )
+    sign = _SIGNS.reshape((2,) + (1,) * c_ij.ndim)
+    pair = (v_i + v_j) + sign * (2.0 * c_ij.real)
+    # Their square roots have infinite slope at 0, an eigenstate of A_i +/- A_j:
+    # a value within 8 eps of its terms is round-off of 0 and is taken as 0.
+    pair[pair <= 8.0 * np.finfo(float).eps * (np.abs(v_i) + np.abs(v_j))] = 0.0
     plus_sum, minus_sum = _add_rows(pair.swapaxes(0, 1))
     sum_stds, diff_stds = _add_rows(np.sqrt(pair).swapaxes(0, 1))
-    # np.square squares as x * x also for the scalars of one instance, where
-    # ** 2 calls pow(), so one instance and a batch agree bit for bit.
-    total = _add_rows(second) + 2.0 * _add_rows(g_ij.real) - np.square(_add_rows(m))
+    total = lhs + 2.0 * _add_rows(c_ij.real)
     values = {
-        Relation.ROBERTSON: (v_i * v_j, g_ij.imag**2),
+        Relation.ROBERTSON: (v_i * v_j, c_ij.imag**2),
         Relation.MACCONE_PATI_DEVIATION: (v_i + v_j, 0.5 * pair[0]),
         Relation.SUM_PLUS: (lhs, plus_sum / (2.0 * (n - 1))),
         Relation.SUM_MINUS: (lhs, minus_sum / (2.0 * (n - 1))),
+        # np.square squares as x * x also for the scalars of one instance, where
+        # ** 2 calls pow(), so one instance and a batch agree bit for bit.
         Relation.SONG: (lhs, total / n + 2.0 * np.square(diff_stds) / (n * n * (n - 1))),
     }
     if n >= 3:
@@ -245,15 +245,15 @@ def bound_values(m: np.ndarray, G: np.ndarray, X: np.ndarray | None = None) -> d
         values[Relation.CHEN_FEI] = (lhs, rhs)
     if n == 3:
         # <[B,C]>, <[C,A]>, <[A,B]> divided by i
-        comm = 2.0 * g.imag[_CYCLIC_COLUMNS, _CYCLIC_ROWS]
+        comm = 2.0 * cov.imag[_CYCLIC_COLUMNS, _CYCLIC_ROWS]
         mags = _add_rows(np.abs(comm))
         a, b, c = np.sqrt(np.maximum(var, 0.0))
         values[Relation.TRIPLE_SUM] = (lhs, total / 3.0 + (_SQRT3 / 3.0) * np.abs(_add_rows(comm)))
         values[Relation.TRIPLE_COMMUTATOR] = (lhs, (_SQRT3 / 3.0) * mags)
         values[Relation.TRIPLE_PAIRWISE] = (lhs, 0.5 * mags, a * b + b * c + c * a)
     if X is not None:
-        # i<[A,B]> = -2 Im G_ij picks the branch; at zero take the larger.
-        signed = -2.0 * g_ij.imag
+        # i<[A,B]> = -2 Im C_ij picks the branch; at zero take the larger.
+        signed = -2.0 * c_ij.imag
         x_i, x_j = X.T[i], X.T[j]
         up = signed + np.abs(x_i + 1j * x_j) ** 2
         down = np.abs(x_i - 1j * x_j) ** 2 - signed
@@ -266,12 +266,12 @@ def instance_values(stack: np.ndarray, state: np.ndarray, companions=None) -> di
     """:func:`bound_values` of the :func:`~uncrel.core.moment_table` of
     ``stack`` and ``state``, over any batch shape.  With ``companions``
     ``(..., d)``, kets orthogonal to the state kets (not checked here), the
-    overlaps ``<psi|A_i|psi_perp> = W* psi_perp`` add the orthogonal-state bound.
+    overlaps ``<psi|A_i|psi_perp> = D* psi_perp`` from the centered rows add
+    the orthogonal-state bound.
     """
-    m, G, W = core.moment_table(stack, state)
-    if companions is None:
-        return bound_values(m, G)
-    return bound_values(m, G, (W.conj() @ companions[..., None])[..., 0])
+    _, C, D = core.moment_table(stack, state)
+    X = None if companions is None else (D.conj() @ companions[..., None])[..., 0]
+    return bound_values(C, X)
 
 
 # -- pairwise relations -------------------------------------------------------

@@ -45,9 +45,9 @@ def draw_observable(dim, seed):
 
 
 def table(state, *observables):
-    """Means and second moments of ``observables`` from the one moment table."""
-    m, G, _ = moment_table(np.array([ob.matrix for ob in observables]), state_array(state))
-    return m, G
+    """Means and covariances of ``observables`` from the one moment table."""
+    m, C, _ = moment_table(np.array([ob.matrix for ob in observables]), state_array(state))
+    return m, C
 
 
 def mean(obs, state):
@@ -55,12 +55,11 @@ def mean(obs, state):
 
 
 def var(obs, state):
-    m, G = table(state, obs)
-    return G[0, 0].real - m[0] * m[0]
+    return table(state, obs)[1][0, 0].real
 
 
 def comm(a, b, state):
-    """<[A, B]> = 2i Im G_ab."""
+    """<[A, B]> = 2i Im C_ab."""
     return 2j * table(state, a, b)[1][0, 1].imag
 
 
@@ -445,6 +444,24 @@ def test_batched_moment_table_raises_on_one_corrupt_instance():
     kets[3] = [np.inf, 0.0]
     with pytest.raises(ConsistencyError, match="second moment"):
         moment_table(stack, kets)
+
+
+def test_imaginary_floor_fits_the_round_off_of_shifted_rows():
+    # Im C_01 is <[A, B]> / 2i.  For commuting diagonal observables it is
+    # exactly 0 at any shift c of both; a 1e-6 perturbation that does not
+    # commute must survive the floor at every shift, within the round-off
+    # the shifted rows carry, about eps c.
+    kets = random_pure_state(3, 2024, range(2000))
+    a = np.diag([1.0, 0.0, -1.0]).astype(complex)
+    b = np.diag([0.5, -1.0, 0.25]).astype(complex)
+    h = 1e-6 * np.array([[0, 1, 0], [1, 0, 1j], [0, -1j, 0]])
+    exact = np.array([o.comm_expect(a, h, k) for k in kets]).imag / 2.0
+    for c in (0.0, 1e2, 1e4):
+        shift = c * np.eye(3)
+        commuting = moment_table(np.array([a + shift, b + shift])[None], kets)[1]
+        assert not commuting.imag[:, 0, 1].any(), c
+        perturbed = moment_table(np.array([a + shift, b + h + shift])[None], kets)[1]
+        np.testing.assert_allclose(perturbed.imag[:, 0, 1], exact, rtol=0, atol=1e-15 * (1.0 + c))
 
 
 def test_package_exports_the_public_api():

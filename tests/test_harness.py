@@ -596,6 +596,33 @@ def test_cli_bounds_bloch_and_pairwise(tmp_path):
     assert {"T1", "M4", "R", "MPO", "MPD"} <= labels
 
 
+def test_cli_bounds_on_observables_shifted_by_the_identity(tmp_path):
+    # sigma_x + 1e4 and sigma_z + 1e4 have the variances and commutator of
+    # sigma_x and sigma_z, so every value is theirs up to round-off; M4 is
+    # tight at n = 2 and must still hold.
+    state_file = tmp_path / "state.json"
+    state_file.write_text(json.dumps({"bloch": {"theta": 1.0, "phi": 0.4}}))
+    reports = {}
+    for shift in (0, 10000):
+        obs_file = tmp_path / f"obs{shift}.json"
+        obs_file.write_text(json.dumps([
+            [[[shift, 0], [1, 0]], [[1, 0], [shift, 0]]],
+            [[[shift + 1, 0], [0, 0]], [[0, 0], [shift - 1, 0]]],
+        ]))
+        target = tmp_path / f"bounds{shift}.json"
+        code = main([
+            "bounds", "--state-file", str(state_file), "--observables-file", str(obs_file),
+            "--format", "json", "--out", str(target),
+        ])
+        assert code == 0, shift
+        reports[shift] = json.loads(target.read_text())["reports"]
+    for unit, shifted in zip(reports[0], reports[10000], strict=True):
+        assert (shifted["label"], shifted["holds"]) == (unit["label"], unit["holds"])
+        for key in ("lhs", "rhs", "slack"):
+            if unit[key] is not None:
+                assert shifted[key] == pytest.approx(unit[key], abs=1e-9 * max(1.0, unit["lhs"]))
+
+
 def test_cli_bounds_custom_observables(tmp_path):
     state_file = tmp_path / "state.json"
     state_file.write_text(json.dumps({"stokes": [1.0, 0.0, 0.0, 0.0]}))

@@ -1,4 +1,6 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ import _oracles as o
 from uncrel import (
     BlochAngles,
     ContractError,
+    PureState,
     Relation,
     SUM_FORM_RELATIONS,
     StokesVector,
@@ -30,8 +33,8 @@ SQRT3 = math.sqrt(3.0)
 
 def engine_moments(state):
     """Means and variances of the Pauli triple from the matrix engine's table."""
-    m, G, _ = moment_table(pauli_triple().stack, state_array(state))
-    return m, G.real.diagonal() - m * m
+    m, C, _ = moment_table(pauli_triple().stack, state_array(state))
+    return m, C.real.diagonal()
 
 
 def stokes_ratios(s):
@@ -140,6 +143,12 @@ def check_moments(triple, **stated):
     moments = o.pauli_moments(*triple)
     for name, value in stated.items():
         assert moments[name] == pytest.approx(value, abs=1e-12), name
+    check_closed_forms(triple, moments)
+
+
+def check_closed_forms(triple, moments):
+    """The library's lhs and seven bounds at ``triple`` are the paper's
+    closed forms of ``moments``."""
     expected = o.pauli_closed_forms(**moments)
     assert lhs(triple) == pytest.approx(expected["lhs"], abs=1e-12)
     for rel in SUM_FORM_RELATIONS:
@@ -160,7 +169,12 @@ def test_moments_from_angles_equator_points():
     m = moments_from_angles(math.pi / 2, math.pi / 4)
     assert m[0] == pytest.approx(SQRT2 / 2.0, abs=1e-12)
     assert m[1] == pytest.approx(SQRT2 / 2.0, abs=1e-12)
-    check_moments(m, v=1.0)
+    assert o.pauli_moments(*m)["v"] == pytest.approx(1.0, abs=1e-12)
+    # sigma_x + sigma_y has variance 0 here, at the kink of its square root,
+    # where the raw-matrix oracle's std is 2.6e-8 off: pin the exact moments.
+    r = math.sqrt(1.5)
+    check_closed_forms(m, dict(v=1.0, d=0.5, e=SQRT2, h=SQRT2, lp=0.0, lm=SQRT2,
+                               mp=r, mm=r, np_=r, nm=r))
 
 
 def test_moments_from_expectations_x_axis():
@@ -202,7 +216,7 @@ def test_moment_triangle_and_ranges(ex, ey, ez):
     assert h >= e - 1e-12
     # the six pair deviations from the same formula set: Var(A_i + A_j) is
     # twice the deviation bound, Var(A_i - A_j) follows by the parallelogram law
-    pair_lhs, half_plus = bound_values(*pauli_table(ex, ey, ez))[
+    pair_lhs, half_plus = bound_values(pauli_table(ex, ey, ez))[
         Relation.MACCONE_PATI_DEVIATION
     ]
     for var in (*(2.0 * half_plus), *(2.0 * (pair_lhs - half_plus))):
@@ -252,6 +266,47 @@ def test_closed_forms_match_engine_sample():
         }
         for rel in SUM_FORM_RELATIONS:
             assert rhs(m, rel) == pytest.approx(reports[rel].rhs, abs=1e-12), rel.label
+
+
+def _exact_closed_forms(signs):
+    """The paper's closed forms at the Bloch vector ``signs / sqrt(2)``, two
+    signs +-1 and one 0, from moments whose squares are exact fractions."""
+    p = [[Fraction(a * b, 2) for b in signs] for a in signs]  # e_a e_b
+
+    def std(a, b, sign):
+        return math.sqrt(2 - (p[a][a] + p[b][b] + 2 * sign * p[a][b]))
+
+    d = p[0][1] + p[1][2] + p[2][0]
+    magnitudes = sum(abs(x) for row in p for x in row)  # (|ex| + |ey| + |ez|)^2
+    return o.pauli_closed_forms(
+        v=1, d=d, e=math.sqrt(1 + 2 * d), h=math.sqrt(magnitudes),
+        lp=std(0, 1, 1), lm=std(0, 1, -1), mp=std(1, 2, 1), mm=std(1, 2, -1),
+        np_=std(2, 0, 1), nm=std(2, 0, -1),
+    )
+
+
+def test_bounds_exact_where_a_pair_variance_vanishes():
+    # At the 12 states (+-e_i +-e_j)/sqrt(2) one of Var(sigma_i +- sigma_j)
+    # is exactly 0, at the kink of its square root; both routes must give
+    # the exact bounds.
+    for signs in itertools.product((-1, 0, 1), repeat=3):
+        if sorted(map(abs, signs)) != [0, 1, 1]:
+            continue
+        theta = math.pi / 2.0 - signs[2] * math.pi / 4.0
+        phi = math.atan2(signs[1], signs[0]) % (2.0 * math.pi)
+        expected = _exact_closed_forms(signs)
+        m = moments_from_angles(theta, phi)
+        assert lhs(m) == pytest.approx(expected["lhs"], abs=1e-12), signs
+        reports = {
+            r.relation: r
+            for r in evaluate_all(pauli_triple(), PureState(o.ket(theta, phi)))
+            if not isinstance(r, SkippedRelation)
+        }
+        for rel in SUM_FORM_RELATIONS:
+            want = pytest.approx(expected[rel.label], abs=1e-12)
+            assert rhs(m, rel) == want, (signs, rel.label)
+            assert reports[rel].rhs == want, (signs, rel.label)
+            assert reports[rel].lhs == pytest.approx(expected["lhs"], abs=1e-12), signs
 
 
 @pytest.mark.parametrize("mode", ["theta", "phi"])

@@ -21,8 +21,8 @@ from uncrel import (
     random_observable,
     random_pure_state,
 )
-from uncrel.core import qubit_companions
-from uncrel.relations import instance_values
+from uncrel.core import orthogonal_companions, qubit_companions
+from uncrel.relations import HOLDS_ATOL, holds, instance_values
 
 SX, SY, SZ = pauli("x"), pauli("y"), pauli("z")
 KET0 = PureState(o.KET0)
@@ -333,13 +333,12 @@ def test_chen_fei_identical_projectors():
 
 def test_chen_fei_dual_path_at_singular_point():
     # theta = pi/4 puts the state on an eigenvector of sigma_x + sigma_z,
-    # so the z-x pair variance vanishes; both computation routes must land
-    # on the same side of the square-root kink.
+    # so the z-x pair variance vanishes and the other two are 3/2: the rhs
+    # is 3 - (2 sqrt(3/2))^2 / 4 = 3/2 exactly.  The raw-matrix oracle lands
+    # 2.6e-8 off, its z-x std being the square root of a round-off residue.
     state = PureState(o.ket(math.pi / 4, 0.0))
     rep = report(Relation.CHEN_FEI, pauli_triple(), state)
-    assert rep.rhs == pytest.approx(
-        o.chen_fei_rhs(list(o.PAULIS), state.amplitudes), abs=1e-10
-    )
+    assert rep.rhs == pytest.approx(1.5, abs=1e-10)
 
 
 def test_song_at_pole():
@@ -597,3 +596,41 @@ def test_permuting_observables_leaves_sum_form_bounds_unchanged(seed, dim, n, mi
     order = np.random.default_rng(seed + 3).permutation(n)
     permuted = ObservableSet(tuple(obs.observables[int(k)] for k in order))
     _assert_same_reports(evaluate_all(obs, state), evaluate_all(permuted, state))
+
+
+@pytest.mark.parametrize("mixed", [False, True])
+def test_shifting_observables_by_the_identity_changes_no_verdict(mixed):
+    # Variances and commutators do not see A_i -> A_i + c_i 1, so neither
+    # does any relation.  Seeded campaign-style blocks of kets (with their
+    # companions) or rank-2 density matrices, at every (d, n) of the random
+    # campaign: no verdict moves at any shift, and up to c = 1e4 no slack
+    # moves by more than the verdict's allowance.  M4 at n = 2 is tight for
+    # every state and MPO at d = 2 for every ket, so thousands of these
+    # verdicts sit at zero slack.
+    count = 2000
+    for dim in (2, 3, 4):
+        for n in (2, 3, 4, 5):
+            kets = random_pure_state(dim, (7, dim, n, 0), range(count))
+            mats = np.stack(
+                [random_observable(dim, (7, dim, n, 1 + i), range(count)) for i in range(n)], 1)
+            if mixed:
+                others = random_pure_state(dim, (7, dim, n, 98), range(count))
+                state = (0.75 * np.einsum("bi,bj->bij", kets, kets.conj())
+                         + 0.25 * np.einsum("bi,bj->bij", others, others.conj()))
+                perps = None
+            else:
+                state = kets
+                perps = (qubit_companions(kets) if dim == 2 else orthogonal_companions(
+                    kets, random_pure_state(dim, (7, dim, n, 99), range(count))))
+            base = instance_values(mats, state, perps)
+            for c in (1e2, 1e4, 1e6):
+                shift = (c * (-1.0) ** np.arange(n))[:, None, None] * np.eye(dim)
+                shifted = instance_values(mats + shift, state, perps)
+                assert shifted.keys() == base.keys()
+                for rel, (lhs, rhs, *_) in base.items():
+                    moved_lhs, moved_rhs = shifted[rel][:2]
+                    where = (dim, n, c, rel.label)
+                    assert np.array_equal(holds(moved_lhs, moved_rhs), holds(lhs, rhs)), where
+                    if c <= 1e4:
+                        drift = np.abs((moved_lhs - moved_rhs) - (lhs - rhs))
+                        assert np.all(drift <= HOLDS_ATOL * np.maximum(1.0, np.abs(lhs))), where

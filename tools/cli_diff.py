@@ -14,7 +14,9 @@ JSON sweeps with integral cells and columns of one value: exact phi sweeps
 at both poles, and shot sweeps at 1, 3 and 10 shots, where expectation
 estimates reach +-1, plus refusals: ``verify`` with one observable or
 dimension 1, and ``bounds`` on inputs of the wrong dimensions or counts
-(:data:`REFUSALS`), whose input files it writes.  The exit status is 0
+(:data:`REFUSALS`), plus the 9-step phi sweep on the equator and a
+``bounds`` query on Pauli observables shifted by 1e4 times the identity
+(:data:`EXACT_CASES`); it writes their input files.  The exit status is 0
 when every command is identical on both roots, else 1.
 """
 from __future__ import annotations
@@ -64,6 +66,17 @@ REFUSALS = {
     "bounds-density-1x1": (
         ["bounds", "--state-file", "tiny.json"], {"tiny.json": {"density": [[[1, 0]]]}}),
 }
+#: Commands whose bounds sit where round-off in the moment table shows: at a
+#: square-root kink, and on observables shifted by the identity:
+#: ``(argv, input files)``.
+EXACT_CASES = {
+    "sweep-equator-phi-9": (["sweep", "--mode", "phi", "--fixed", "90deg", "--steps", "9"], {}),
+    "bounds-shifted-by-identity": (
+        ["bounds", "--state-file", "bloch.json", "--observables-file", "shifted.json"],
+        {"bloch.json": {"bloch": {"theta": 1, "phi": 0.4}},
+         "shifted.json": [[[[10000, 0], [1, 0]], [[1, 0], [10000, 0]]],
+                          [[[10001, 0], [0, 0]], [[0, 0], [9999, 0]]]]}),
+}
 
 
 def _bench_inputs():
@@ -91,10 +104,11 @@ def commands(base: Path) -> list[tuple[str, list[str]]]:
         listed.append((f"exact-{steps}-csv", [*sweep, "--format", "csv"]))
     for name, args in SPECIAL_SWEEPS.items():
         listed.append((f"{name}-json", ["sweep", *args, "--format", "json", "--out", f"{name}.json"]))
-    for name, (args, files) in REFUSALS.items():
-        for file_name, payload in files.items():
-            (base / file_name).write_text(json.dumps(payload))
-        listed.append((f"refuse-{name}", args))
+    for prefix, cases in (("refuse", REFUSALS), ("exact", EXACT_CASES)):
+        for name, (args, files) in cases.items():
+            for file_name, payload in files.items():
+                (base / file_name).write_text(json.dumps(payload))
+            listed.append((f"{prefix}-{name}", args))
     return listed
 
 
