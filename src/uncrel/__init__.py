@@ -19,7 +19,7 @@ from .core import (
     random_observable,
     random_pure_state,
 )
-from .errors import ConsistencyError, ContractError
+from .errors import ConsistencyError
 from .harness import (
     SweepSpec,
     SweepTable,

@@ -48,8 +48,8 @@ from .relations import (
 from .shots import ShotPlan
 
 
-#: Exit status per error a command may end in; ContractError is a ValueError.
-#: A MemoryError is numpy refusing an array too large to allocate.
+#: Exit status per error a command may end in; every refused input is a
+#: ValueError.  A MemoryError is numpy refusing an array too large to allocate.
 _EXIT_CODES = {OSError: 3, ConsistencyError: 4, ValueError: 1, MemoryError: 1}
 
 

@@ -13,7 +13,7 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import ConsistencyError, ContractError
+from .errors import ConsistencyError
 
 # Construction-time tolerances.
 HERMITICITY_ATOL = 1e-12
@@ -52,7 +52,7 @@ def _as_square_complex(values, what: str) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{what} must be a square matrix, got shape {m.shape}")
     if m.shape[0] < 2:
-        raise ContractError(
+        raise ValueError(
             f"{what} must act on a space of dimension >= 2, got {m.shape[0]}"
         )
     return m
@@ -113,7 +113,7 @@ class PureState(_Frozen):
     def __init__(self, amplitudes: np.ndarray) -> None:
         v = np.asarray(amplitudes, dtype=complex).reshape(-1)
         if v.size < 2:
-            raise ContractError(
+            raise ValueError(
                 f"state vector must have dimension >= 2, got {v.size}"
             )
         norm_sq = float(np.vdot(v, v).real)
@@ -175,7 +175,7 @@ QuantumState = PureState | DensityMatrix
 
 def _check_same_dim(*dims: int) -> None:
     if len(set(dims)) > 1:
-        raise ContractError(f"dimension mismatch: {dims}")
+        raise ValueError(f"dimension mismatch: {dims}")
 
 
 def state_array(state: QuantumState) -> np.ndarray:
@@ -351,7 +351,7 @@ def random_pure_state(dim: int, seed, trials: range) -> np.ndarray:
     basis state ``|0>``.
     """
     if dim < 2:
-        raise ContractError(f"dimension must be >= 2, got {dim}")
+        raise ValueError(f"dimension must be >= 2, got {dim}")
     kets, degenerate = _unit_rows(_gaussians(seed, trials, dim))
     kets[degenerate] = np.eye(1, dim)
     return kets
@@ -365,6 +365,6 @@ def random_observable(dim: int, seed, trials: range) -> np.ndarray:
     ``(len(trials), dim, dim)`` array.
     """
     if dim < 2:
-        raise ContractError(f"dimension must be >= 2, got {dim}")
+        raise ValueError(f"dimension must be >= 2, got {dim}")
     g = _gaussians(seed, trials, dim * dim).reshape(-1, dim, dim)
     return (g + g.conj().swapaxes(-1, -2)) / 2.0

@@ -33,10 +33,8 @@ from .core import (
     random_observable,
     random_pure_state,
 )
-from .errors import ContractError
 from .qubit import (
     _PAULI_STACK,
-    _require_sum_form,
     BlochAngles,
     bloch_to_state,
     closed_form_bounds,
@@ -96,7 +94,11 @@ class SweepSpec(_Frozen):
         rels = tuple(relations)
         if not rels:
             raise ValueError("at least one relation is required")
-        _require_sum_form(rels)
+        bad = [rel.value for rel in rels if rel not in SUM_FORM_RELATIONS]
+        if bad:
+            raise ValueError(
+                f"no closed form for {bad}; only sum-form relations reduce to Pauli moments"
+            )
         if len(set(rels)) != len(rels):
             raise ValueError("duplicate relations in sweep spec")
         self.mode, self.steps, self.relations, self.shots = mode, steps, rels, shots
@@ -140,7 +142,7 @@ def run_sweep(spec: SweepSpec, *, resamples: int = 1000) -> SweepTable:
     """
     theta, phi = spec.grid()
     if spec.shots is None:
-        lhs, rhs = closed_form_bounds(*moments_from_angles(theta, phi), spec.relations)
+        lhs, rhs = closed_form_bounds(*moments_from_angles(theta, phi))
         lhs_err = np.zeros_like(lhs)
         rhs_err = dict.fromkeys(rhs, lhs_err)
     else:
@@ -157,10 +159,10 @@ def _simulated_columns(spec: SweepSpec, theta, phi, resamples: int) -> tuple:
         plan = ShotPlan(spec.shots.shots_per_basis, derive_seed(spec.shots.seed, index))
         records = simulate_counts(bloch_to_state(BlochAngles(*angles)), plan)
         child = derive_seed(spec.shots.seed, index, 1)
-        lhs, rhs = bootstrap_bounds(records, spec.relations, resamples=resamples, seed=child)
+        lhs, rhs = bootstrap_bounds(records, resamples=resamples, seed=child)
         points.append([(e.value, e.std_error) for e in (lhs, *rhs.values())])
     (lhs, *rhs), (lhs_err, *rhs_err) = np.array(points).T
-    return lhs, lhs_err, dict(zip(spec.relations, rhs)), dict(zip(spec.relations, rhs_err))
+    return lhs, lhs_err, dict(zip(SUM_FORM_RELATIONS, rhs)), dict(zip(SUM_FORM_RELATIONS, rhs_err))
 
 
 # -- randomized verification --------------------------------------------------
@@ -291,12 +293,12 @@ def run_verify(
         raise ValueError("Pauli campaigns fix dims=(2,) and counts=(3,)")
     if not dims or not counts:
         # No instance would run, and the campaign would pass vacuously.
-        raise ContractError(f"dims {list(dims)} and counts {list(counts)} must not be empty")
+        raise ValueError(f"dims {list(dims)} and counts {list(counts)} must not be empty")
     if min(counts) < 2:
-        raise ContractError(f"every observable count must be >= 2, got {list(counts)}")
+        raise ValueError(f"every observable count must be >= 2, got {list(counts)}")
     if len(set(dims)) < len(dims) or len(set(counts)) < len(counts):
         # A repeated value would run and count the same instances twice.
-        raise ContractError(f"dims {list(dims)} and counts {list(counts)} must not repeat a value")
+        raise ValueError(f"dims {list(dims)} and counts {list(counts)} must not repeat a value")
     summary = VerificationSummary(trials, dims, counts, seed, use_paulis)
     combos = [(dim, n) for dim in dims for n in counts]
     largest = max(n * dim * dim for dim, n in combos)

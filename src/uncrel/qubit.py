@@ -19,8 +19,7 @@ import math
 
 import numpy as np
 
-from .core import _Frozen, DensityMatrix, Observable, PureState
-from .errors import ContractError
+from .core import PSD_ATOL, _Frozen, DensityMatrix, Observable, PureState
 from .relations import ObservableSet, Relation, SUM_FORM_RELATIONS, bound_values
 
 PAULI_AXES = ("x", "y", "z")
@@ -95,38 +94,33 @@ def moments_from_angles(theta, phi):
     return sin_t * np.cos(phi), sin_t * np.sin(phi), np.cos(theta)
 
 
-def _require_sum_form(relations) -> None:
-    bad = [rel.value for rel in relations if rel not in SUM_FORM_RELATIONS]
-    if bad:
-        raise ContractError(
-            f"no closed form for {bad}; only sum-form relations reduce to Pauli moments"
-        )
-
-
-def closed_form_bounds(ex, ey, ez, relations=SUM_FORM_RELATIONS):
+def closed_form_bounds(ex, ey, ez):
     """Vectorized closed forms for arrays of expectation triples.
 
     Args:
         ex, ey, ez: floats or same-shape numpy arrays of Pauli expectations.
-        relations: sum-form relations to evaluate.
 
     Returns:
-        ``(lhs, bounds)`` where ``lhs`` is ``3 - v`` and ``bounds`` maps each
-        relation to its rhs, elementwise over the inputs.  No Bloch-ball
-        check is made; radicands are clamped at zero so estimates outside
-        the ball, as noisy bootstrap replicates give, cannot produce NaNs.
+        ``(lhs, bounds)``: ``lhs`` is ``3 - v`` and ``bounds`` maps every
+        relation of ``SUM_FORM_RELATIONS``, in order, to its rhs, elementwise
+        over the inputs.  No Bloch-ball check is made; radicands are clamped
+        at zero, so estimates outside the ball cannot produce NaNs.
     """
-    _require_sum_form(relations)
     e = np.array((ex, ey, ez), dtype=float)
     flat = e.reshape(3, -1)
-    out = np.empty((1 + len(relations), flat.shape[1]))
+    out = np.empty((1 + len(SUM_FORM_RELATIONS), flat.shape[1]))
     # Slices of _CHUNK states keep every temporary small enough to be
     # reused from cache rather than drawn from fresh pages.
     for k in range(0, flat.shape[1], _CHUNK):
         values = bound_values(pauli_table(*flat[:, k : k + _CHUNK]))
-        out[:, k : k + _CHUNK] = [values[Relation.SONG][0], *(values[r][1] for r in relations)]
+        out[:, k : k + _CHUNK] = [values[Relation.SONG][0], *(values[r][1] for r in SUM_FORM_RELATIONS)]
     lhs, *rhs = out.reshape((-1,) + e.shape[1:])
-    return lhs, dict(zip(relations, rhs))
+    return lhs, dict(zip(SUM_FORM_RELATIONS, rhs))
+
+
+#: A Bloch vector of squared length ``1 + t`` has eigenvalue ``-t/4``: the
+#: most ``t`` that :class:`DensityMatrix` accepts, less a round-off margin.
+_STOKES_RTOL = 4.0 * PSD_ATOL - 1e-14
 
 
 class StokesVector(_Frozen):
@@ -134,8 +128,8 @@ class StokesVector(_Frozen):
 
     ``s0`` is the total intensity and must be positive; the polarized part
     cannot exceed it, so ``s1^2 + s2^2 + s3^2 <= s0^2`` within a relative
-    1e-9.  Only the ratios ``s_i / s0`` matter downstream, so any overall
-    intensity scale is accepted.
+    ``_STOKES_RTOL``.  Only the ratios ``s_i / s0`` matter downstream, so any
+    overall intensity scale is accepted.
     """
 
     __slots__ = ("s0", "s1", "s2", "s3")
@@ -145,7 +139,7 @@ class StokesVector(_Frozen):
             raise ValueError(f"s0 must be positive, got {s0!r}")
         # Products, not **, which raises OverflowError on huge values.
         polarized = s1 * s1 + s2 * s2 + s3 * s3
-        if polarized > s0 * s0 * (1.0 + 1e-9):
+        if polarized > s0 * s0 * (1.0 + _STOKES_RTOL):
             raise ValueError(f"polarized intensity {polarized!r} exceeds s0^2 = {s0 * s0!r}")
         self.s0, self.s1, self.s2, self.s3 = s0, s1, s2, s3
 

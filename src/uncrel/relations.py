@@ -32,7 +32,6 @@ import numpy as np
 
 from . import core
 from .core import _add_rows, _Frozen, DensityMatrix, Observable, PureState, QuantumState
-from .errors import ContractError
 
 # A report may undershoot its bound by this much, times max(1, |lhs|),
 # before it counts as a violation; anything worse is a genuine failure, not
@@ -162,14 +161,14 @@ class ObservableSet(_Frozen):
     def __init__(self, observables: tuple[Observable, ...]) -> None:
         obs = tuple(observables)
         if len(obs) < 2:
-            raise ContractError(
+            raise ValueError(
                 f"an observable set needs at least 2 members, got {len(obs)}"
             )
         if any(not isinstance(o, Observable) for o in obs):
             raise TypeError("observable set members must be Observable instances")
         dims = {o.dim for o in obs}
         if len(dims) > 1:
-            raise ContractError(f"observables have mixed dimensions: {sorted(dims)}")
+            raise ValueError(f"observables have mixed dimensions: {sorted(dims)}")
         stack = np.stack([o.matrix for o in obs])
         stack.flags.writeable = False
         self.observables, self.stack = obs, stack
@@ -294,7 +293,7 @@ def maccone_pati_orthogonal(
     orthogonal to ``psi`` within 1e-10.
     """
     if isinstance(psi, DensityMatrix):
-        raise ContractError("mp_orthogonal is defined for pure states only")
+        raise ValueError("mp_orthogonal is defined for pure states only")
     pair = ObservableSet((a, b))
     ket = core.state_array(psi)
     core._check_same_dim(pair.dim, psi.dim)
@@ -303,7 +302,7 @@ def maccone_pati_orthogonal(
     core._check_same_dim(psi.dim, psi_perp.dim)
     overlap = abs(complex(np.vdot(ket, psi_perp.amplitudes)))
     if overlap > 1e-10:
-        raise ContractError(f"psi_perp has overlap {overlap!r} with psi, expected orthogonal")
+        raise ValueError(f"psi_perp has overlap {overlap!r} with psi, expected orthogonal")
     values = instance_values(pair.stack, ket, psi_perp.amplitudes)[Relation.MACCONE_PATI_ORTHOGONAL]
     return _reports([Relation.MACCONE_PATI_ORTHOGONAL], *values, [None], [None])[0]
 

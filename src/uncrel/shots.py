@@ -15,10 +15,9 @@ import math
 
 import numpy as np
 
-from .errors import ContractError
 from .qubit import _PAULI_STACK, PAULI_AXES, closed_form_bounds
 from .core import _Frozen, QuantumState, moment_table, state_array
-from .relations import Relation, SUM_FORM_RELATIONS
+from .relations import Relation
 
 #: Counting-run length used when a plan does not say otherwise.
 DEFAULT_SHOTS_PER_BASIS = 2400
@@ -93,7 +92,7 @@ def simulate_counts(state: QuantumState, plan: ShotPlan) -> list[MeasurementReco
     keyed by ``(plan.seed, k)``.  Records come back in that order.
     """
     if state.dim != 2:
-        raise ContractError(f"shot simulation is for qubits, got dim {state.dim}")
+        raise ValueError(f"shot simulation is for qubits, got dim {state.dim}")
     means, _, _ = moment_table(_PAULI_STACK, state_array(state))
     p_up = np.clip((1.0 + means) / 2.0, 0.0, 1.0)
     records = []
@@ -121,12 +120,9 @@ def estimate_expectation(record: MeasurementRecord) -> EstimateWithError:
 
 
 def bootstrap_bounds(
-    records: list[MeasurementRecord],
-    relations=SUM_FORM_RELATIONS,
-    resamples: int = 1000,
-    seed: int = 0,
+    records: list[MeasurementRecord], resamples: int = 1000, seed: int = 0
 ) -> tuple[EstimateWithError, dict[Relation, EstimateWithError]]:
-    """Point estimates and bootstrap error bars for closed-form bounds.
+    """Point estimates and bootstrap error bars for the seven closed forms.
 
     Needs one record per Pauli basis.  Point values plug the estimated
     expectations into the closed forms, also when they lie outside the
@@ -167,5 +163,5 @@ def bootstrap_bounds(
     def estimate(values) -> EstimateWithError:
         return EstimateWithError(float(values[0]), float(np.std(values[1:], ddof=1)))
 
-    lhs, rhs = closed_form_bounds(*means, relations)
-    return estimate(lhs), {rel: estimate(rhs[rel]) for rel in relations}
+    lhs, rhs = closed_form_bounds(*means)
+    return estimate(lhs), {rel: estimate(values) for rel, values in rhs.items()}

@@ -141,6 +141,28 @@ def test_echoed_input_is_clipped_to_one_short_line(case, tmp_path):
     assert lines == [f"uncrel: error: {reason}"] and len(lines[0]) < 200
 
 
+def test_stokes_vector_the_density_check_would_refuse_is_refused_as_stokes(tmp_path, capsys):
+    """|r|^2 = 1 + 6e-10 gives an eigenvalue of -1.5e-10, below -PSD_ATOL:
+    the Stokes check refuses it before the density matrix is built."""
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"stokes": [1, 1.0000000003, 0, 0]}))
+    assert cli.main(["bounds", "--state-file", str(path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "uncrel: error: polarized intensity 1.0000000006 exceeds s0^2 = 1.0"]
+
+
+def test_stokes_vector_within_the_density_check_is_accepted(tmp_path, capsys):
+    """|r|^2 = 1 + 2e-10 gives an eigenvalue of -5e-11, which both checks
+    accept.  On sigma_y and sigma_z no moment check refuses it either."""
+    state, observables = tmp_path / "state.json", tmp_path / "observables.json"
+    state.write_text(json.dumps({"stokes": [1, 1.0000000001, 0, 0]}))
+    observables.write_text(json.dumps([[[[0, 0], [0, -1]], [[0, 1], [0, 0]]],
+                                       [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]]))
+    args = ["bounds", "--state-file", str(state), "--observables-file", str(observables)]
+    assert cli.main(args) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_import_runs_no_dataclass_code_generation():
     """Start-up loads no ``dataclasses``: no class of uncrel is built by it."""
     child = (

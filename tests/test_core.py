@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 import _oracles as o
 from uncrel import (
     ConsistencyError,
-    ContractError,
     DensityMatrix,
     Observable,
     ObservableSet,
@@ -76,7 +75,7 @@ def test_observable_rejects_non_square():
 
 
 def test_observable_rejects_dim_one():
-    with pytest.raises(ContractError, match="dimension >= 2, got 1"):
+    with pytest.raises(ValueError, match="dimension >= 2, got 1"):
         Observable(np.array([[1.0]]))
 
 
@@ -140,7 +139,7 @@ def test_expectation_maximally_mixed():
 
 def test_expectation_dimension_mismatch():
     qutrit = Observable(np.eye(3))
-    with pytest.raises(ContractError, match=r"dimension mismatch: \(3, 2\)"):
+    with pytest.raises(ValueError, match=r"dimension mismatch: \(3, 2\)"):
         evaluate_all(ObservableSet((qutrit, qutrit)), KET0)
 
 
@@ -472,7 +471,6 @@ def test_package_exports_the_public_api():
         "BlochAngles",
         "BoundReport",
         "ConsistencyError",
-        "ContractError",
         "DensityMatrix",
         "EstimateWithError",
         "MeasurementRecord",

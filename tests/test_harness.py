@@ -19,7 +19,6 @@ import _oracles as o
 import uncrel
 from uncrel import (
     BoundReport,
-    ContractError,
     Observable,
     PureState,
     Relation,
@@ -75,7 +74,8 @@ def test_sweep_spec_validation():
         SweepSpec("theta", 0.0, 1)
     with pytest.raises(ValueError, match="relation"):
         SweepSpec("theta", 0.0, 13, relations=())
-    with pytest.raises(ValueError, match="sum-form"):
+    with pytest.raises(ValueError, match=r"^no closed form for \['robertson'\]; only sum-form "
+                       "relations reduce to Pauli moments$"):
         SweepSpec("theta", 0.0, 13, relations=(Relation.ROBERTSON,))
     with pytest.raises(ValueError, match="duplicate"):
         SweepSpec("theta", 0.0, 13, relations=(Relation.SONG, Relation.SONG))
@@ -225,7 +225,7 @@ def test_verify_guards_pauli_flag():
         run_verify(0)
     # an empty list would run no instance, and the campaign would pass vacuously
     for dims, counts in (((), (2,)), ((2,), ())):
-        with pytest.raises(ContractError, match="must not be empty"):
+        with pytest.raises(ValueError, match="must not be empty"):
             run_verify(5, dims=dims, counts=counts)
 
 

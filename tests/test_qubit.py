@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import _oracles as o
 from uncrel import (
     BlochAngles,
-    ContractError,
+    PAIRWISE_RELATIONS,
     PureState,
     Relation,
     SUM_FORM_RELATIONS,
@@ -44,12 +44,12 @@ def stokes_ratios(s):
 
 def rhs(e, relation):
     """One closed-form bound at the expectation triple ``e``."""
-    return closed_form_bounds(*e, (relation,))[1][relation]
+    return closed_form_bounds(*e)[1][relation]
 
 
 def lhs(e):
     """The closed-form lhs, ``3 - v``, at the expectation triple ``e``."""
-    return closed_form_bounds(*e, ())[0]
+    return closed_form_bounds(*e)[0]
 
 
 angles = st.builds(
@@ -238,10 +238,9 @@ def test_closed_form_center_pair_bound():
     assert lhs(m) == pytest.approx(3.0, abs=1e-12)
 
 
-def test_closed_form_rejects_pairwise_relation():
-    m = moments_from_angles(1.0, 2.0)
-    with pytest.raises(ContractError, match=r"no closed form for \['robertson'\]"):
-        rhs(m, Relation.ROBERTSON)
+def test_closed_forms_hold_no_pairwise_entry():
+    _, bounds = closed_form_bounds(*moments_from_angles(1.0, 2.0))
+    assert not set(bounds) & set(PAIRWISE_RELATIONS)
 
 
 @settings(max_examples=80, deadline=None)
@@ -334,6 +333,7 @@ def test_closed_form_bounds_vectorized_matches_scalar():
     ey = rng.uniform(-0.55, 0.55, size=40)
     ez = rng.uniform(-0.55, 0.55, size=40)
     total, bounds = closed_form_bounds(ex, ey, ez)
+    assert list(bounds) == list(SUM_FORM_RELATIONS)
     for k in range(ex.size):
         m = (ex[k], ey[k], ez[k])
         assert total[k] == pytest.approx(lhs(m), abs=1e-12)
@@ -344,6 +344,7 @@ def test_closed_form_bounds_vectorized_matches_scalar():
 def test_closed_form_bounds_clamps_outside_ball_radicands():
     # bootstrap replicates may push a pair sum past sqrt(2); no NaNs allowed
     total, bounds = closed_form_bounds(1.02, 0.9, 0.0)
+    assert list(bounds) == list(SUM_FORM_RELATIONS)
     assert np.isfinite(total)
     for rel, value in bounds.items():
         assert np.isfinite(value), rel.label

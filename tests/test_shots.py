@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -6,7 +7,6 @@ import pytest
 import _oracles as o
 from uncrel import (
     BlochAngles,
-    ContractError,
     EstimateWithError,
     MeasurementRecord,
     PureState,
@@ -89,7 +89,7 @@ def test_simulate_counts_deterministic():
 
 def test_simulate_counts_rejects_qutrits():
     qutrit = PureState(random_pure_state(3, 1, range(1))[0])
-    with pytest.raises(ContractError, match="shot simulation is for qubits, got dim 3"):
+    with pytest.raises(ValueError, match="shot simulation is for qubits, got dim 3"):
         simulate_counts(qutrit, ShotPlan())
 
 
@@ -203,6 +203,15 @@ def test_bootstrap_point_values_are_plug_in():
         rhs_est = estimates[rel]
         assert rhs_est.value == pytest.approx(exact[rel], abs=1e-12)
         assert rhs_est.std_error > 0.0
+
+
+def test_closed_forms_and_bootstrap_take_no_relation_choice():
+    assert list(inspect.signature(closed_form_bounds).parameters) == ["ex", "ey", "ez"]
+    assert list(inspect.signature(bootstrap_bounds).parameters) == ["records", "resamples", "seed"]
+    records = exact_records(1000, 0.5, 0.0, 0.8)
+    (lhs_a, a), (lhs_b, b) = bootstrap_bounds(records, 200, 1), bootstrap_bounds(records, resamples=200, seed=1)
+    for x, y in zip((lhs_a, *a.values()), (lhs_b, *b.values())):
+        assert (x.value, x.std_error) == (y.value, y.std_error)
 
 
 def test_bootstrap_point_independent_of_resamples():

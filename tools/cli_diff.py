@@ -12,8 +12,9 @@ both see the same arguments.  The list (:func:`commands`) holds the
 512, 513 and 10,001 steps, as JSON to a file and as CSV to stdout, plus
 JSON sweeps with integral cells and columns of one value: exact phi sweeps
 at both poles, and shot sweeps at 1, 3 and 10 shots, where expectation
-estimates reach +-1, plus refusals: ``verify`` with one observable or
-dimension 1, and ``bounds`` on inputs of the wrong dimensions or counts
+estimates reach +-1, plus refusals: ``verify`` with one observable,
+dimension 1 or a repeated count, and ``bounds`` on inputs of the wrong
+dimensions or counts and on a Stokes vector longer than its intensity
 (:data:`REFUSALS`), plus the 9-step phi sweep on the equator and a
 ``bounds`` query on Pauli observables shifted by 1e4 times the identity
 (:data:`EXACT_CASES`); it writes their input files.  The exit status is 0
@@ -65,6 +66,14 @@ REFUSALS = {
         {"qubit.json": {"amplitudes": [[1, 0], [0, 0]]}, "mixed.json": [SX, QUTRIT_Z]}),
     "bounds-density-1x1": (
         ["bounds", "--state-file", "tiny.json"], {"tiny.json": {"density": [[[1, 0]]]}}),
+    "bounds-amplitudes-1": (
+        ["bounds", "--state-file", "one.json"], {"one.json": {"amplitudes": [[1, 0]]}}),
+    "bounds-observables-1x1": (
+        ["bounds", "--state-file", "qubit.json", "--observables-file", "tiny.json"],
+        {"qubit.json": {"amplitudes": [[1, 0], [0, 0]]}, "tiny.json": [[[[1, 0]]], [[[1, 0]]]]}),
+    "verify-repeated-count": (["verify", "--n-observables", "2,2"], {}),
+    "bounds-stokes-beyond-density": (
+        ["bounds", "--state-file", "stokes.json"], {"stokes.json": {"stokes": [1, 1.0000000003, 0, 0]}}),
 }
 #: Commands whose bounds sit where round-off in the moment table shows: at a
 #: square-root kink, and on observables shifted by the identity:
