@@ -45,7 +45,7 @@ from .relations import (
     BoundReport,
     evaluate_all,
 )
-from .shots import ShotPlan
+from .shots import DEFAULT_RESAMPLES, ShotPlan
 
 
 #: Exit status per error a command may end in; every refused input is a
@@ -88,17 +88,14 @@ def _clip(text: str) -> str:
     return text if len(text) <= 60 else text[:60] + "..."
 
 
-def _nonneg_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+def _integer(text: str, floor: int | None = None) -> int:
+    """``text`` as an int, and at least ``floor`` (0 or 1) if one is given."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {_clip(repr(text))}") from None
+    if floor is not None and value < floor:
+        raise argparse.ArgumentTypeError(f"must be {('non-negative', 'positive')[floor]}, got {value}")
     return value
 
 
@@ -138,17 +135,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="held angle (default: 0 for theta sweeps, pi/3 for phi sweeps)",
     )
     sweep.add_argument(
-        "--steps", type=_positive_int, default=None,
+        "--steps", type=_integer, default=None,
         help="grid points including both endpoints (default: 13 theta, 25 phi)",
     )
     sweep.add_argument(
-        "--shots", type=_positive_int, default=None, metavar="N",
+        "--shots", type=_integer, default=None, metavar="N",
         help="simulate N shots per basis instead of exact evaluation",
     )
-    sweep.add_argument("--seed", type=_nonneg_int, default=0)
+    # An exact sweep ignores --seed and --resamples, so the parser judges them.
+    sweep.add_argument("--seed", type=lambda text: _integer(text, 0), default=0)
     sweep.add_argument(
-        "--resamples", type=_positive_int, default=1000,
-        help="bootstrap replicates per point for error bars (default 1000)",
+        "--resamples", type=lambda text: _integer(text, 1), default=DEFAULT_RESAMPLES,
+        help=f"bootstrap replicates per point for error bars (default {DEFAULT_RESAMPLES})",
     )
     sweep.add_argument(
         "--relations", default="T1,T2,T3,M1,M2,M3,M4", metavar="LABELS",
@@ -166,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
             "tolerance."
         ),
     )
-    verify.add_argument("--trials", type=_positive_int, default=100)
+    verify.add_argument("--trials", type=_integer, default=100)
     verify.add_argument(
         "--dim", type=_int_list, default=(2,), metavar="D[,D...]",
         help="Hilbert-space dimensions to cover (default 2)",
@@ -175,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--n-observables", type=_int_list, default=(3,), metavar="N[,N...]",
         help="observable counts to cover (default 3)",
     )
-    verify.add_argument("--seed", type=_nonneg_int, default=0)
+    verify.add_argument("--seed", type=_integer, default=0)
     verify.add_argument(
         "--pauli", action="store_true",
         help="use the fixed Pauli triple on qubits (sum-form relations only)",
@@ -215,18 +213,16 @@ def _output_flags(parser) -> None:
 
 
 def _parse_relations(text: str):
+    """The relations that ``text``'s labels name; :class:`SweepSpec` judges the choice."""
     relations = []
     for raw in text.split(","):
         label = raw.strip().upper()
         if not label:
             continue
-        rel = RELATION_BY_LABEL.get(label)
-        if rel is None or rel not in SUM_FORM_RELATIONS:
+        if label not in RELATION_BY_LABEL:
             labels = ",".join(r.label for r in SUM_FORM_RELATIONS)
             raise ValueError(f"unknown relation label {raw!r}; choose from {labels}")
-        relations.append(rel)
-    if not relations:
-        raise ValueError("no relations requested")
+        relations.append(RELATION_BY_LABEL[label])
     return tuple(relations)
 
 
@@ -237,9 +233,7 @@ def _cmd_sweep(args) -> int:
         fixed = 0.0 if args.mode == "theta" else math.pi / 3.0
     steps = args.steps if args.steps is not None else (13 if args.mode == "theta" else 25)
     relations = _parse_relations(args.relations)
-    plan = None
-    if args.shots is not None:
-        plan = ShotPlan(shots_per_basis=args.shots, seed=args.seed)
+    plan = None if args.shots is None else ShotPlan(shots_per_basis=args.shots, seed=args.seed)
     spec = SweepSpec(args.mode, fixed, steps, relations, plan)
     table = run_sweep(spec, resamples=args.resamples)
     metadata = {

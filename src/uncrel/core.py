@@ -140,7 +140,9 @@ class DensityMatrix(_Frozen):
 
     Positivity is checked through the eigenvalue spectrum; the smallest
     eigenvalue may sit below zero by at most ``PSD_ATOL`` to absorb
-    round-off from reconstructed matrices.
+    round-off from reconstructed matrices.  Such a matrix is stored as the
+    nearest positive semidefinite one (eigenvalues clipped at 0, trace
+    renormalized), so its variances pass the check of :func:`moment_table`.
     """
 
     __slots__ = ("matrix",)
@@ -157,6 +159,9 @@ class DensityMatrix(_Frozen):
             raise ValueError(
                 f"density matrix has negative eigenvalue {smallest!r}"
             )
+        if smallest < 0.0:
+            values, vectors = np.linalg.eigh(m)
+            m = (vectors * (values.clip(0.0) / values.clip(0.0).sum())) @ vectors.conj().T
         m = m.copy()
         m.flags.writeable = False
         self.matrix = m

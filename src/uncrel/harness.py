@@ -50,9 +50,8 @@ from .relations import (
     holds,
     instance_values,
 )
-from .shots import ShotPlan, bootstrap_bounds, derive_seed, simulate_counts
+from .shots import DEFAULT_RESAMPLES, ShotPlan, bootstrap_bounds, derive_seed, simulate_counts
 
-_TWO_PI = 2.0 * math.pi
 _RATIO_T2_OVER_T3 = 2.0 / math.sqrt(3.0)
 
 #: Most trials drawn and evaluated together for one (dim, n) of a campaign.
@@ -71,10 +70,11 @@ class SweepSpec(_Frozen):
 
     ``mode`` selects which angle varies: "theta" walks the polar angle over
     [0, pi] with the azimuth fixed at ``fixed_angle``; "phi" walks the
-    azimuth over [0, 2 pi] with the polar angle fixed.  ``steps`` grid
-    points are spaced evenly including both endpoints.  With a
-    :class:`ShotPlan` attached the sweep simulates counting statistics,
-    otherwise it evaluates the closed forms exactly.
+    azimuth over [0, 2 pi] with the polar angle fixed; :class:`BlochAngles`
+    refuses and clips the held angle.  ``steps`` grid points are spaced
+    evenly including both endpoints.  With a :class:`ShotPlan` attached the
+    sweep simulates counting statistics, otherwise it evaluates the closed
+    forms exactly.  Only the sum-form ``relations`` have closed forms.
     """
 
     __slots__ = ("mode", "fixed_angle", "steps", "relations", "shots")
@@ -86,31 +86,24 @@ class SweepSpec(_Frozen):
             raise ValueError(f"mode must be 'theta' or 'phi', got {mode!r}")
         if steps < 2:
             raise ValueError(f"steps must be >= 2, got {steps}")
-        fixed_max = _TWO_PI if mode == "theta" else math.pi
-        if not -1e-12 <= fixed_angle <= fixed_max + 1e-12:
-            raise ValueError(
-                f"fixed angle {fixed_angle!r} outside [0, {fixed_max!r}]"
-            )
+        held = BlochAngles(0.0, fixed_angle) if mode == "theta" else BlochAngles(fixed_angle)
         rels = tuple(relations)
         if not rels:
             raise ValueError("at least one relation is required")
         bad = [rel.value for rel in rels if rel not in SUM_FORM_RELATIONS]
         if bad:
-            raise ValueError(
-                f"no closed form for {bad}; only sum-form relations reduce to Pauli moments"
-            )
+            raise ValueError(f"no closed form for {bad}; only sum-form relations reduce to Pauli moments")
         if len(set(rels)) != len(rels):
             raise ValueError("duplicate relations in sweep spec")
         self.mode, self.steps, self.relations, self.shots = mode, steps, rels, shots
-        # Clipped onto the closed interval, as BlochAngles clips it.
-        self.fixed_angle = min(max(float(fixed_angle), 0.0), fixed_max)
+        self.fixed_angle = held.phi if mode == "theta" else held.theta
 
     def grid(self) -> tuple[np.ndarray, np.ndarray]:
         """The ``(theta, phi)`` columns of the grid points, in sweep order."""
         fixed = np.full(self.steps, self.fixed_angle)
         if self.mode == "theta":
             return np.linspace(0.0, math.pi, self.steps), fixed
-        return fixed, np.linspace(0.0, _TWO_PI, self.steps)
+        return fixed, np.linspace(0.0, 2.0 * math.pi, self.steps)
 
 
 class SweepTable(_Frozen):
@@ -131,7 +124,7 @@ class SweepTable(_Frozen):
         self.bounds, self.estimated = bounds, estimated
 
 
-def run_sweep(spec: SweepSpec, *, resamples: int = 1000) -> SweepTable:
+def run_sweep(spec: SweepSpec, *, resamples: int = DEFAULT_RESAMPLES) -> SweepTable:
     """Evaluate the requested bounds at every grid point of the sweep.
 
     Exact sweeps evaluate the closed forms over the whole grid at once.
@@ -259,9 +252,10 @@ def run_verify(
     each combination of ``trials`` x ``dims`` x ``counts``.  With
     ``use_paulis`` the observables are the fixed Pauli triple (dims and
     counts must then be ``(2,)`` and ``(3,)``) and only the sum-form
-    relations run, which keeps very large state counts affordable.  Empty
-    dims or counts, counts below 2 and a dim or count given twice are
-    refused.
+    relations are tallied; the formula set still computes the pairwise
+    Robertson and deviation-combination values, and the digest drops them.
+    Empty dims or counts, counts below 2, a dim or count given twice, a
+    negative seed and fewer than one trial are refused.
 
     Random-observable campaigns also evaluate the pairwise relations.
     Above dimension 2 the orthogonal-state sum bound gets a random
@@ -287,6 +281,8 @@ def run_verify(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     dims = tuple(int(d) for d in dims)
     counts = tuple(int(n) for n in counts)
     if use_paulis and (dims != (2,) or counts != (3,)):

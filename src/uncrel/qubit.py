@@ -147,13 +147,9 @@ class StokesVector(_Frozen):
 def stokes_to_density(stokes: StokesVector) -> DensityMatrix:
     """Reconstruct the qubit density matrix ``(I + sum_i (s_i/s0) sigma_i)/2``.
 
-    The Stokes invariant keeps the result positive semidefinite up to
-    round-off;  :class:`DensityMatrix` re-checks that defensively.
+    The Stokes invariant keeps its eigenvalues above ``-PSD_ATOL``, and
+    :class:`DensityMatrix` stores a vector a round-off past the Bloch-ball
+    edge as the pure state on it.
     """
-    rx = stokes.s1 / stokes.s0
-    ry = stokes.s2 / stokes.s0
-    rz = stokes.s3 / stokes.s0
-    rho = 0.5 * np.array(
-        [[1.0 + rz, rx - 1j * ry], [rx + 1j * ry, 1.0 - rz]], dtype=complex
-    )
-    return DensityMatrix(rho)
+    rx, ry, rz = stokes.s1 / stokes.s0, stokes.s2 / stokes.s0, stokes.s3 / stokes.s0
+    return DensityMatrix(0.5 * np.array([[1.0 + rz, rx - 1j * ry], [rx + 1j * ry, 1.0 - rz]]))

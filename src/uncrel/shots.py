@@ -22,6 +22,7 @@ from .relations import Relation
 #: Counting-run length used when a plan does not say otherwise.
 DEFAULT_SHOTS_PER_BASIS = 2400
 
+DEFAULT_RESAMPLES = 1000
 MIN_BOOTSTRAP_RESAMPLES = 100
 
 #: The most shots a binomial draw takes: numpy counts them in an int64.
@@ -120,7 +121,7 @@ def estimate_expectation(record: MeasurementRecord) -> EstimateWithError:
 
 
 def bootstrap_bounds(
-    records: list[MeasurementRecord], resamples: int = 1000, seed: int = 0
+    records: list[MeasurementRecord], resamples: int = DEFAULT_RESAMPLES, seed: int = 0
 ) -> tuple[EstimateWithError, dict[Relation, EstimateWithError]]:
     """Point estimates and bootstrap error bars for the seven closed forms.
 

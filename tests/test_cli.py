@@ -153,14 +153,101 @@ def test_stokes_vector_the_density_check_would_refuse_is_refused_as_stokes(tmp_p
 
 def test_stokes_vector_within_the_density_check_is_accepted(tmp_path, capsys):
     """|r|^2 = 1 + 2e-10 gives an eigenvalue of -5e-11, which both checks
-    accept.  On sigma_y and sigma_z no moment check refuses it either."""
+    accept; the state is stored on the Bloch-ball edge, so no moment check
+    refuses it either, on the default Pauli triple or on sigma_y and sigma_z."""
     state, observables = tmp_path / "state.json", tmp_path / "observables.json"
     state.write_text(json.dumps({"stokes": [1, 1.0000000001, 0, 0]}))
     observables.write_text(json.dumps([[[[0, 0], [0, -1]], [[0, 1], [0, 0]]],
                                        [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]]))
-    args = ["bounds", "--state-file", str(state), "--observables-file", str(observables)]
-    assert cli.main(args) == 0
-    assert capsys.readouterr().err == ""
+    args = ["bounds", "--state-file", str(state)]
+    for extra in ([], ["--observables-file", str(observables)]):
+        assert cli.main(args + extra) == 0
+        assert capsys.readouterr().err == ""
+
+
+def bounds_values(tmp_path, capsys, payload):
+    """Exit code and the ``(label, lhs, rhs)`` rows of ``bounds`` on a state
+    file holding ``payload``, with the default observables."""
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(payload))
+    code = cli.main(["bounds", "--state-file", str(path), "--format", "json"])
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    return code, [(r["label"], r["lhs"], r["rhs"]) for r in json.loads(captured.out)["reports"]]
+
+
+@pytest.mark.parametrize("payload", [
+    {"stokes": [1, 1.0000000001, 0, 0]},
+    # The same state as a density matrix: eigenvalues -5e-11 and 1 + 5e-11.
+    {"density": [[[0.5, 0], [0.50000000005, 0]], [[0.50000000005, 0], [0.5, 0]]]},
+])
+def test_state_a_round_off_past_the_edge_is_the_state_on_it(payload, tmp_path, capsys):
+    code, got = bounds_values(tmp_path, capsys, payload)
+    _, edge = bounds_values(tmp_path, capsys, {"stokes": [1, 1, 0, 0]})
+    assert code == 0 and len(got) == len(edge) == 7
+    for (label, lhs, rhs), (edge_label, edge_lhs, edge_rhs) in zip(got, edge):
+        assert label == edge_label
+        assert abs(lhs - edge_lhs) <= 1e-9 and abs(rhs - edge_rhs) <= 1e-9
+
+
+def library_message(call):
+    with pytest.raises(ValueError) as refused:
+        call()
+    return str(refused.value)
+
+
+MOVED_REFUSALS = {
+    "relations-pairwise": (["sweep", "--mode", "theta", "--relations", "R"],
+                           lambda: uncrel.SweepSpec("theta", 0.0, 13, (uncrel.Relation.ROBERTSON,))),
+    "relations-empty": (["sweep", "--mode", "theta", "--relations", ","],
+                        lambda: uncrel.SweepSpec("theta", 0.0, 13, ())),
+    "relations-repeated": (["sweep", "--mode", "theta", "--relations", "T1,T1"],
+                           lambda: uncrel.SweepSpec("theta", 0.0, 13, (uncrel.Relation.TRIPLE_SUM,) * 2)),
+    "fixed-phi": (["sweep", "--mode", "theta", "--fixed", "7"], lambda: uncrel.BlochAngles(0.0, 7.0)),
+    "fixed-theta": (["sweep", "--mode", "phi", "--fixed", "4"], lambda: uncrel.BlochAngles(4.0)),
+    "steps": (["sweep", "--mode", "theta", "--steps", "0"], lambda: uncrel.SweepSpec("theta", 0.0, 0)),
+    "shots": (["sweep", "--mode", "theta", "--shots", "0"], lambda: uncrel.ShotPlan(0)),
+    "trials": (["verify", "--trials", "0"], lambda: uncrel.run_verify(0)),
+    "verify-seed": (["verify", "--seed", "-1"], lambda: uncrel.run_verify(3, seed=-1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MOVED_REFUSALS))
+def test_refusal_the_library_judges_exits_1_with_its_message(case, capsys):
+    args, call = MOVED_REFUSALS[case]
+    assert cli.main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"uncrel: error: {library_message(call)}"]
+
+
+INTEGER_FLAGS = [
+    ("sweep", "--steps"), ("sweep", "--shots"), ("sweep", "--seed"), ("sweep", "--resamples"),
+    ("verify", "--trials"), ("verify", "--seed"), ("verify", "--dim"), ("verify", "--n-observables"),
+]
+
+
+@pytest.mark.parametrize("command, flag", INTEGER_FLAGS)
+def test_non_integer_value_of_an_integer_flag_names_no_private_function(command, flag, capsys):
+    args = [command, *(["--mode", "theta"] if command == "sweep" else []), flag, "abc"]
+    with pytest.raises(SystemExit) as done:
+        cli.main(args)
+    assert done.value.code == 1
+    expected = "comma-separated integers" if flag in ("--dim", "--n-observables") else "an integer"
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0].startswith(f"usage: uncrel {command}")
+    assert lines[-1] == f"uncrel {command}: error: argument {flag}: expected {expected}, got 'abc'"
+
+
+@pytest.mark.parametrize("flag, value, reason", [
+    ("--seed", "-1", "must be non-negative, got -1"),
+    ("--resamples", "0", "must be positive, got 0"),
+])
+def test_sweep_flags_an_exact_sweep_ignores_are_judged_by_the_parser(flag, value, reason, capsys):
+    with pytest.raises(SystemExit) as done:
+        cli.main(["sweep", "--mode", "theta", flag, value])
+    assert done.value.code == 1
+    assert capsys.readouterr().err.splitlines()[-1] == f"uncrel sweep: error: argument {flag}: {reason}"
 
 
 def test_import_runs_no_dataclass_code_generation():

@@ -101,6 +101,25 @@ def test_density_matrix_rejects_bad_trace():
 def test_density_matrix_rejects_negative_eigenvalue():
     with pytest.raises(ValueError, match="negative eigenvalue"):
         DensityMatrix(np.diag([1.5, -0.5]))
+    # Just below -PSD_ATOL (1e-10): refused, not projected.
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        DensityMatrix(np.diag([1.0 + 1.5e-10, -1.5e-10]))
+
+
+@pytest.mark.parametrize("depth", [5e-11, 1e-10 - 1e-14])
+def test_density_matrix_within_the_psd_tolerance_is_stored_positive(depth):
+    """An eigenvalue in [-PSD_ATOL, 0) is clipped to 0 and the trace kept at
+    1, so the moment table finds no negative Pauli variance."""
+    rotation = np.array([[1.0, 1.0j], [1.0j, 1.0]]) / math.sqrt(2.0)
+    rho = DensityMatrix(rotation @ np.diag([1.0 + depth, -depth]) @ rotation.conj().T)
+    values = np.linalg.eigvalsh(rho.matrix)
+    assert values.min() >= -1e-15 and abs(values.sum() - 1.0) <= 1e-15
+    assert not rho.matrix.flags.writeable
+    _, C, _ = moment_table(np.array(o.PAULIS), rho.matrix)
+    assert C.real.diagonal().min() >= -1e-15
+    # The pure state the eigenvector spans, within round-off.
+    edge = rotation @ np.diag([1.0, 0.0]) @ rotation.conj().T
+    assert np.abs(rho.matrix - edge).max() <= 1e-14
 
 
 def test_constructors_reject_non_finite_entries():

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import _oracles as o
 import uncrel
 from uncrel import (
+    BlochAngles,
     BoundReport,
     Observable,
     PureState,
@@ -79,8 +80,24 @@ def test_sweep_spec_validation():
         SweepSpec("theta", 0.0, 13, relations=(Relation.ROBERTSON,))
     with pytest.raises(ValueError, match="duplicate"):
         SweepSpec("theta", 0.0, 13, relations=(Relation.SONG, Relation.SONG))
-    with pytest.raises(ValueError, match="fixed"):
+    with pytest.raises(ValueError, match=r"^theta must be in \[0, pi\], got 9.0$"):
         SweepSpec("phi", 9.0, 25)
+
+
+@pytest.mark.parametrize("mode", ["theta", "phi"])
+def test_sweep_spec_holds_the_angle_bloch_angles_clips(mode):
+    """The held angle is phi of a theta sweep and theta of a phi sweep:
+    within the 1e-12 slop of either end it is BlochAngles' clipped value,
+    and 1e-11 beyond either end it is refused with BlochAngles' message."""
+    top = 2.0 * math.pi if mode == "theta" else math.pi
+    for fixed, clipped in ((-1e-12, 0.0), (0.0, 0.0), (1.0, 1.0), (top, top), (top + 1e-12, top)):
+        angles = BlochAngles(0.0, fixed) if mode == "theta" else BlochAngles(fixed)
+        held = SweepSpec(mode, fixed, 13).fixed_angle
+        assert held == (angles.phi if mode == "theta" else angles.theta) == clipped
+    name = "phi must be in \\[0, 2 pi\\]" if mode == "theta" else "theta must be in \\[0, pi\\]"
+    for fixed in (-1e-11, top + 1e-11):
+        with pytest.raises(ValueError, match=f"^{name}, got {fixed!r}$"):
+            SweepSpec(mode, fixed, 13)
 
 
 def test_sweep_grids_match_published_spacing():
@@ -227,6 +244,16 @@ def test_verify_guards_pauli_flag():
     for dims, counts in (((), (2,)), ((2,), ())):
         with pytest.raises(ValueError, match="must not be empty"):
             run_verify(5, dims=dims, counts=counts)
+
+
+def test_verify_refuses_a_negative_seed_before_any_draw(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("drew a state")
+
+    monkeypatch.setattr(harness, "random_pure_state", no_draw)
+    for use_paulis in (False, True):
+        with pytest.raises(ValueError, match=r"^seed must be non-negative, got -1$"):
+            run_verify(3, seed=-1, use_paulis=use_paulis)
 
 
 # -- emission -----------------------------------------------------------------
@@ -777,18 +804,32 @@ def test_cli_version(capsys):
 
 
 def test_cli_consistency_error_exits_4_with_one_line(tmp_path, capsys):
-    # The smallest eigenvalue sits inside the PSD tolerance, so the state is
-    # accepted; its z variance is then negative beyond round-off.
+    # A second moment of 1e152 is beyond what the product bound can square.
+    state_file, obs_file = tmp_path / "state.json", tmp_path / "obs.json"
+    state_file.write_text(json.dumps({"amplitudes": [[1, 0], [0, 0]]}))
+    big = 1e76
+    obs_file.write_text(json.dumps([[[[big, 0], [0, 0]], [[0, 0], [-big, 0]]],
+                                    [[[0, 0], [big, 0]], [[big, 0], [0, 0]]]]))
+    assert main(["bounds", "--state-file", str(state_file), "--observables-file", str(obs_file)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "uncrel: error: second moment 1e+152 is not finite or exceeds 1e+150"
+    ]
+
+
+def test_cli_density_within_the_psd_tolerance_passes_the_moment_checks(tmp_path, capsys):
+    """The smallest eigenvalue, -0.99e-10, sits inside the PSD tolerance; the
+    state is stored as |0><0|, whose z variance is 0, not -4e-10."""
     state_file = tmp_path / "state.json"
     state_file.write_text(
         '{"density": [[[1.0000000000990,0],[0,0]],[[0,0],[-0.99e-10,0]]]}'
     )
-    assert main(["bounds", "--state-file", str(state_file)]) == 4
+    assert main(["bounds", "--state-file", str(state_file), "--format", "json"]) == 0
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.splitlines() == [
-        "uncrel: error: variance -3.959997885161215e-10 is negative beyond round-off"
-    ]
+    assert captured.err == ""
+    reports = json.loads(captured.out)["reports"]
+    assert [r["lhs"] for r in reports] == [2.0] * len(reports)
 
 
 def test_cli_bounds_refuses_moments_beyond_double_precision(tmp_path, capsys):

@@ -13,10 +13,14 @@ both see the same arguments.  The list (:func:`commands`) holds the
 JSON sweeps with integral cells and columns of one value: exact phi sweeps
 at both poles, and shot sweeps at 1, 3 and 10 shots, where expectation
 estimates reach +-1, plus refusals: ``verify`` with one observable,
-dimension 1 or a repeated count, and ``bounds`` on inputs of the wrong
-dimensions or counts and on a Stokes vector longer than its intensity
-(:data:`REFUSALS`), plus the 9-step phi sweep on the equator and a
-``bounds`` query on Pauli observables shifted by 1e4 times the identity
+dimension 1, a repeated count, no trials or a negative seed; ``sweep``
+with a pairwise, repeated or empty choice of relations, a held angle out
+of range, one step, a step count that is no integer or no shots; and
+``bounds`` on inputs of the wrong dimensions or counts and on a Stokes
+vector longer than its intensity (:data:`REFUSALS`), plus the 9-step phi
+sweep on the equator, a ``bounds`` query on Pauli observables shifted by
+1e4 times the identity, and ``bounds`` on a state 1e-10 past the
+Bloch-ball edge as a Stokes vector and as a density matrix
 (:data:`EXACT_CASES`); it writes their input files.  The exit status is 0
 when every command is identical on both roots, else 1.
 """
@@ -59,8 +63,8 @@ REFUSALS = {
         ["bounds", "--state-file", "qutrit.json", "--observables-file", "qubits.json"],
         {"qutrit.json": {"amplitudes": [[1, 0], [0, 0], [0, 0]]}, "qubits.json": [SX, SZ]}),
     "bounds-one-observable": (
-        ["bounds", "--state-file", "qubit.json", "--observables-file", "one.json"],
-        {"qubit.json": {"amplitudes": [[1, 0], [0, 0]]}, "one.json": [SX]}),
+        ["bounds", "--state-file", "qubit.json", "--observables-file", "one-observable.json"],
+        {"qubit.json": {"amplitudes": [[1, 0], [0, 0]]}, "one-observable.json": [SX]}),
     "bounds-mixed-dimensions": (
         ["bounds", "--state-file", "qubit.json", "--observables-file", "mixed.json"],
         {"qubit.json": {"amplitudes": [[1, 0], [0, 0]]}, "mixed.json": [SX, QUTRIT_Z]}),
@@ -69,14 +73,25 @@ REFUSALS = {
     "bounds-amplitudes-1": (
         ["bounds", "--state-file", "one.json"], {"one.json": {"amplitudes": [[1, 0]]}}),
     "bounds-observables-1x1": (
-        ["bounds", "--state-file", "qubit.json", "--observables-file", "tiny.json"],
-        {"qubit.json": {"amplitudes": [[1, 0], [0, 0]]}, "tiny.json": [[[[1, 0]]], [[[1, 0]]]]}),
+        ["bounds", "--state-file", "qubit.json", "--observables-file", "tiny-observables.json"],
+        {"qubit.json": {"amplitudes": [[1, 0], [0, 0]]}, "tiny-observables.json": [[[[1, 0]]], [[[1, 0]]]]}),
     "verify-repeated-count": (["verify", "--n-observables", "2,2"], {}),
     "bounds-stokes-beyond-density": (
         ["bounds", "--state-file", "stokes.json"], {"stokes.json": {"stokes": [1, 1.0000000003, 0, 0]}}),
+    "sweep-relations-pairwise": (["sweep", "--mode", "theta", "--relations", "R"], {}),
+    "sweep-relations-repeated": (["sweep", "--mode", "theta", "--relations", "T1,T1"], {}),
+    "sweep-relations-empty": (["sweep", "--mode", "theta", "--relations", ","], {}),
+    "sweep-theta-fixed-7": (["sweep", "--mode", "theta", "--fixed", "7"], {}),
+    "sweep-phi-fixed-4": (["sweep", "--mode", "phi", "--fixed", "4"], {}),
+    "sweep-steps-1": (["sweep", "--mode", "theta", "--steps", "1"], {}),
+    "sweep-steps-abc": (["sweep", "--mode", "theta", "--steps", "abc"], {}),
+    "sweep-shots-0": (["sweep", "--mode", "theta", "--shots", "0"], {}),
+    "verify-trials-0": (["verify", "--trials", "0"], {}),
+    "verify-seed-negative": (["verify", "--seed", "-1"], {}),
 }
 #: Commands whose bounds sit where round-off in the moment table shows: at a
-#: square-root kink, and on observables shifted by the identity:
+#: square-root kink, on observables shifted by the identity, and on a state a
+#: round-off past the Bloch-ball edge, as Stokes vector and density matrix:
 #: ``(argv, input files)``.
 EXACT_CASES = {
     "sweep-equator-phi-9": (["sweep", "--mode", "phi", "--fixed", "90deg", "--steps", "9"], {}),
@@ -85,6 +100,11 @@ EXACT_CASES = {
         {"bloch.json": {"bloch": {"theta": 1, "phi": 0.4}},
          "shifted.json": [[[[10000, 0], [1, 0]], [[1, 0], [10000, 0]]],
                           [[[10001, 0], [0, 0]], [[0, 0], [9999, 0]]]]}),
+    "bounds-stokes-past-the-edge": (
+        ["bounds", "--state-file", "edge-stokes.json"], {"edge-stokes.json": {"stokes": [1, 1.0000000001, 0, 0]}}),
+    "bounds-density-past-the-edge": (
+        ["bounds", "--state-file", "edge-density.json"],
+        {"edge-density.json": {"density": [[[0.5, 0], [0.50000000005, 0]], [[0.50000000005, 0], [0.5, 0]]]}}),
 }
 
 
@@ -113,9 +133,12 @@ def commands(base: Path) -> list[tuple[str, list[str]]]:
         listed.append((f"exact-{steps}-csv", [*sweep, "--format", "csv"]))
     for name, args in SPECIAL_SWEEPS.items():
         listed.append((f"{name}-json", ["sweep", *args, "--format", "json", "--out", f"{name}.json"]))
+    written = {}
     for prefix, cases in (("refuse", REFUSALS), ("exact", EXACT_CASES)):
         for name, (args, files) in cases.items():
             for file_name, payload in files.items():
+                # One folder holds every case's files: a name means one content.
+                assert written.setdefault(file_name, payload) == payload, file_name
                 (base / file_name).write_text(json.dumps(payload))
             listed.append((f"{prefix}-{name}", args))
     return listed
