@@ -88,14 +88,14 @@ def _clip(text: str) -> str:
     return text if len(text) <= 60 else text[:60] + "..."
 
 
-def _integer(text: str, floor: int | None = None) -> int:
-    """``text`` as an int, and at least ``floor`` (0 or 1) if one is given."""
+def _integer(text: str, non_negative: bool = False) -> int:
+    """``text`` as an int, and at least 0 if ``non_negative``."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {_clip(repr(text))}") from None
-    if floor is not None and value < floor:
-        raise argparse.ArgumentTypeError(f"must be {('non-negative', 'positive')[floor]}, got {value}")
+    if non_negative and value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
     return value
 
 
@@ -142,12 +142,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--shots", type=_integer, default=None, metavar="N",
         help="simulate N shots per basis instead of exact evaluation",
     )
-    # An exact sweep ignores --seed and --resamples, so the parser judges them.
-    sweep.add_argument("--seed", type=lambda text: _integer(text, 0), default=0)
-    sweep.add_argument(
-        "--resamples", type=lambda text: _integer(text, 1), default=DEFAULT_RESAMPLES,
-        help=f"bootstrap replicates per point for error bars (default {DEFAULT_RESAMPLES})",
-    )
+    # An exact sweep ignores --seed, so the parser judges it; run_sweep judges --resamples.
+    sweep.add_argument("--seed", type=lambda text: _integer(text, True), default=0)
+    sweep.add_argument("--resamples", type=_integer, default=DEFAULT_RESAMPLES,
+                       help=f"bootstrap replicates per point for error bars (default {DEFAULT_RESAMPLES})")
     sweep.add_argument(
         "--relations", default="T1,T2,T3,M1,M2,M3,M4", metavar="LABELS",
         help="comma-separated labels from T1,T2,T3,M1,M2,M3,M4",

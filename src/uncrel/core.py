@@ -10,6 +10,7 @@ a whole batch at once.  All functions are pure.
 from __future__ import annotations
 
 from functools import reduce
+from operator import index
 
 import numpy as np
 
@@ -176,6 +177,14 @@ class DensityMatrix(_Frozen):
 
 # States are passed around as a tagged union; dispatch is by isinstance.
 QuantumState = PureState | DensityMatrix
+
+
+def _index(value, name: str) -> int:
+    """``value`` as ``operator.index`` takes it; anything else is refused naming ``name``."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _check_same_dim(*dims: int) -> None:

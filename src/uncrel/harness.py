@@ -7,7 +7,8 @@ Three entry points sit behind the CLI:
   as one :class:`SweepTable` of columns.
 * :func:`run_verify` hammers the relation engine with seeded random states
   and observables, evaluated in blocks of trials from one batched moment
-  table each, and tallies any bound violations beyond tolerance.
+  table each (Pauli blocks from the kets' Bloch vectors, as exact sweeps),
+  and tallies any bound violations beyond tolerance.
 * :func:`emit` renders a sweep table, reports, or a verification summary
   as CSV or JSON, to stdout or a file.
 
@@ -28,18 +29,13 @@ import numpy as np
 from ._version import __version__
 from .core import (
     _Frozen,
+    _index,
     orthogonal_companions,
     qubit_companions,
     random_observable,
     random_pure_state,
 )
-from .qubit import (
-    _PAULI_STACK,
-    BlochAngles,
-    bloch_to_state,
-    closed_form_bounds,
-    moments_from_angles,
-)
+from .qubit import BlochAngles, bloch_to_state, closed_form_bounds, moments_from_angles, pauli_table
 from .relations import (
     HOLDS_ATOL,
     BoundReport,
@@ -47,10 +43,12 @@ from .relations import (
     Relation,
     SUM_FORM_RELATIONS,
     SkippedRelation,
+    bound_values,
     holds,
     instance_values,
 )
-from .shots import DEFAULT_RESAMPLES, ShotPlan, bootstrap_bounds, derive_seed, simulate_counts
+from .shots import (_check_resamples, DEFAULT_RESAMPLES, ShotPlan, bootstrap_bounds, derive_seed,
+                    simulate_counts)
 
 _RATIO_T2_OVER_T3 = 2.0 / math.sqrt(3.0)
 
@@ -84,6 +82,7 @@ class SweepSpec(_Frozen):
                  shots: ShotPlan | None = None) -> None:
         if mode not in ("theta", "phi"):
             raise ValueError(f"mode must be 'theta' or 'phi', got {mode!r}")
+        steps = _index(steps, "steps")
         if steps < 2:
             raise ValueError(f"steps must be >= 2, got {steps}")
         held = BlochAngles(0.0, fixed_angle) if mode == "theta" else BlochAngles(fixed_angle)
@@ -131,8 +130,9 @@ def run_sweep(spec: SweepSpec, *, resamples: int = DEFAULT_RESAMPLES) -> SweepTa
     Simulated sweeps draw counts for each point from a child seed of
     ``spec.shots.seed`` keyed by the point index, so any sub-grid of points
     reproduces the full sweep's values, then bootstrap ``resamples``
-    replicates for the error bars.
+    replicates for the error bars; too few are refused for any sweep.
     """
+    _check_resamples(resamples)
     theta, phi = spec.grid()
     if spec.shots is None:
         lhs, rhs = closed_form_bounds(*moments_from_angles(theta, phi))
@@ -255,7 +255,8 @@ def run_verify(
     relations are tallied; the formula set still computes the pairwise
     Robertson and deviation-combination values, and the digest drops them.
     Empty dims or counts, counts below 2, a dim or count given twice, a
-    negative seed and fewer than one trial are refused.
+    negative seed, fewer than one trial and any count, dim or seed that
+    ``operator.index`` does not take are refused before any draw.
 
     Random-observable campaigns also evaluate the pairwise relations.
     Above dimension 2 the orthogonal-state sum bound gets a random
@@ -272,19 +273,22 @@ def run_verify(
 
     Each ``(dim, n)`` runs a block of trials at a time: one ``trials=``
     draw per role and one :func:`~uncrel.relations.instance_values` call,
-    which builds one moment table.  A block holds up to 512
-    trials (``_BLOCK_TRIALS``) and, for the largest ``n d^2`` of the
-    campaign, no more than ``_BLOCK_ENTRIES`` matrix entries, so memory
-    does not grow with the dimension.  For any block size the
+    which builds one moment table.  A Pauli block builds none: each ket's
+    Bloch vector goes through :func:`~uncrel.qubit.pauli_table`, the route
+    of exact sweeps, to :func:`~uncrel.relations.bound_values`.  A block
+    holds up to 512 trials (``_BLOCK_TRIALS``) and, for the largest ``n
+    d^2`` of the campaign, no more than ``_BLOCK_ENTRIES`` matrix entries,
+    so memory does not grow with the dimension.  For any block size the
     summary is bit for bit, orders included, that of instances run one by
     one in the order ``(trial, dim, n)``.
     """
+    trials, seed = _index(trials, "trials"), _index(seed, "seed")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    dims = tuple(int(d) for d in dims)
-    counts = tuple(int(n) for n in counts)
+    dims = tuple(_index(d, "a dim") for d in dims)
+    counts = tuple(_index(n, "an observable count") for n in counts)
     if use_paulis and (dims != (2,) or counts != (3,)):
         raise ValueError("Pauli campaigns fix dims=(2,) and counts=(3,)")
     if not dims or not counts:
@@ -301,11 +305,11 @@ def run_verify(
     block_trials = max(1, min(_BLOCK_TRIALS, _BLOCK_ENTRIES // largest))
     for start in range(0, trials, block_trials):
         stop = min(start + block_trials, trials)
-        block = np.arange(start, stop)
+        block = range(start, stop)
         findings = []
         for position, (dim, n) in enumerate(combos):
-            values = _block_values(seed, range(start, stop), dim, n, use_paulis)
-            instances = (block * len(combos) + position).tolist()
+            values = _block_values(seed, block, dim, n, use_paulis)
+            instances = range(start * len(combos) + position, stop * len(combos), len(combos))
             findings += _digest_block(summary, values, block, instances, dim, n)
         _merge_findings(summary, findings)
     summary.total_instances = trials * len(combos)
@@ -313,7 +317,7 @@ def run_verify(
 
 
 def _digest_block(
-    summary: VerificationSummary, values: dict, block: np.ndarray, instances: list, dim: int, n: int
+    summary: VerificationSummary, values: dict, block: range, instances: range, dim: int, n: int
 ) -> list:
     """Count one block's reports into ``summary`` and return its findings.
 
@@ -321,23 +325,27 @@ def _digest_block(
     smallest slack and the earliest violations of each relation, and the
     earliest examples of each note, the first of which carries the count of
     all the block's hits of that note.  ``rank`` orders the findings of one
-    instance as its reports are ordered.
+    instance as its reports are ordered.  Each relation gets one verdict,
+    one count and one minimum, and records are built only for the indices
+    they name that may still enter the summary.
     """
     reported = SUM_FORM_RELATIONS + (() if summary.use_paulis else PAIRWISE_RELATIONS)
     pairs = list(combinations(range(n), 2))
     findings = []
     for rank, rel in enumerate(rel for rel in reported if rel in values):
         # One row per trial, one column per pair (a single one if not pairwise).
-        lhs, rhs = (v.reshape(block.size, -1) for v in values[rel][:2])
-        failed = np.flatnonzero(~holds(lhs, rhs))
+        lhs, rhs = (v.reshape(len(block), -1) for v in values[rel][:2])
+        slack, failed = lhs - rhs, ~holds(lhs, rhs)
+        lowest, count = int(np.argmin(slack)), int(np.count_nonzero(failed))
         tally = summary.tallies.setdefault(rel, RelationTally())
         tally.evaluated += lhs.size
-        tally.violations += failed.size
-        candidates = [("min", np.argmin(lhs - rhs))]
-        candidates += [("violation", k) for k in failed[:_MAX_WITNESSES]]
+        tally.violations += count
+        candidates = [("min", lowest)] if slack.flat[lowest] < tally.min_slack else []
+        if count and len(summary.violation_witnesses) < _MAX_WITNESSES:
+            candidates += [("violation", k) for k in np.flatnonzero(failed)[:_MAX_WITNESSES]]
         for kind, k in candidates:
             b, p = divmod(int(k), lhs.shape[1])
-            record = {"trial": int(block[b]), "dim": dim, "n_observables": n,
+            record = {"trial": block[b], "dim": dim, "n_observables": n,
                       "pair": list(pairs[p]) if rel.pairwise else None,
                       "lhs": float(lhs[b, p]), "rhs": float(rhs[b, p])}
             findings.append(((instances[b], rank, p), kind, rel, record))
@@ -345,11 +353,13 @@ def _digest_block(
     if n == 3:
         t2, t3 = rhs[Relation.TRIPLE_COMMUTATOR], rhs[Relation.TRIPLE_PAIRWISE]
         errors = np.abs(t2 - _RATIO_T2_OVER_T3 * t3)[t3 > 1e-12]
-        summary.ratio_max_error = max([summary.ratio_max_error, *errors.tolist()])
+        summary.ratio_max_error = float(errors.max(initial=summary.ratio_max_error))
     for rank, (name, hit, columns) in enumerate(_notes(rhs)):
         found = np.flatnonzero(hit)
-        for j, b in enumerate(found[:_MAX_EXAMPLES]):
-            example = {"trial": int(block[b]), "dim": dim, "n_observables": n}
+        # With no room left for examples, the first hit still carries the count.
+        room = _MAX_EXAMPLES - len(summary.notes.get(name, {}).get("examples", ()))
+        for j, b in enumerate(found[:max(room, 1)].tolist()):
+            example = {"trial": block[b], "dim": dim, "n_observables": n}
             example.update((key, float(column[b])) for key, column in columns.items())
             count = 0 if j else found.size
             findings.append(((instances[b], rank, 0), "note", (name, dim, count), example))
@@ -357,17 +367,20 @@ def _digest_block(
 
 
 def _block_values(seed: int, trials: range, dim: int, n: int, use_paulis: bool) -> dict:
-    """:func:`~uncrel.relations.instance_values` of one block of trials at one ``(dim, n)``.
+    """The formula set's values for one block of trials at one ``(dim, n)``.
 
     Each role draws the whole block from its own stream ``(seed, dim, n,
     role)``: role 0 for the kets, ``1 + i`` for observable ``i`` and 99 for
     the companions above dimension 2.  Qubits take the canonical companion
     :func:`~uncrel.core.qubit_companions`, as
-    :func:`~uncrel.relations.evaluate_all` does.
+    :func:`~uncrel.relations.evaluate_all` does.  Pauli blocks take each
+    ket's Bloch vector in real arithmetic: the same bits alone or in a block.
     """
     kets = random_pure_state(dim, (seed, dim, n, 0), trials)
     if use_paulis:
-        return instance_values(_PAULI_STACK[None], kets)
+        ar, ai, br, bi = kets.view(float).T
+        return bound_values(pauli_table(2.0 * (ar * br + ai * bi), 2.0 * (ar * bi - ai * br),
+                                        (ar * ar + ai * ai) - (br * br + bi * bi)))
     mats = np.stack([random_observable(dim, (seed, dim, n, 1 + i), trials) for i in range(n)], 1)
     if dim == 2:
         perps = qubit_companions(kets)
@@ -659,29 +672,11 @@ def _render_summary(summary: VerificationSummary, fmt: str, meta: dict) -> str:
     if fmt == "json":
         return _json_dump({"metadata": meta, "summary": _quant_all(summary.to_dict())})
     comments = _comment_block(meta)
-    comments += (
-        "# campaign: trials={} dims={} counts={} seed={} use_paulis={}\n".format(
-            summary.trials,
-            list(summary.dims),
-            list(summary.counts),
-            summary.seed,
-            summary.use_paulis,
-        )
-    )
-    comments += f"# total_instances = {summary.total_instances}\n"
+    comments += (f"# campaign: trials={summary.trials} dims={list(summary.dims)} "
+                 f"counts={list(summary.counts)} seed={summary.seed} use_paulis={summary.use_paulis}\n"
+                 f"# total_instances = {summary.total_instances}\n")
     rows = [["relation", "label", "evaluated", "held", "violations", "min_slack"]]
-    for rel in Relation:
-        tally = summary.tallies.get(rel)
-        if tally is None:
-            continue
-        rows.append(
-            [
-                rel.value,
-                rel.label,
-                tally.evaluated,
-                tally.held,
-                tally.violations,
-                _fmt(tally.min_slack),
-            ]
-        )
+    for rel in (rel for rel in Relation if rel in summary.tallies):
+        tally = summary.tallies[rel]
+        rows.append([rel.value, rel.label, tally.evaluated, tally.held, tally.violations, _fmt(tally.min_slack)])
     return _csv_text(comments, rows)

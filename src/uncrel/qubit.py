@@ -3,11 +3,13 @@
 For a qubit the seven sum-form bounds reduce to algebra in the Pauli
 expectations ``(ex, ey, ez)``.  :func:`closed_form_bounds` evaluates them
 over arrays of such triples without touching matrices: the Pauli algebra
-gives the covariances ``C_ij = delta_ij - e_i e_j + i eps_ijk e_k`` directly,
-and the formulas of :mod:`uncrel.relations` run on them unchanged.  The
-matrix engine builds ``C`` from matrices and a state instead; the test suite
-checks the two against each other.  Stokes parameters enter as a density
-matrix (:func:`stokes_to_density`).
+gives the covariances ``C_ij = delta_ij - e_i e_j + i eps_ijk e_k`` directly
+(:func:`pauli_table`), and the formulas of :mod:`uncrel.relations` run on
+them unchanged.  Exact sweeps take this route, and so does the Pauli
+campaign of :func:`uncrel.harness.run_verify`, from each ket's Bloch vector.
+The matrix engine builds ``C`` from matrices and a state instead; the test
+suite checks the two against each other.  Stokes parameters enter as a
+density matrix (:func:`stokes_to_density`).
 
 For every state the sum of the three Pauli variances is ``3 - v`` with
 ``v = ex^2 + ey^2 + ez^2``, so pure states (``v = 1``) pin the left-hand

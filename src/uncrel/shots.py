@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .qubit import _PAULI_STACK, PAULI_AXES, closed_form_bounds
-from .core import _Frozen, QuantumState, moment_table, state_array
+from .core import _Frozen, _index, QuantumState, moment_table, state_array
 from .relations import Relation
 
 #: Counting-run length used when a plan does not say otherwise.
@@ -48,11 +48,12 @@ class ShotPlan(_Frozen):
     __slots__ = ("shots_per_basis", "seed")
 
     def __init__(self, shots_per_basis: int = DEFAULT_SHOTS_PER_BASIS, seed: int = 0) -> None:
-        if not 1 <= int(shots_per_basis) <= _MAX_SHOTS:
-            raise ValueError(f"shots_per_basis must be in [1, {_MAX_SHOTS}], got {shots_per_basis}")
-        if int(seed) < 0:
+        shots, seed = _index(shots_per_basis, "shots_per_basis"), _index(seed, "seed")
+        if not 1 <= shots <= _MAX_SHOTS:
+            raise ValueError(f"shots_per_basis must be in [1, {_MAX_SHOTS}], got {shots}")
+        if seed < 0:
             raise ValueError(f"seed must be non-negative, got {seed}")
-        self.shots_per_basis, self.seed = int(shots_per_basis), int(seed)
+        self.shots_per_basis, self.seed = shots, seed
 
 
 class MeasurementRecord(_Frozen):
@@ -120,6 +121,12 @@ def estimate_expectation(record: MeasurementRecord) -> EstimateWithError:
     return EstimateWithError(value, std_error)
 
 
+def _check_resamples(resamples: int) -> None:
+    """Refuse fewer bootstrap replicates than ``MIN_BOOTSTRAP_RESAMPLES``."""
+    if _index(resamples, "resamples") < MIN_BOOTSTRAP_RESAMPLES:
+        raise ValueError(f"resamples must be >= {MIN_BOOTSTRAP_RESAMPLES}, got {resamples}")
+
+
 def bootstrap_bounds(
     records: list[MeasurementRecord], resamples: int = DEFAULT_RESAMPLES, seed: int = 0
 ) -> tuple[EstimateWithError, dict[Relation, EstimateWithError]]:
@@ -136,10 +143,7 @@ def bootstrap_bounds(
     :func:`~uncrel.qubit.closed_form_bounds`: ``lhs`` is the shared
     sum-of-variances estimate.
     """
-    if resamples < MIN_BOOTSTRAP_RESAMPLES:
-        raise ValueError(
-            f"resamples must be >= {MIN_BOOTSTRAP_RESAMPLES}, got {resamples}"
-        )
+    _check_resamples(resamples)
     by_basis = {}
     for record in records:
         if record.basis in by_basis:

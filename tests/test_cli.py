@@ -209,6 +209,9 @@ MOVED_REFUSALS = {
     "shots": (["sweep", "--mode", "theta", "--shots", "0"], lambda: uncrel.ShotPlan(0)),
     "trials": (["verify", "--trials", "0"], lambda: uncrel.run_verify(0)),
     "verify-seed": (["verify", "--seed", "-1"], lambda: uncrel.run_verify(3, seed=-1)),
+    # An exact sweep draws no replicate, and still refuses the count a shot sweep would.
+    "resamples": (["sweep", "--mode", "theta", "--resamples", "50"],
+                  lambda: uncrel.run_sweep(uncrel.SweepSpec("theta", 0.0, 13), resamples=50)),
 }
 
 
@@ -241,7 +244,6 @@ def test_non_integer_value_of_an_integer_flag_names_no_private_function(command,
 
 @pytest.mark.parametrize("flag, value, reason", [
     ("--seed", "-1", "must be non-negative, got -1"),
-    ("--resamples", "0", "must be positive, got 0"),
 ])
 def test_sweep_flags_an_exact_sweep_ignores_are_judged_by_the_parser(flag, value, reason, capsys):
     with pytest.raises(SystemExit) as done:

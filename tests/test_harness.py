@@ -4,6 +4,7 @@ import functools
 import io
 import json
 import math
+import re
 import tempfile
 import tracemalloc
 import warnings
@@ -27,6 +28,7 @@ from uncrel import (
     ShotPlan,
     SweepSpec,
     SweepTable,
+    closed_form_bounds,
     emit,
     evaluate_all,
     maccone_pati_orthogonal,
@@ -254,6 +256,54 @@ def test_verify_refuses_a_negative_seed_before_any_draw(monkeypatch):
     for use_paulis in (False, True):
         with pytest.raises(ValueError, match=r"^seed must be non-negative, got -1$"):
             run_verify(3, seed=-1, use_paulis=use_paulis)
+
+
+@pytest.mark.parametrize("bad", [2.5, 3.0, "3", None])
+@pytest.mark.parametrize("use_paulis", [False, True])
+def test_verify_refuses_a_count_or_seed_that_is_no_integer_before_any_draw(monkeypatch, bad, use_paulis):
+    def no_draw(*args):
+        raise AssertionError("drew a state")
+
+    monkeypatch.setattr(harness, "random_pure_state", no_draw)
+    calls = {"trials": lambda: run_verify(bad, use_paulis=use_paulis),
+             "seed": lambda: run_verify(3, seed=bad, use_paulis=use_paulis)}
+    if not use_paulis:
+        calls["a dim"] = lambda: run_verify(3, dims=(2, bad))
+        calls["an observable count"] = lambda: run_verify(3, counts=(bad, 3))
+    for name, call in calls.items():
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {re.escape(repr(bad))}$"):
+            call()
+
+
+def test_counts_take_what_operator_index_takes():
+    """numpy and bool integers are counts; each becomes a Python int."""
+    spec = SweepSpec("theta", 0.0, np.int64(5))
+    assert type(spec.steps) is int and spec.steps == 5
+    assert len(run_sweep(spec).theta) == 5
+    plan = ShotPlan(np.int32(10), np.uint8(3))
+    assert (type(plan.shots_per_basis), type(plan.seed)) == (int, int)
+    assert (plan.shots_per_basis, plan.seed) == (10, 3)
+    by_numpy = run_verify(np.int64(4), dims=(np.int16(2),), counts=(np.int64(3),), seed=np.int64(1))
+    assert by_numpy.to_dict() == run_verify(4, dims=(2,), counts=(3,), seed=1).to_dict()
+    assert run_verify(True, use_paulis=True).total_instances == 1
+
+
+@pytest.mark.parametrize("bad", [2.5, 13.0, "13", None])
+def test_sweep_refuses_steps_or_resamples_that_are_no_integers(bad):
+    with pytest.raises(ValueError, match=f"^steps must be an integer, got {re.escape(repr(bad))}$"):
+        SweepSpec("theta", 0.0, bad)
+    for shots in (None, ShotPlan(10)):
+        with pytest.raises(ValueError, match=f"^resamples must be an integer, got {re.escape(repr(bad))}$"):
+            run_sweep(SweepSpec("theta", 0.0, 3, shots=shots), resamples=bad)
+
+
+@pytest.mark.parametrize("resamples", [0, 1, 99])
+def test_every_sweep_refuses_fewer_resamples_than_the_bootstrap_takes(resamples):
+    """An exact sweep ignores ``resamples``, and refuses what a shot sweep would."""
+    for shots in (None, ShotPlan(10)):
+        with pytest.raises(ValueError, match=f"^resamples must be >= 100, got {resamples}$"):
+            run_sweep(SweepSpec("theta", 0.0, 3, shots=shots), resamples=resamples)
+    assert len(run_sweep(SweepSpec("theta", 0.0, 3), resamples=100).theta) == 3
 
 
 # -- emission -----------------------------------------------------------------
@@ -1013,11 +1063,50 @@ def _reports_one_by_one(trials, dims, counts, seed):
     return instances
 
 
-def _campaign_one_by_one(trials, dims, counts, seed, verdict):
-    """Tallies, witnesses, notes and the ratio error of a random campaign,
-    digested one instance at a time with ``verdict`` for ``holds``."""
+def bloch_vector(psi):
+    """``(2 Re a*b, 2 Im a*b, |a|^2 - |b|^2)`` of the qubit ket ``(a, b)``, in Python floats."""
+    a, b = complex(psi[0]), complex(psi[1])
+    return (2.0 * (a.real * b.real + a.imag * b.imag), 2.0 * (a.real * b.imag - a.imag * b.real),
+            (a.real * a.real + a.imag * a.imag) - (b.real * b.real + b.imag * b.imag))
+
+
+#: Each sum-form bound of the Pauli triple at a ket, from the raw-numpy oracle.
+PAULI_ORACLE = {
+    Relation.TRIPLE_SUM: lambda psi: o.triple_sum_rhs(*o.PAULIS, psi),
+    Relation.TRIPLE_COMMUTATOR: lambda psi: o.triple_commutator_rhs(*o.PAULIS, psi),
+    Relation.TRIPLE_PAIRWISE: lambda psi: o.triple_pairwise_rhs(*o.PAULIS, psi),
+    Relation.SUM_PLUS: lambda psi: o.sum_plus_rhs(o.PAULIS, psi),
+    Relation.SUM_MINUS: lambda psi: o.sum_minus_rhs(o.PAULIS, psi),
+    Relation.CHEN_FEI: lambda psi: o.chen_fei_rhs(o.PAULIS, psi),
+    Relation.SONG: lambda psi: o.song_rhs(o.PAULIS, psi),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _pauli_reports_one_by_one(trials, seed):
+    """Every instance of a Pauli campaign, in instance order, as ``(trial,
+    2, 3, reports)``: each ket rebuilt from the raw stream words and its
+    Bloch vector evaluated alone by ``closed_form_bounds``.  Each value is
+    checked against the oracle on the Pauli matrices on the way."""
+    instances = []
+    for trial in range(trials):
+        psi = o.campaign_instance(seed, trial, 2, 3)[0]
+        lhs, rhs = closed_form_bounds(*bloch_vector(psi))
+        assert abs(lhs - o.sum_lhs(o.PAULIS, psi)) <= 1e-12
+        reports = []
+        for rel, value in rhs.items():
+            assert abs(value - PAULI_ORACLE[rel](psi)) <= 1e-12, (trial, rel)
+            reports.append(BoundReport(rel, float(lhs), float(value), float(lhs - value), holds(lhs, value)))
+        instances.append((trial, 2, 3, reports))
+    return tuple(instances)
+
+
+def _campaign_one_by_one(instances, verdict):
+    """Tallies, witnesses, notes and the ratio error of a campaign's
+    ``(trial, dim, n, reports)`` instances, digested one at a time with
+    ``verdict`` for ``holds``."""
     tallies, witnesses, notes, ratio_error = {}, [], {}, 0.0
-    for trial, dim, n, reports in _reports_one_by_one(trials, dims, counts, seed):
+    for trial, dim, n, reports in instances:
         where = {"trial": trial, "dim": dim, "n_observables": n}
         for r in reports:
             tally = tallies.setdefault(r.relation, [0, 0, math.inf, None])
@@ -1079,7 +1168,7 @@ def test_batched_campaign_matches_one_by_one_evaluation(monkeypatch, campaign, s
     monkeypatch.setattr(harness, "_BLOCK_TRIALS", block)
     summary = run_verify(trials, dims=dims, counts=counts, seed=seed)
     tallies, witnesses, notes, ratio_error = _campaign_one_by_one(
-        trials, dims, counts, seed, verdict
+        _reports_one_by_one(trials, dims, counts, seed), verdict
     )
     assert summary.total_instances == trials * len(dims) * len(counts)
     assert list(summary.tallies) == list(tallies)
@@ -1091,6 +1180,32 @@ def test_batched_campaign_matches_one_by_one_evaluation(monkeypatch, campaign, s
     assert summary.violation_witnesses == witnesses
     assert len(witnesses) == (20 if strict else 0)
     # json.dumps keeps insertion order, which == on dicts ignores.
+    assert json.dumps(summary.notes) == json.dumps(notes)
+    assert max(note["count"] for note in notes.values()) > 3
+    assert summary.ratio_max_error == ratio_error
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("block", [1, 7, 512])
+def test_batched_pauli_campaign_matches_one_by_one_bloch_evaluation(monkeypatch, block, strict):
+    # The Pauli counterpart of the test above: 520 trials cross the 512-trial
+    # block boundary, and blocks of 1, 7 and 512 trials give the same bits.
+    verdict = (lambda lhs, rhs: lhs - rhs >= 0.2) if strict else holds
+    monkeypatch.setattr(harness, "holds", verdict)
+    monkeypatch.setattr(harness, "_BLOCK_TRIALS", block)
+    summary = run_verify(520, seed=5, use_paulis=True)
+    tallies, witnesses, notes, ratio_error = _campaign_one_by_one(
+        _pauli_reports_one_by_one(520, 5), verdict
+    )
+    assert summary.total_instances == 520
+    assert list(summary.tallies) == list(tallies) == list(SUM_FORM_RELATIONS)
+    for rel, (evaluated, violations, min_slack, witness) in tallies.items():
+        tally = summary.tallies[rel]
+        assert (tally.evaluated, tally.violations) == (evaluated, violations), rel
+        assert tally.min_slack == min_slack, rel
+        assert tally.min_slack_witness == witness, rel
+    assert summary.violation_witnesses == witnesses
+    assert len(witnesses) == (20 if strict else 0)
     assert json.dumps(summary.notes) == json.dumps(notes)
     assert max(note["count"] for note in notes.values()) > 3
     assert summary.ratio_max_error == ratio_error
@@ -1116,7 +1231,9 @@ def test_campaign_block_memory_does_not_grow_with_dimension():
 def test_min_slack_witnesses_replay_from_the_output_alone(tmp_path, args):
     """Each relation's printed witness, rebuilt from ``seed`` and its
     ``(trial, dim, n_observables)`` through the raw-stream oracle and
-    evaluated again, has the printed lhs and rhs to 12 significant digits."""
+    evaluated again along the campaign's route, has the printed lhs and rhs
+    to 12 significant digits.  A Pauli witness replays through its ket's
+    Bloch vector and ``closed_form_bounds``."""
     target = tmp_path / "verify.json"
     assert main(["verify", *args, "--seed", "13", "--format", "json", "--out", str(target)]) == 0
     summary = json.loads(target.read_text())["summary"]
@@ -1125,10 +1242,14 @@ def test_min_slack_witnesses_replay_from_the_output_alone(tmp_path, args):
         dim, n = w["dim"], w["n_observables"]
         psi, mats, perp = o.campaign_instance(summary["seed"], w["trial"], dim, n)
         if summary["use_paulis"]:
-            mats = o.PAULIS
+            lhs, rhs = closed_form_bounds(*bloch_vector(psi))
+            replayed = {"lhs": lhs, "rhs": rhs[Relation(name)]}
+            for key in ("lhs", "rhs"):
+                assert f"{replayed[key]:.12g}" == f"{w[key]:.12g}", (name, key, w)
+            continue
         members = tuple(Observable(m) for m in mats)
         obs = ObservableSet(members)
-        reports = evaluate_all(obs, PureState(psi), include_pairwise=not summary["use_paulis"])
+        reports = evaluate_all(obs, PureState(psi), include_pairwise=True)
         if dim > 2:
             reports += [
                 with_pair(maccone_pati_orthogonal(members[i], members[j], PureState(psi), PureState(perp)),

@@ -1,5 +1,6 @@
 import inspect
 import math
+import re
 
 import numpy as np
 import pytest
@@ -47,6 +48,14 @@ def test_shot_plan_validation():
     assert ShotPlan(shots_per_basis=2**63 - 1).shots_per_basis == 2**63 - 1
     with pytest.raises(ValueError):
         ShotPlan(seed=-1)
+
+
+@pytest.mark.parametrize("bad", [2.5, 3.0, "3", None])
+def test_shot_plan_refuses_counts_and_seeds_that_are_no_integers(bad):
+    # 2.5 was once taken as 2 shots.
+    for name, call in (("shots_per_basis", lambda: ShotPlan(bad)), ("seed", lambda: ShotPlan(10, bad))):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {re.escape(repr(bad))}$"):
+            call()
 
 
 def test_measurement_record_contracts():

@@ -9,13 +9,15 @@ in a scratch directory of its own laid out the same way for both roots, so
 both see the same arguments.  The list (:func:`commands`) holds the
 ``sweeps``, ``bounds-queries`` and campaign workload commands that
 ``bench/inputs.py`` writes at seeds 3, 7 and 11, plus exact sweeps at 511,
-512, 513 and 10,001 steps, as JSON to a file and as CSV to stdout, plus
+512, 513 and 10,001 steps and the acceptance campaign ``verify --pauli
+--trials 100000 --seed 0``, each as JSON to a file and as CSV to stdout, plus
 JSON sweeps with integral cells and columns of one value: exact phi sweeps
 at both poles, and shot sweeps at 1, 3 and 10 shots, where expectation
 estimates reach +-1, plus refusals: ``verify`` with one observable,
 dimension 1, a repeated count, no trials or a negative seed; ``sweep``
 with a pairwise, repeated or empty choice of relations, a held angle out
-of range, one step, a step count that is no integer or no shots; and
+of range, one step, a step count that is no integer, no shots or fewer
+bootstrap replicates than a shot sweep takes; and
 ``bounds`` on inputs of the wrong dimensions or counts and on a Stokes
 vector longer than its intensity (:data:`REFUSALS`), plus the 9-step phi
 sweep on the equator, a ``bounds`` query on Pauli observables shifted by
@@ -38,6 +40,8 @@ from pathlib import Path
 SEEDS = (3, 7, 11)
 WORKLOADS = ("sweeps", "bounds-queries", "pauli-campaign", "random-campaign")
 EXACT_STEPS = (511, 512, 513, 10_001)
+#: The acceptance campaign.
+PAULI_CAMPAIGN = ["verify", "--pauli", "--trials", "100000", "--seed", "0"]
 #: JSON sweeps whose cells JSON spells apart from "%.12g": integral values
 #: and columns of one value at the poles, and at few shots, where every
 #: expectation estimate may be +-1.
@@ -88,6 +92,7 @@ REFUSALS = {
     "sweep-shots-0": (["sweep", "--mode", "theta", "--shots", "0"], {}),
     "verify-trials-0": (["verify", "--trials", "0"], {}),
     "verify-seed-negative": (["verify", "--seed", "-1"], {}),
+    "sweep-resamples-50": (["sweep", "--mode", "theta", "--resamples", "50"], {}),
 }
 #: Commands whose bounds sit where round-off in the moment table shows: at a
 #: square-root kink, on observables shifted by the identity, and on a state a
@@ -131,6 +136,8 @@ def commands(base: Path) -> list[tuple[str, list[str]]]:
         sweep = ["sweep", "--mode", "theta", "--steps", str(steps)]
         listed.append((f"exact-{steps}-json", [*sweep, "--format", "json", "--out", f"exact-{steps}.json"]))
         listed.append((f"exact-{steps}-csv", [*sweep, "--format", "csv"]))
+    listed.append(("pauli-100000-json", [*PAULI_CAMPAIGN, "--format", "json", "--out", "pauli-100000.json"]))
+    listed.append(("pauli-100000-csv", [*PAULI_CAMPAIGN, "--format", "csv"]))
     for name, args in SPECIAL_SWEEPS.items():
         listed.append((f"{name}-json", ["sweep", *args, "--format", "json", "--out", f"{name}.json"]))
     written = {}
