@@ -9,8 +9,11 @@ and sweep/verification drivers plus serialization in
 """
 from types import ModuleType as _ModuleType
 
-from ._version import __version__
+# The only copy, set before the submodules that import it; pyproject.toml reads it.
+__version__ = "0.1.0"
+
 from .core import (
+    ConsistencyError,
     DensityMatrix,
     Observable,
     PureState,
@@ -19,7 +22,6 @@ from .core import (
     random_observable,
     random_pure_state,
 )
-from .errors import ConsistencyError
 from .harness import (
     SweepSpec,
     SweepTable,

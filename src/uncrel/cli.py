@@ -33,9 +33,8 @@ import sys
 
 import numpy as np
 
-from ._version import __version__
-from .core import DensityMatrix, Observable, PureState, QuantumState
-from .errors import ConsistencyError
+from . import __version__
+from .core import ConsistencyError, DensityMatrix, Observable, PureState, QuantumState
 from .harness import SweepSpec, emit, run_sweep, run_verify
 from .qubit import BlochAngles, StokesVector, bloch_to_state, pauli_triple, stokes_to_density
 from .relations import (
@@ -51,6 +50,8 @@ from .shots import DEFAULT_RESAMPLES, ShotPlan
 #: Exit status per error a command may end in; every refused input is a
 #: ValueError.  A MemoryError is numpy refusing an array too large to allocate.
 _EXIT_CODES = {OSError: 3, ConsistencyError: 4, ValueError: 1, MemoryError: 1}
+#: What ``sweep --relations`` takes by default and lists in its help and errors.
+_SUM_FORM_LABELS = ",".join(rel.label for rel in SUM_FORM_RELATIONS)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -147,8 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--resamples", type=_integer, default=DEFAULT_RESAMPLES,
                        help=f"bootstrap replicates per point for error bars (default {DEFAULT_RESAMPLES})")
     sweep.add_argument(
-        "--relations", default="T1,T2,T3,M1,M2,M3,M4", metavar="LABELS",
-        help="comma-separated labels from T1,T2,T3,M1,M2,M3,M4",
+        "--relations", default=_SUM_FORM_LABELS, metavar="LABELS",
+        help=f"comma-separated labels from {_SUM_FORM_LABELS}",
     )
     _output_flags(sweep)
     sweep.set_defaults(handler=_cmd_sweep)
@@ -218,8 +219,7 @@ def _parse_relations(text: str):
         if not label:
             continue
         if label not in RELATION_BY_LABEL:
-            labels = ",".join(r.label for r in SUM_FORM_RELATIONS)
-            raise ValueError(f"unknown relation label {raw!r}; choose from {labels}")
+            raise ValueError(f"unknown relation label {raw!r}; choose from {_SUM_FORM_LABELS}")
         relations.append(RELATION_BY_LABEL[label])
     return tuple(relations)
 

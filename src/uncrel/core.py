@@ -5,7 +5,9 @@ immutable after construction and validated eagerly, so downstream code can
 assume Hermiticity, normalization and matching dimensions without re-checking.
 :func:`moment_table` gives the means and covariances of a stack of
 observables, the one table every relation is computed from, for one state or
-a whole batch at once.  All functions are pure.
+a whole batch at once.  All functions are pure.  A refused input raises
+``ValueError``.  A table whose checks fail beyond round-off, from an input that
+is corrupted or beyond double precision, raises :class:`ConsistencyError`.
 """
 from __future__ import annotations
 
@@ -13,8 +15,6 @@ from functools import reduce
 from operator import index
 
 import numpy as np
-
-from .errors import ConsistencyError
 
 # Construction-time tolerances.
 HERMITICITY_ATOL = 1e-12
@@ -39,6 +39,10 @@ DEVIATION_NORM_FLOOR = 1e-12
 
 # A random draw shorter than this is degenerate and gets a fixed fallback.
 DEGENERATE_NORM = 1e-6
+
+
+class ConsistencyError(ArithmeticError):
+    """A check of :func:`moment_table` failed beyond round-off, or its moments overflow."""
 
 
 def _is_hermitian(m: np.ndarray, scale: float = 1.0) -> bool:

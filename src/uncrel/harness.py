@@ -7,8 +7,8 @@ Three entry points sit behind the CLI:
   as one :class:`SweepTable` of columns.
 * :func:`run_verify` hammers the relation engine with seeded random states
   and observables, evaluated in blocks of trials from one batched moment
-  table each (Pauli blocks from the kets' Bloch vectors, as exact sweeps),
-  and tallies any bound violations beyond tolerance.
+  table each (Pauli blocks from :func:`uncrel.qubit.moments_from_kets`, as
+  exact sweeps from angles), and tallies any bound violations beyond tolerance.
 * :func:`emit` renders a sweep table, reports, or a verification summary
   as CSV or JSON, to stdout or a file.
 
@@ -26,7 +26,7 @@ from itertools import combinations
 
 import numpy as np
 
-from ._version import __version__
+from . import __version__
 from .core import (
     _Frozen,
     _index,
@@ -35,7 +35,8 @@ from .core import (
     random_observable,
     random_pure_state,
 )
-from .qubit import BlochAngles, bloch_to_state, closed_form_bounds, moments_from_angles, pauli_table
+from .qubit import (BlochAngles, bloch_to_state, closed_form_bounds, moments_from_angles, moments_from_kets,
+                    pauli_table)
 from .relations import (
     HOLDS_ATOL,
     BoundReport,
@@ -273,9 +274,9 @@ def run_verify(
 
     Each ``(dim, n)`` runs a block of trials at a time: one ``trials=``
     draw per role and one :func:`~uncrel.relations.instance_values` call,
-    which builds one moment table.  A Pauli block builds none: each ket's
-    Bloch vector goes through :func:`~uncrel.qubit.pauli_table`, the route
-    of exact sweeps, to :func:`~uncrel.relations.bound_values`.  A block
+    which builds one moment table.  A Pauli block builds none: its kets go
+    through :func:`~uncrel.qubit.moments_from_kets` and the route of exact
+    sweeps, :func:`~uncrel.qubit.pauli_table`, to ``bound_values``.  A block
     holds up to 512 trials (``_BLOCK_TRIALS``) and, for the largest ``n
     d^2`` of the campaign, no more than ``_BLOCK_ENTRIES`` matrix entries,
     so memory does not grow with the dimension.  For any block size the
@@ -373,14 +374,12 @@ def _block_values(seed: int, trials: range, dim: int, n: int, use_paulis: bool) 
     role)``: role 0 for the kets, ``1 + i`` for observable ``i`` and 99 for
     the companions above dimension 2.  Qubits take the canonical companion
     :func:`~uncrel.core.qubit_companions`, as
-    :func:`~uncrel.relations.evaluate_all` does.  Pauli blocks take each
-    ket's Bloch vector in real arithmetic: the same bits alone or in a block.
+    :func:`~uncrel.relations.evaluate_all` does.  Pauli blocks take their
+    expectations from :func:`~uncrel.qubit.moments_from_kets`.
     """
     kets = random_pure_state(dim, (seed, dim, n, 0), trials)
     if use_paulis:
-        ar, ai, br, bi = kets.view(float).T
-        return bound_values(pauli_table(2.0 * (ar * br + ai * bi), 2.0 * (ar * bi - ai * br),
-                                        (ar * ar + ai * ai) - (br * br + bi * bi)))
+        return bound_values(pauli_table(*moments_from_kets(kets)))
     mats = np.stack([random_observable(dim, (seed, dim, n, 1 + i), trials) for i in range(n)], 1)
     if dim == 2:
         perps = qubit_companions(kets)

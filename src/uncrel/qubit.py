@@ -5,8 +5,9 @@ expectations ``(ex, ey, ez)``.  :func:`closed_form_bounds` evaluates them
 over arrays of such triples without touching matrices: the Pauli algebra
 gives the covariances ``C_ij = delta_ij - e_i e_j + i eps_ijk e_k`` directly
 (:func:`pauli_table`), and the formulas of :mod:`uncrel.relations` run on
-them unchanged.  Exact sweeps take this route, and so does the Pauli
-campaign of :func:`uncrel.harness.run_verify`, from each ket's Bloch vector.
+them unchanged.  Exact sweeps take the expectations from Bloch angles
+(:func:`moments_from_angles`) and the Pauli campaign from kets
+(:func:`moments_from_kets`); only this module spells the Pauli algebra.
 The matrix engine builds ``C`` from matrices and a state instead; the test
 suite checks the two against each other.  Stokes parameters enter as a
 density matrix (:func:`stokes_to_density`).
@@ -94,6 +95,13 @@ def moments_from_angles(theta, phi):
     ``theta`` and ``phi``, elementwise over same-shape arrays or floats."""
     sin_t = np.sin(theta)
     return sin_t * np.cos(phi), sin_t * np.sin(phi), np.cos(theta)
+
+
+def moments_from_kets(kets):
+    """``(ex, ey, ez) = (2 Re a*b, 2 Im a*b, |a|^2 - |b|^2)`` of ``(..., 2)`` kets ``(a, b)``,
+    in real arithmetic on their float view: the same bits alone or in a batch."""
+    ar, ai, br, bi = np.moveaxis(np.ascontiguousarray(kets, dtype=complex).view(float), -1, 0)
+    return 2.0 * (ar * br + ai * bi), 2.0 * (ar * bi - ai * br), (ar * ar + ai * ai) - (br * br + bi * bi)
 
 
 def closed_form_bounds(ex, ey, ez):

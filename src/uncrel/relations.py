@@ -131,10 +131,10 @@ class SkippedRelation(_Frozen):
 def holds(lhs, rhs):
     """Whether ``lhs >= rhs`` up to round-off: ``slack >= -HOLDS_ATOL * max(1, |lhs|)``.
 
-    Every relation is homogeneous in the observables, so the allowance
-    grows with the lhs and a verdict does not change when they are
-    rescaled; nor when they are shifted by multiples of the identity, which
-    no covariance sees.  Works elementwise on floats or numpy arrays.
+    The allowance grows with the lhs only above ``|lhs| = 1``, so rescaled
+    observables keep a verdict only while ``|lhs| >= 1``: ``holds(1e-8,
+    1.05e-8)`` is True, ``holds(1.0, 1.05)`` False.  Shifts by multiples of
+    the identity, which no covariance sees, keep it.  Works elementwise.
     """
     return lhs - rhs >= -HOLDS_ATOL * np.maximum(1.0, np.abs(lhs))
 

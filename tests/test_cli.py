@@ -285,6 +285,16 @@ def test_main_in_process_freezes_nothing(tmp_path):
     assert gc.get_freeze_count() == frozen
 
 
+def test_version_is_written_once_in_the_package_and_pyproject_reads_it():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = SRC.parent / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text())
+    assert "version" in project["project"]["dynamic"] and "version" not in project["project"]
+    assert project["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "uncrel.__version__"}
+    texts = [path.read_text() for path in [pyproject, *(SRC / "uncrel").glob("*.py")]]
+    assert sum(text.count(f'"{uncrel.__version__}"') for text in texts) == 1
+
+
 def test_run_freezes_the_objects_alive_at_its_start():
     child = (
         "import gc, sys, uncrel.cli\n"

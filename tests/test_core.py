@@ -528,3 +528,4 @@ def test_package_exports_the_public_api():
     ])
     for name in uncrel.__all__:
         assert getattr(uncrel, name) is not None
+    assert uncrel.ConsistencyError is uncrel.core.ConsistencyError

@@ -602,6 +602,18 @@ def test_cli_sweep_angle_suffix_and_relations(tmp_path):
     assert len(lines) == 6
 
 
+def test_cli_sweep_defaults_to_every_sum_form_relation_and_its_help_names_them(tmp_path, capsys):
+    labels = [rel.label for rel in SUM_FORM_RELATIONS]
+    target = tmp_path / "all.json"
+    assert main(["sweep", "--mode", "theta", "--steps", "3", "--format", "json", "--out", str(target)]) == 0
+    payload = json.loads(target.read_text())
+    assert payload["metadata"]["relations"] == ",".join(labels)
+    assert [list(row["bounds"]) for row in payload["rows"]] == [labels] * 3
+    with pytest.raises(SystemExit):
+        main(["sweep", "--help"])
+    assert f"comma-separated labels from {','.join(labels)}" in " ".join(capsys.readouterr().out.split())
+
+
 def test_cli_sweep_bad_relation_label(capsys):
     assert main(["sweep", "--mode", "theta", "--relations", "T9"]) == 1
     assert "unknown relation label" in capsys.readouterr().err

@@ -24,7 +24,7 @@ from uncrel import (
     stokes_to_density,
 )
 from uncrel.core import moment_table, state_array
-from uncrel.qubit import pauli_table
+from uncrel.qubit import moments_from_kets, pauli_table
 from uncrel.relations import SkippedRelation, bound_values
 
 SQRT2 = math.sqrt(2.0)
@@ -175,6 +175,20 @@ def test_moments_from_angles_equator_points():
     r = math.sqrt(1.5)
     check_closed_forms(m, dict(v=1.0, d=0.5, e=SQRT2, h=SQRT2, lp=0.0, lm=SQRT2,
                                mp=r, mm=r, np_=r, nm=r))
+
+
+def test_moments_from_kets_match_the_oracle_and_keep_their_bits_in_any_block():
+    rng = np.random.default_rng(43)
+    kets = rng.normal(size=(1024, 2)) + 1j * rng.normal(size=(1024, 2))
+    kets /= np.linalg.norm(kets, axis=1)[:, None]
+    moments = np.array(moments_from_kets(kets))
+    expected = np.array([[o.expect(p, ket) for p in o.PAULIS] for ket in kets]).T
+    np.testing.assert_allclose(moments, expected, rtol=0, atol=1e-15)
+    alone = np.array([moments_from_kets(ket) for ket in kets]).T
+    assert np.array_equal(alone, moments)
+    for size in (7, 512):
+        blocks = [moments_from_kets(kets[k : k + size]) for k in range(0, len(kets), size)]
+        assert np.array_equal(np.concatenate(blocks, axis=1), moments), size
 
 
 def test_moments_from_expectations_x_axis():

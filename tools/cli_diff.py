@@ -13,8 +13,10 @@ both see the same arguments.  The list (:func:`commands`) holds the
 --trials 100000 --seed 0``, each as JSON to a file and as CSV to stdout, plus
 JSON sweeps with integral cells and columns of one value: exact phi sweeps
 at both poles, and shot sweeps at 1, 3 and 10 shots, where expectation
-estimates reach +-1, plus refusals: ``verify`` with one observable,
-dimension 1, a repeated count, no trials or a negative seed; ``sweep``
+estimates reach +-1 (at 10 shots on both poles), plus ``--version``,
+the four ``--help`` texts and a bare ``uncrel`` (:data:`USAGE`), plus
+refusals: ``verify`` with one observable, dimension 1, a repeated count,
+no trials or a negative seed; ``sweep``
 with a pairwise, repeated or empty choice of relations, a held angle out
 of range, one step, a step count that is no integer, no shots or fewer
 bootstrap replicates than a shot sweep takes; and
@@ -54,6 +56,19 @@ SPECIAL_SWEEPS = {
                    "--seed", "6", "--resamples", "100"],
     "shots10-pole": ["--mode", "phi", "--fixed", "0", "--steps", "25", "--shots", "10",
                      "--resamples", "100"],
+    # <sigma_x> and <sigma_y> are round-off of 0 (+-1e-16) here, and numpy draws a
+    # binomial at p > 1/2 as n - X at 1 - p: their last bits can reflect the counts.
+    "shots10-pole-pi": ["--mode", "phi", "--fixed", "180deg", "--steps", "25", "--shots", "10",
+                        "--resamples", "100"],
+}
+#: The parsers' own output: version, help texts, and a bare ``uncrel`` (exit 1).
+USAGE = {
+    "version": ["--version"],
+    "help": ["--help"],
+    "sweep-help": ["sweep", "--help"],
+    "verify-help": ["verify", "--help"],
+    "bounds-help": ["bounds", "--help"],
+    "bare": [],
 }
 
 SX = [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]
@@ -140,6 +155,7 @@ def commands(base: Path) -> list[tuple[str, list[str]]]:
     listed.append(("pauli-100000-csv", [*PAULI_CAMPAIGN, "--format", "csv"]))
     for name, args in SPECIAL_SWEEPS.items():
         listed.append((f"{name}-json", ["sweep", *args, "--format", "json", "--out", f"{name}.json"]))
+    listed += [(f"usage-{name}", args) for name, args in USAGE.items()]
     written = {}
     for prefix, cases in (("refuse", REFUSALS), ("exact", EXACT_CASES)):
         for name, (args, files) in cases.items():
