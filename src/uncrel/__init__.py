@@ -50,15 +50,7 @@ from .relations import (
     evaluate_all,
     maccone_pati_orthogonal,
 )
-from .shots import (
-    EstimateWithError,
-    MeasurementRecord,
-    ShotPlan,
-    bootstrap_bounds,
-    derive_seed,
-    estimate_expectation,
-    simulate_counts,
-)
+from .shots import ShotPlan, bootstrap_bounds, derive_seed, simulate_counts
 
 # The public names are exactly the ones imported above.
 __all__ = ["__version__"] + sorted(

@@ -58,6 +58,8 @@ _BLOCK_TRIALS = 512
 #: Matrix entries, ``n d^2`` per trial, that one block may hold: full
 #: 512-trial blocks up to d = 4 at n = 5, fewer trials beyond.
 _BLOCK_ENTRIES = 512 * 5 * 16
+#: Characters written to a stream at a time.
+_WRITE_SLICE = 1 << 16
 _MAX_WITNESSES = 20
 _MAX_EXAMPLES = 3
 #: The one note that also counts its hits per dimension.
@@ -128,10 +130,12 @@ def run_sweep(spec: SweepSpec, *, resamples: int = DEFAULT_RESAMPLES) -> SweepTa
     """Evaluate the requested bounds at every grid point of the sweep.
 
     Exact sweeps evaluate the closed forms over the whole grid at once.
-    Simulated sweeps draw counts for each point from a child seed of
+    Simulated sweeps draw each point's three up-counts from a child seed of
     ``spec.shots.seed`` keyed by the point index, so any sub-grid of points
     reproduces the full sweep's values, then bootstrap ``resamples``
-    replicates for the error bars; too few are refused for any sweep.
+    replicates for the error bars and stack each point's ``(value,
+    std_error)`` pairs into columns; too few replicates are refused for any
+    sweep.
     """
     _check_resamples(resamples)
     theta, phi = spec.grid()
@@ -151,10 +155,10 @@ def _simulated_columns(spec: SweepSpec, theta, phi, resamples: int) -> tuple:
     points = []
     for index, angles in enumerate(zip(theta.tolist(), phi.tolist())):
         plan = ShotPlan(spec.shots.shots_per_basis, derive_seed(spec.shots.seed, index))
-        records = simulate_counts(bloch_to_state(BlochAngles(*angles)), plan)
+        ups = simulate_counts(bloch_to_state(BlochAngles(*angles)), plan)
         child = derive_seed(spec.shots.seed, index, 1)
-        lhs, rhs = bootstrap_bounds(records, resamples=resamples, seed=child)
-        points.append([(e.value, e.std_error) for e in (lhs, *rhs.values())])
+        lhs, rhs = bootstrap_bounds(ups, plan.shots_per_basis, resamples=resamples, seed=child)
+        points.append([lhs, *rhs.values()])
     (lhs, *rhs), (lhs_err, *rhs_err) = np.array(points).T
     return lhs, lhs_err, dict(zip(SUM_FORM_RELATIONS, rhs)), dict(zip(SUM_FORM_RELATIONS, rhs_err))
 
@@ -494,10 +498,10 @@ def _write_text(text: str, destination) -> None:
         raise OSError(f"cannot write output to {name}: {err}") from err
 
 
-def _write_slices(out, text: str, size: int = 1 << 16) -> None:
+def _write_slices(out, text: str) -> None:
     # One write of the whole text would encode a second whole copy of it.
-    for start in range(0, len(text), size):
-        out.write(text[start:start + size])
+    for start in range(0, len(text), _WRITE_SLICE):
+        out.write(text[start:start + _WRITE_SLICE])
 
 
 def _comment_block(meta: dict) -> str:

@@ -138,6 +138,17 @@ def song_rhs(mats, state) -> float:
     return var(total, state) / n + 2.0 * diff * diff / (n * n * (n - 1))
 
 
+def binomial_std_error(up, shots: int):
+    """Plug-in standard error of the mean of ``shots`` +-1 outcomes with
+    ``up`` ups: ``sqrt((1 - v^2) / n)`` at ``v = (2 up - n) / n``.  When every
+    shot landed in one bin (``v = +-1``) that is zero, which understates the
+    uncertainty badly, so the floor ``sqrt(1 / n)`` is taken instead."""
+    up, n = np.asarray(up, dtype=float), float(shots)
+    v = (2.0 * up - n) / n
+    plug_in = np.sqrt(np.maximum(1.0 - v * v, 0.0) / n)
+    return np.where((up == 0.0) | (up == n), np.sqrt(1.0 / n), plug_in)
+
+
 # -- frozen anchor values at |0> with the Pauli triple ------------------------
 # Exact algebra: with (ex, ey, ez) = (0, 0, 1) each pair combination involving
 # sigma_z has variance 1 while sigma_x +/- sigma_y has variance 2, so the

@@ -32,7 +32,7 @@ from uncrel import (
     run_verify,
 )
 from uncrel.relations import instance_values
-from uncrel.shots import derive_seed, estimate_expectation, simulate_counts
+from uncrel.shots import derive_seed, simulate_counts
 
 THETA_SWEEP = SweepSpec("theta", 0.0, 13)
 PHI_SWEEP = SweepSpec("phi", math.pi / 3.0, 25)
@@ -277,10 +277,7 @@ def test_shot_noise_statistics():
         child = derive_seed(7, index)
         small = simulate_counts(state, ShotPlan(shots_per_basis=2400, seed=child))
         big = simulate_counts(state, ShotPlan(shots_per_basis=240_000, seed=child))
-        for rec_small, rec_big in zip(small, big):
-            se_small = estimate_expectation(rec_small).std_error
-            se_big = estimate_expectation(rec_big).std_error
-            ratios.append(se_small / se_big)
+        ratios.extend(o.binomial_std_error(small, 2400) / o.binomial_std_error(big, 240_000))
     assert len(ratios) == 39
     assert all(7.0 <= r <= 13.0 for r in ratios), (min(ratios), max(ratios))
 

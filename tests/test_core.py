@@ -491,8 +491,6 @@ def test_package_exports_the_public_api():
         "BoundReport",
         "ConsistencyError",
         "DensityMatrix",
-        "EstimateWithError",
-        "MeasurementRecord",
         "Observable",
         "ObservableSet",
         "PAIRWISE_RELATIONS",
@@ -513,7 +511,6 @@ def test_package_exports_the_public_api():
         "derive_seed",
         "deviation_state",
         "emit",
-        "estimate_expectation",
         "evaluate_all",
         "maccone_pati_orthogonal",
         "moments_from_angles",

@@ -10,8 +10,6 @@ from uncrel import (
     BlochAngles,
     BoundReport,
     DensityMatrix,
-    EstimateWithError,
-    MeasurementRecord,
     Observable,
     ObservableSet,
     PureState,
@@ -76,8 +74,6 @@ SIGNATURES = [
     (BlochAngles, {"theta": 1.0, "phi": 2.0}),
     (StokesVector, {"s0": 2.0, "s1": 1.0, "s2": 0.5, "s3": 0.25}),
     (ShotPlan, {"shots_per_basis": 10, "seed": 3}),
-    (MeasurementRecord, {"basis": "y", "n_plus": 3, "n_minus": 4}),
-    (EstimateWithError, {"value": 0.5, "std_error": 0.1}),
     (SweepSpec, {"mode": "phi", "fixed_angle": 1.0, "steps": 5,
                  "relations": (Relation.SONG,), "shots": ShotPlan()}),
     (SweepTable, {"theta": COLUMN, "phi": COLUMN, "lhs": COLUMN, "lhs_err": COLUMN,

@@ -13,8 +13,10 @@ both see the same arguments.  The list (:func:`commands`) holds the
 --trials 100000 --seed 0``, each as JSON to a file and as CSV to stdout, plus
 JSON sweeps with integral cells and columns of one value: exact phi sweeps
 at both poles, and shot sweeps at 1, 3 and 10 shots, where expectation
-estimates reach +-1 (at 10 shots on both poles), plus ``--version``,
-the four ``--help`` texts and a bare ``uncrel`` (:data:`USAGE`), plus
+estimates reach +-1 (at 10 shots on both poles), and at 2^53 + 1 shots,
+where only exact integer division keeps the point estimates' bits, plus
+``--version``, the four ``--help`` texts and a bare ``uncrel``
+(:data:`USAGE`), plus
 refusals: ``verify`` with one observable, dimension 1, a repeated count,
 no trials or a negative seed; ``sweep``
 with a pairwise, repeated or empty choice of relations, a held angle out
@@ -60,6 +62,10 @@ SPECIAL_SWEEPS = {
     # binomial at p > 1/2 as n - X at 1 - p: their last bits can reflect the counts.
     "shots10-pole-pi": ["--mode", "phi", "--fixed", "180deg", "--steps", "25", "--shots", "10",
                         "--resamples", "100"],
+    # 2^53 + 1 shots: a point estimate (up - down) / shots taken in int64 and
+    # rounded to float differs from Python's exact integer division here.
+    "shots-2p53": ["--mode", "theta", "--steps", "5", "--shots", "9007199254740993", "--seed", "2",
+                   "--resamples", "100"],
 }
 #: The parsers' own output: version, help texts, and a bare ``uncrel`` (exit 1).
 USAGE = {
