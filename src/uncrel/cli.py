@@ -21,11 +21,24 @@ flush of ``--help`` or ``--version`` output with exit code 3, and keeps a failed
 stdout buffer from failing a second time at shutdown.  Library callers
 call :func:`main` with an argument list; it returns the exit code and
 changes no interpreter state.
+
+Run as a program (``python -m uncrel.cli``), the module switches the
+cyclic collector off before its first import and :func:`run` switches it
+back on: numpy's import would run dozens of collections that free almost
+nothing, since what an import builds lives as long as the process.
+Imported, as by the console script or a library, it leaves the collector
+as it is.  The drivers of :mod:`uncrel.harness` load on their first call,
+so ``uncrel bounds`` never loads them.
 """
 from __future__ import annotations
 
-import argparse
 import gc
+
+if __name__ == "__main__":
+    # Run as a program: no cyclic collection while numpy and uncrel load.
+    gc.disable()
+
+import argparse
 import json
 import math
 import os
@@ -35,7 +48,6 @@ import numpy as np
 
 from . import __version__
 from .core import ConsistencyError, DensityMatrix, Observable, PureState, QuantumState
-from .harness import SweepSpec, emit, run_sweep, run_verify
 from .qubit import BlochAngles, StokesVector, bloch_to_state, pauli_triple, stokes_to_density
 from .relations import (
     ObservableSet,
@@ -44,6 +56,7 @@ from .relations import (
     BoundReport,
     evaluate_all,
 )
+from .render import emit
 from .shots import DEFAULT_RESAMPLES, ShotPlan
 
 
@@ -224,7 +237,20 @@ def _parse_relations(text: str):
     return tuple(relations)
 
 
+# The drivers load on their first call, so ``bounds`` never loads uncrel.harness.
+def run_sweep(*args, **kwargs):
+    from .harness import run_sweep
+    return run_sweep(*args, **kwargs)
+
+
+def run_verify(*args, **kwargs):
+    from .harness import run_verify
+    return run_verify(*args, **kwargs)
+
+
 def _cmd_sweep(args) -> int:
+    from .harness import SweepSpec
+
     if args.fixed is not None:
         fixed = parse_angle(args.fixed)
     else:
@@ -379,6 +405,7 @@ def main(argv=None) -> int:
 
 def run() -> None:
     gc.freeze()
+    gc.enable()
     # argparse prints and exits inside main on --help, --version and usage
     # errors; nothing has flushed that text or reported a failed write of it.
     code, reported = 3, False

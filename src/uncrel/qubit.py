@@ -137,9 +137,9 @@ class StokesVector(_Frozen):
     """Light-polarization Stokes parameters ``(s0, s1, s2, s3)``.
 
     ``s0`` is the total intensity and must be positive; the polarized part
-    cannot exceed it, so ``s1^2 + s2^2 + s3^2 <= s0^2`` within a relative
-    ``_STOKES_RTOL``.  Only the ratios ``s_i / s0`` matter downstream, so any
-    overall intensity scale is accepted.
+    cannot exceed it, so ``sum_i (s_i / s0)^2 <= 1`` within ``_STOKES_RTOL``.
+    Only the ratios ``s_i / s0`` matter, here and downstream, so any overall
+    intensity scale is accepted, and a vector is judged alike at every scale.
     """
 
     __slots__ = ("s0", "s1", "s2", "s3")
@@ -147,9 +147,11 @@ class StokesVector(_Frozen):
     def __init__(self, s0: float, s1: float, s2: float, s3: float) -> None:
         if not s0 > 0.0:
             raise ValueError(f"s0 must be positive, got {s0!r}")
-        # Products, not **, which raises OverflowError on huge values.
-        polarized = s1 * s1 + s2 * s2 + s3 * s3
-        if polarized > s0 * s0 * (1.0 + _STOKES_RTOL):
+        # Squares of the ratios, which s1^2 and s0^2 would overflow or underflow
+        # far from unit intensity; products, not **, which raises OverflowError.
+        rx, ry, rz = s1 / s0, s2 / s0, s3 / s0
+        if rx * rx + ry * ry + rz * rz > 1.0 + _STOKES_RTOL:
+            polarized = s1 * s1 + s2 * s2 + s3 * s3
             raise ValueError(f"polarized intensity {polarized!r} exceeds s0^2 = {s0 * s0!r}")
         self.s0, self.s1, self.s2, self.s3 = s0, s1, s2, s3
 

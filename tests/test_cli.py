@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import uncrel
-from uncrel import cli
+from uncrel import cli, render
 
 SRC = Path(uncrel.__file__).resolve().parents[1]
 STDOUT_ERROR = "uncrel: error: cannot write output to stdout: "
@@ -265,6 +265,112 @@ def test_import_runs_no_dataclass_code_generation():
     done = run_cli([], entry=("-c", child))
     assert done.returncode == 0, done.stderr.decode()
     assert done.stdout.decode() == "False []\n"
+
+
+#: Runs ``uncrel.cli`` as ``python -m`` does, as the benchmark's children
+#: do, then prints which of the drivers and numpy's random module it loaded.
+LOADED_CHILD = (
+    "import runpy, sys\n"
+    "try:\n"
+    "    runpy.run_module('uncrel.cli', run_name='__main__', alter_sys=True)\n"
+    "finally:\n"
+    "    print(sorted({'uncrel.harness', 'numpy.random'} & set(sys.modules)), file=sys.stderr)\n"
+)
+
+
+@pytest.mark.parametrize("command", ["bounds", "verify", "sweep"])
+def test_only_the_commands_that_run_a_driver_load_the_drivers(command, state_file):
+    args = [arg.format(state=state_file) for arg in COMMANDS[command]]
+    done = run_cli(args, entry=("-c", LOADED_CHILD))
+    assert done.returncode == 0
+    loaded = done.stderr.decode()
+    if command == "bounds":
+        assert loaded == "[]\n"
+    else:
+        assert "'uncrel.harness'" in loaded
+
+
+def test_importing_the_package_loads_no_submodule_and_no_numpy():
+    child = "import sys, uncrel\nprint(sorted(m for m in sys.modules if m.split('.')[0] in ('uncrel', 'numpy')))\n"
+    done = run_cli([], entry=("-c", child))
+    assert (done.returncode, done.stdout.decode()) == (0, "['uncrel']\n"), done.stderr.decode()
+
+
+def test_every_public_name_resolves_from_a_fresh_package():
+    """Through ``getattr`` and ``from uncrel import *``, and listed by ``dir``
+    before any of them is loaded."""
+    child = (
+        "import uncrel\n"
+        "listed = set(uncrel.__all__) <= set(dir(uncrel))\n"
+        "star = {}\n"
+        "exec('from uncrel import *', star)\n"
+        "print(listed, sorted(star.keys() - {'__builtins__'}) == sorted(uncrel.__all__),\n"
+        "      all(getattr(uncrel, name) is star[name] for name in uncrel.__all__))\n"
+    )
+    done = run_cli([], entry=("-c", child))
+    assert done.stdout.decode() == "True True True\n", done.stderr.decode()
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        uncrel.no_such_name
+
+
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+def test_main_calls_the_driver_by_its_name_on_the_cli_module(monkeypatch, tmp_path, command):
+    """The benchmark's tracer times the drivers and the renderer by wrapping
+    ``run_verify``, ``run_sweep`` and ``emit`` on :mod:`uncrel.cli`."""
+    name = f"run_{command}"
+    driver, calls = getattr(cli, name), []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return driver(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, counting)
+    assert cli.main([*COMMANDS[command], "--out", str(tmp_path / "out.csv")]) == 0
+    assert len(calls) == 1
+    assert cli.emit is render.emit
+
+
+def test_program_collects_no_cycles_before_run_and_collects_during_main(state_file):
+    """Run as a program, the module switches the collector off before its
+    first import, and :func:`~uncrel.cli.run` switches it back on."""
+    child = (
+        "import gc, os, runpy, sys\n"
+        "events = []\n"
+        "gc.callbacks.append(lambda phase, info: phase == 'start' and events.append('collect'))\n"
+        "cli_py = os.path.join('uncrel', 'cli.py')\n"
+        "def profile(frame, event, arg):\n"
+        "    code = frame.f_code\n"
+        "    if event == 'call' and code.co_filename.endswith(cli_py) and code.co_name in ('<module>', 'run', 'main'):\n"
+        "        events.append(f'{code.co_name} {gc.isenabled()}')\n"
+        "sys.setprofile(profile)\n"
+        "try:\n"
+        "    runpy.run_module('uncrel.cli', run_name='__main__', alter_sys=True)\n"
+        "finally:\n"
+        "    sys.setprofile(None)\n"
+        "    print(*events, sep='\\n', file=sys.stderr)\n"
+    )
+    done = run_cli(["bounds", "--state-file", str(state_file)], entry=("-c", child))
+    assert done.returncode == 0
+    events = done.stderr.decode().splitlines()
+    calls = [k for k, event in enumerate(events) if event != "collect"]
+    assert [events[k] for k in calls[:3]] == ["<module> True", "run False", "main True"], events
+    assert "collect" not in events[calls[0]:calls[1]]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_importing_the_cli_leaves_the_collector_as_it_was(enabled):
+    child = "import gc, sys\nif sys.argv[1] == 'False':\n    gc.disable()\nimport uncrel.cli\nprint(gc.isenabled())\n"
+    done = run_cli([str(enabled)], entry=("-c", child))
+    assert done.stdout.decode() == f"{enabled}\n", done.stderr.decode()
+
+
+def test_main_in_process_leaves_the_collector_as_it_was(tmp_path):
+    gc.disable()
+    try:
+        assert cli.main([*COMMANDS["sweep"], "--out", str(tmp_path / "sweep.csv")]) == 0
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
 
 
 def test_closed_stdout_exits_3_with_one_line():

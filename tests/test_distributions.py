@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from uncrel import random_observable, random_pure_state
+from uncrel.core import orthogonal_companions
 
 ALPHA = 1e-6
 #: Trials drawn at once; only the picked values of a block outlive it.
@@ -96,3 +97,18 @@ def test_random_observable_diagonal_entries_are_standard_normal(observable_entri
 def test_random_observable_off_diagonal_parts_are_normal_of_variance_one_half(observable_entries, part):
     # Re A_01 = (Re G_01 + Re G_10) / 2 and Im A_01 = (Im G_01 - Im G_10) / 2: N(0, 1/2).
     _check(observable_entries[:, part], normal_cdf(0.5))
+
+
+@pytest.mark.parametrize("dim", [3, 4, 5])
+def test_orthogonal_companions_are_uniform_in_the_complement(dim):
+    # A companion is a Haar-random unit vector of the ket's (d - 1)-dimensional
+    # complement, so |c_0|^2 in any orthonormal basis of it is Beta(1, d - 2).
+    ket = random_pure_state(dim, (1, dim), range(1))
+    # Conjugated, the rows of vh after the first are an orthonormal basis of the
+    # complement, so ``c @ complement[0]`` is a companion's first coordinate in it.
+    complement = np.linalg.svd(ket.conj())[2][1:]
+    first = drawn(
+        lambda trials: orthogonal_companions(np.repeat(ket, len(trials), 0),
+                                             random_pure_state(dim, (2, dim), trials)) @ complement[0],
+        200_000, lambda c0: np.abs(c0) ** 2)
+    _check(first, lambda x: 1.0 - (1.0 - np.clip(x, 0.0, 1.0)) ** (dim - 2))

@@ -38,7 +38,7 @@ from uncrel import (
     run_sweep,
     run_verify,
 )
-from uncrel import harness
+from uncrel import harness, render
 from uncrel.cli import build_parser, main, parse_angle
 from uncrel.relations import ObservableSet, holds
 
@@ -388,7 +388,7 @@ def test_emit_writes_large_text_in_slices(monkeypatch):
 
 
 #: Rows per rendered sweep block.
-BLOCK = harness._BLOCK_ROWS
+BLOCK = render._BLOCK_ROWS
 
 #: Values whose spellings differ between formatters, or nearly do; planted
 #: in the first and the last row of a rendered sweep.

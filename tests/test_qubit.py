@@ -374,6 +374,16 @@ def test_stokes_vector_contracts():
     StokesVector(2.0, 1.0, 1.0, 1.0)  # inside, fine
 
 
+@pytest.mark.parametrize("s", [1e-200, 1.0, 1e200])
+def test_stokes_vector_is_judged_alike_at_every_intensity(s):
+    # s1^2 + s2^2 + s3^2 and s0^2 underflow to 0 at 1e-200 and overflow to inf
+    # at 1e200, so only the ratios s_i / s0 tell these vectors apart.
+    with pytest.raises(ValueError, match=r"^polarized intensity .* exceeds s0\^2 = "):
+        StokesVector(s, s, s, 0.0)
+    edge = stokes_to_density(StokesVector(s, 0.0, s, 0.0))
+    np.testing.assert_allclose(edge.matrix, [[0.5, -0.5j], [0.5j, 0.5]], atol=1e-15)
+
+
 def test_stokes_to_density_unpolarized():
     rho = stokes_to_density(StokesVector(1.0, 0.0, 0.0, 0.0))
     np.testing.assert_allclose(rho.matrix, np.eye(2) / 2.0, atol=1e-15)

@@ -20,7 +20,10 @@ so the phases of one process are:
 
 Start-up is the first two.  Under ``PYTHONDONTWRITEBYTECODE=1``, as the
 benchmark runs, the uncrel phase compiles uncrel's sources as well as
-executing them.
+executing them.  The child imports ``uncrel.cli`` as a module, as the
+``uncrel`` console script does, so it measures that path, not the
+``python -m uncrel.cli`` one, whose imports run with the cyclic collector
+off.
 
 Per root, it prints the median of each phase and of the whole wall time
 per command, then the medians over every process of a workload, in
@@ -41,7 +44,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import cli_diff  # noqa: E402
 
-#: Runs ``uncrel.cli.run()`` as ``python -m uncrel.cli`` would, and writes
+#: Runs ``uncrel.cli.run()`` as the ``uncrel`` console script would, and writes
 #: the monotonic times of the numpy and uncrel imports' ends and the
 #: ``main`` call's start and end to the file named by its first argument.
 CHILD = """
