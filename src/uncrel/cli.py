@@ -20,7 +20,9 @@ numpy and uncrel again.  It flushes stdout, reporting a failed write or
 flush of ``--help`` or ``--version`` output with exit code 3, and keeps a failed
 stdout buffer from failing a second time at shutdown.  Library callers
 call :func:`main` with an argument list; it returns the exit code and
-changes no interpreter state.
+changes no interpreter state.  On glibc, :func:`run` also has the
+allocator keep freed memory for reuse (:func:`_keep_freed_memory`);
+:func:`main` and an import leave the allocator as it is.
 
 Run as a program (``python -m uncrel.cli``), the module switches the
 cyclic collector off before its first import and :func:`run` switches it
@@ -403,9 +405,27 @@ def main(argv=None) -> int:
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(err, kind))
 
 
+def _keep_freed_memory() -> None:
+    """Fix glibc's mmap threshold at 4 MiB and its trim threshold at 8 MiB.
+
+    By default they grow with each mapped block freed, and a shot sweep's
+    temporaries of a few hundred KiB go back to the kernel at every point
+    and are faulted in again.  Without ``mallopt`` this does nothing.
+    """
+    import ctypes  # loaded by numpy already, so imported here for free
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 8 << 20)  # M_TRIM_THRESHOLD
+
+
 def run() -> None:
     gc.freeze()
     gc.enable()
+    _keep_freed_memory()
     # argparse prints and exits inside main on --help, --version and usage
     # errors; nothing has flushed that text or reported a failed write of it.
     code, reported = 3, False

@@ -33,7 +33,7 @@ _PAULI = {
     "z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
 
-_CHUNK = 4096
+_CHUNK = 2048
 
 
 def pauli(axis: str) -> Observable:
@@ -52,13 +52,23 @@ def pauli_triple() -> ObservableSet:
 _PAULI_STACK = pauli_triple().stack
 
 
+def _float(field: str, value, scale=None) -> float:
+    """``value``, or ``value / scale``, as a float.  A Python int beyond the
+    float range raises OverflowError there; it is refused as a ValueError
+    that names ``field``, like every other refused input."""
+    try:
+        return float(value) if scale is None else value / scale
+    except OverflowError:
+        raise ValueError(f"{field} is too large for a float") from None
+
+
 class BlochAngles(_Frozen):
     """Polar angle theta in [0, pi] and azimuth phi in [0, 2 pi], radians."""
 
     __slots__ = ("theta", "phi")
 
     def __init__(self, theta: float, phi: float = 0.0) -> None:
-        t, p = float(theta), float(phi)
+        t, p = _float("theta", theta), _float("phi", phi)
         # Accept 1e-12 of slop at the ends so grid arithmetic cannot trip
         # the check, then clip onto the closed interval.
         if not -1e-12 <= t <= math.pi + 1e-12:
@@ -116,15 +126,20 @@ def closed_form_bounds(ex, ey, ez):
         over the inputs.  No Bloch-ball check is made; radicands are clamped
         at zero, so estimates outside the ball cannot produce NaNs.
     """
-    e = np.array((ex, ey, ez), dtype=float)
-    flat = e.reshape(3, -1)
-    out = np.empty((1 + len(SUM_FORM_RELATIONS), flat.shape[1]))
+    shape = np.shape(ex)
+    if np.shape(ey) != shape or np.shape(ez) != shape:
+        raise ValueError(f"ex, ey and ez need one shape, got {shape}, {np.shape(ey)}, {np.shape(ez)}")
+    flat = [np.asarray(e, dtype=float).reshape(-1) for e in (ex, ey, ez)]
+    out = np.empty((1 + len(SUM_FORM_RELATIONS), flat[0].size))
     # Slices of _CHUNK states keep every temporary small enough to be
     # reused from cache rather than drawn from fresh pages.
-    for k in range(0, flat.shape[1], _CHUNK):
-        values = bound_values(pauli_table(*flat[:, k : k + _CHUNK]))
-        out[:, k : k + _CHUNK] = [values[Relation.SONG][0], *(values[r][1] for r in SUM_FORM_RELATIONS)]
-    lhs, *rhs = out.reshape((-1,) + e.shape[1:])
+    for k in range(0, out.shape[1], _CHUNK):
+        values = bound_values(pauli_table(*(e[k : k + _CHUNK] for e in flat)))
+        out[0, k : k + _CHUNK] = values[Relation.SONG][0]
+        for row, rel in enumerate(SUM_FORM_RELATIONS, 1):
+            out[row, k : k + _CHUNK] = values[rel][1]
+        del values  # freed before the next slice allocates its own
+    lhs, *rhs = out.reshape((-1,) + shape)
     return lhs, dict(zip(SUM_FORM_RELATIONS, rhs))
 
 
@@ -149,7 +164,7 @@ class StokesVector(_Frozen):
             raise ValueError(f"s0 must be positive, got {s0!r}")
         # Squares of the ratios, which s1^2 and s0^2 would overflow or underflow
         # far from unit intensity; products, not **, which raises OverflowError.
-        rx, ry, rz = s1 / s0, s2 / s0, s3 / s0
+        rx, ry, rz = _float("s1 / s0", s1, s0), _float("s2 / s0", s2, s0), _float("s3 / s0", s3, s0)
         if rx * rx + ry * ry + rz * rz > 1.0 + _STOKES_RTOL:
             polarized = s1 * s1 + s2 * s2 + s3 * s3
             raise ValueError(f"polarized intensity {polarized!r} exceeds s0^2 = {s0 * s0!r}")

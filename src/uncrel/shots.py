@@ -98,15 +98,18 @@ def bootstrap_bounds(
         raise ValueError(f"need 3 up-counts in [0, shots] and shots in [1, {_MAX_SHOTS}], "
                          f"got up-counts {ups} and shots {n}")
 
-    # Row 0 holds the point estimate, in exact integer division, and rows
-    # 1.. the replicates, so both go through one batched evaluation and no
-    # estimate is rejected for lying outside the Bloch ball.
+    # One row per basis: column 0 holds the point estimate, in exact integer
+    # division, and columns 1.. the replicates, so both go through one batched
+    # evaluation and no estimate is rejected for lying outside the Bloch ball.
+    # The replicates are computed in place, in the row that holds them.
     rng = np.random.default_rng(seed)
-    means = []
-    for up in ups:
-        point = (up - (n - up)) / n
-        counts = rng.binomial(n, min(max((1.0 + point) / 2.0, 0.0), 1.0), size=resamples)
-        means.append(np.concatenate(([point], (2.0 * counts - n) / n)))
+    means = np.empty((3, resamples + 1))
+    for row, up in zip(means, ups):
+        row[0] = point = (up - (n - up)) / n
+        p_up = min(max((1.0 + point) / 2.0, 0.0), 1.0)
+        replicates = np.multiply(2.0, rng.binomial(n, p_up, size=resamples), out=row[1:])
+        replicates -= n
+        replicates /= n
     lhs, rhs = closed_form_bounds(*means)
     pairs = [(float(values[0]), float(np.std(values[1:], ddof=1))) for values in (lhs, *rhs.values())]
     return pairs[0], dict(zip(rhs, pairs[1:]))

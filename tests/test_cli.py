@@ -373,6 +373,58 @@ def test_main_in_process_leaves_the_collector_as_it_was(tmp_path):
         gc.enable()
 
 
+def test_run_alone_sets_the_allocator_policy_once(state_file, tmp_path):
+    """``run()`` fixes glibc's mmap and trim thresholds, once; neither the
+    import nor ``main`` touches the allocator.  ``ctypes.CDLL`` is replaced
+    by a recorder of ``mallopt`` calls before ``uncrel.cli`` loads."""
+    child = (
+        "import ctypes, sys, numpy\n"
+        "calls = []\n"
+        "class Libc:\n"
+        "    def __init__(self, name, *args, **kwargs):\n"
+        "        pass\n"
+        "    def mallopt(self, param, value):\n"
+        "        calls.append((param, value))\n"
+        "        return 1\n"
+        "ctypes.CDLL = Libc\n"
+        "import uncrel.cli\n"
+        "imported = len(calls)\n"
+        "uncrel.cli.main(['bounds', '--state-file', sys.argv[1], '--out', sys.argv[2]])\n"
+        "mained = len(calls)\n"
+        "sys.argv[1:] = ['--version']\n"
+        "try:\n"
+        "    uncrel.cli.run()\n"
+        "except SystemExit as done:\n"
+        "    print(imported, mained, done.code, calls, file=sys.stderr)\n"
+    )
+    done = run_cli([str(state_file), str(tmp_path / "out.csv")], entry=("-c", child))
+    assert done.stderr.decode() == f"0 0 0 {[(-3, 4 << 20), (-1, 8 << 20)]}\n"
+
+
+class _NoMallopt:
+    def __init__(self, name):
+        pass
+
+
+def _no_libc(name):
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize("cdll", [_NoMallopt, _no_libc], ids=["no-mallopt", "no-libc"])
+def test_allocator_policy_is_a_no_op_without_mallopt(monkeypatch, cdll):
+    import ctypes
+
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    assert cli._keep_freed_memory() is None
+
+
+def test_main_in_process_sets_no_allocator_policy(monkeypatch, tmp_path):
+    calls = []
+    monkeypatch.setattr(cli, "_keep_freed_memory", lambda: calls.append(1))
+    assert cli.main([*COMMANDS["sweep"], "--out", str(tmp_path / "sweep.csv")]) == 0
+    assert calls == []
+
+
 def test_closed_stdout_exits_3_with_one_line():
     done = run_cli(COMMANDS["sweep"], stdout=None, preexec_fn=functools.partial(os.close, 1))
     assert done.returncode == 3

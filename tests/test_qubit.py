@@ -355,6 +355,62 @@ def test_closed_form_bounds_vectorized_matches_scalar():
             assert bounds[rel][k] == pytest.approx(rhs(m, rel), abs=1e-12)
 
 
+def _closed_form_rows(ex, ey, ez):
+    """``closed_form_bounds`` as one ``(8, ...)`` array: the lhs, then the seven rhs."""
+    total, bounds = closed_form_bounds(ex, ey, ez)
+    return np.array([total, *bounds.values()])
+
+
+@pytest.fixture(scope="module")
+def triple_pool():
+    """2,049 expectation triples and the closed forms of each, computed alone.
+
+    The first ones are +-0.0 in every axis, the poles and points outside the
+    Bloch ball; then Bloch-sphere points, and 24,000-shot bootstrap
+    estimates, some of them outside the ball.
+    """
+    special = [(0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (-0.0, 0.0, 1.0), (0.0, -0.0, -1.0),
+               (-0.0, -0.0, 1.0), (-0.0, -0.0, -0.0), (0.0, 0.0, 0.0), (1.0, -0.0, 0.0),
+               (-0.0, -1.0, -0.0), (1.02, 0.9, 0.0), (-1.0, -1.0, -1.0), (1.1, -1.1, 1.1)]
+    rng = np.random.default_rng(29)
+    sphere = moments_from_angles(rng.uniform(0.0, math.pi, 1019), rng.uniform(0.0, 2.0 * math.pi, 1019))
+    p_up = np.array([0.5, 0.99995, 0.5 + 0.5 * SQRT2 / SQRT3])[:, None]
+    shots = (2.0 * rng.binomial(24000, p_up, size=(3, 1018)) - 24000) / 24000
+    triples = np.concatenate([np.array(special).T, sphere, shots], axis=1)
+    alone = np.array([_closed_form_rows(*map(float, e)) for e in triples.T]).T
+    return triples, alone
+
+
+@pytest.mark.parametrize("size", [2047, 2048, 2049, 20001])
+def test_closed_form_bounds_in_slices_are_the_bits_of_each_triple_alone(triple_pool, size):
+    triples, alone = triple_pool
+    picks = np.arange(size) if size <= triples.shape[1] else np.random.default_rng(size).integers(
+        0, triples.shape[1], size)
+    got = _closed_form_rows(*triples[:, picks])
+    assert got.shape == (8, size)
+    # Same bits, so -0.0 and 0.0 differ here.
+    np.testing.assert_array_equal(got.view(np.uint64), alone[:, picks].view(np.uint64))
+
+
+def test_closed_form_bounds_keep_the_input_shape():
+    total, bounds = closed_form_bounds(0.1, -0.2, 0.3)
+    assert np.shape(total) == () and all(np.shape(v) == () for v in bounds.values())
+    e = np.random.default_rng(4).uniform(-1.0, 1.0, size=(3, 4, 5))
+    got = _closed_form_rows(*e)
+    assert got.shape == (8, 4, 5)
+    np.testing.assert_array_equal(got.reshape(8, -1), _closed_form_rows(*e.reshape(3, -1)))
+
+
+@pytest.mark.parametrize("ex, ey, ez", [
+    (np.zeros(3), np.zeros(3), 0.0),
+    (np.zeros(3), np.zeros(4), np.zeros(3)),
+    (np.zeros((2, 3)), np.zeros((3, 2)), np.zeros((2, 3))),
+], ids=["array-and-float", "lengths", "transposed"])
+def test_closed_form_bounds_refuse_inputs_of_mismatched_shapes(ex, ey, ez):
+    with pytest.raises(ValueError):
+        closed_form_bounds(ex, ey, ez)
+
+
 def test_closed_form_bounds_clamps_outside_ball_radicands():
     # bootstrap replicates may push a pair sum past sqrt(2); no NaNs allowed
     total, bounds = closed_form_bounds(1.02, 0.9, 0.0)
@@ -382,6 +438,21 @@ def test_stokes_vector_is_judged_alike_at_every_intensity(s):
         StokesVector(s, s, s, 0.0)
     edge = stokes_to_density(StokesVector(s, 0.0, s, 0.0))
     np.testing.assert_allclose(edge.matrix, [[0.5, -0.5j], [0.5j, 0.5]], atol=1e-15)
+
+
+@pytest.mark.parametrize("make, args, field", [
+    (BlochAngles, (10**400,), "theta"),
+    (BlochAngles, (0.5, 10**400), "phi"),
+    (StokesVector, (1, 10**400, 0, 0), "s1"),
+], ids=["theta", "phi", "stokes-s1"])
+def test_ints_beyond_the_float_range_are_refused_as_value_errors(make, args, field):
+    with pytest.raises(ValueError, match=f"^{field}\\b"):
+        make(*args)
+
+
+def test_stokes_vector_at_an_int_intensity_beyond_the_float_range_is_accepted():
+    rho = stokes_to_density(StokesVector(10**400, 1, 0, 0))  # every ratio is 0
+    np.testing.assert_array_equal(rho.matrix, np.eye(2) / 2.0)
 
 
 def test_stokes_to_density_unpolarized():

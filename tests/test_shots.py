@@ -1,6 +1,7 @@
 import inspect
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -198,6 +199,25 @@ def test_closed_forms_and_bootstrap_take_no_relation_choice():
     assert list(inspect.signature(bootstrap_bounds).parameters) == ["ups", "shots", "resamples", "seed"]
     ups = exact_ups(1000, 0.5, 0.0, 0.8)
     assert bootstrap_bounds(ups, 1000, 200, 1) == bootstrap_bounds(ups, 1000, resamples=200, seed=1)
+
+
+def test_bootstrap_of_a_24k_shot_point_holds_one_replicate_table():
+    """One point of a 24,000-shot sweep with 20,000 resamples: the replicate
+    table (0.48 MB), the seven closed forms over it (1.28 MB) and one slice
+    of their temporaries, but no per-basis copies."""
+    args = ([14000, 12000, 9000], 24000)
+    bootstrap_bounds(*args, resamples=20000)  # numpy.random's first-use allocations
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        bootstrap_bounds(*args, resamples=20000)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 3.6e6
 
 
 def test_bootstrap_point_independent_of_resamples():

@@ -1,4 +1,5 @@
-"""Split the wall time of ``uncrel`` processes into start-up, command and exit.
+"""Split the wall time of ``uncrel`` processes into start-up, command and exit,
+and count their minor page faults and peak resident set.
 
     python tools/process_phases.py ROOT [ROOT ...] [--runs N]
 
@@ -18,7 +19,16 @@ so the phases of one process are:
 * command: the ``main`` call;
 * exit: from ``main`` returning until the parent sees the process gone.
 
-Start-up is the first two.  Under ``PYTHONDONTWRITEBYTECODE=1``, as the
+Beside the phases it reports two memory figures per process:
+
+* faults: the process's minor page faults, the growth of the parent's
+  ``getrusage(RUSAGE_CHILDREN).ru_minflt`` over the run: each is a page
+  the kernel mapped in, new to the process or one its allocator gave back;
+* VmHWM: the peak resident set in MB, from ``/proc/self/status`` when
+  ``main`` returns (the kernel's rusage for a child also counts the memory
+  of the process that forked it, so its ``ru_maxrss`` is not used).
+
+Start-up is the first two phases.  Under ``PYTHONDONTWRITEBYTECODE=1``, as the
 benchmark runs, the uncrel phase compiles uncrel's sources as well as
 executing them.  The child imports ``uncrel.cli`` as a module, as the
 ``uncrel`` console script does, so it measures that path, not the
@@ -26,13 +36,16 @@ executing them.  The child imports ``uncrel.cli`` as a module, as the
 off.
 
 Per root, it prints the median of each phase and of the whole wall time
-per command, then the medians over every process of a workload, in
-milliseconds.  The in-process tracer of ``bench/run.py --trace 1`` sees
-neither start-up nor exit.  Nothing is written under ``bench/``.
+per command, in milliseconds, with the median faults and VmHWM, then the
+same medians over every process of a workload.  So churn and peak memory
+can be checked command by command, where ``bench/run.py`` reports only a
+workload's largest peak.  The in-process tracer of ``bench/run.py --trace
+1`` sees neither start-up nor exit.  Nothing is written under ``bench/``.
 """
 from __future__ import annotations
 
 import argparse
+import resource
 import statistics
 import subprocess
 import sys
@@ -46,7 +59,8 @@ import cli_diff  # noqa: E402
 
 #: Runs ``uncrel.cli.run()`` as the ``uncrel`` console script would, and writes
 #: the monotonic times of the numpy and uncrel imports' ends and the
-#: ``main`` call's start and end to the file named by its first argument.
+#: ``main`` call's start and end, and the ``VmHWM`` in kB when ``main``
+#: returns, to the file named by its first argument.
 CHILD = """
 import sys, time
 stamps_path = sys.argv.pop(1)
@@ -63,26 +77,32 @@ def timed_main(argv=None):
             return main(argv)
         finally:
             end = time.monotonic()
-            stamps.write(f"{numpy_imported!r} {imported!r} {start!r} {end!r}")
+            with open("/proc/self/status") as status:
+                hwm = next(line.split()[1] for line in status if line.startswith("VmHWM:"))
+            stamps.write(f"{numpy_imported!r} {imported!r} {start!r} {end!r} {hwm}")
 
 uncrel.cli.main = timed_main
 uncrel.cli.run()
 """
 
 PHASES = ("numpy", "uncrel", "command", "exit", "total")
+#: The memory figures after the phases: minor page faults and VmHWM in MB.
+MEMORY = ("faults", "VmHWM")
 
 
 def phases(root: Path, base: Path, argv: list[str], stamps: Path) -> tuple[float, ...]:
-    """Seconds of each of :data:`PHASES`, for one run."""
+    """Seconds of each of :data:`PHASES`, then the :data:`MEMORY` figures, for one run."""
     stamps.unlink(missing_ok=True)
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     spawned = time.monotonic()
     subprocess.run([sys.executable, "-c", CHILD, str(stamps), *argv], cwd=base,
                    env=cli_diff.child_env(root), stdout=subprocess.DEVNULL,
                    stderr=subprocess.DEVNULL)
     gone = time.monotonic()
-    numpy_imported, imported, start, end = map(float, stamps.read_text().split())
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
+    numpy_imported, imported, start, end, hwm_kb = map(float, stamps.read_text().split())
     return (numpy_imported - spawned, imported - numpy_imported, end - start, gone - end,
-            gone - spawned)
+            gone - spawned, faults, hwm_kb / 1024.0)
 
 
 def workload(name: str) -> str:
@@ -92,12 +112,13 @@ def workload(name: str) -> str:
 
 
 def _header(label: str) -> str:
-    return f"{label:<44}" + "".join(f"{p:>10}" for p in PHASES) + f"{'runs':>7}"
+    return f"{label:<44}" + "".join(f"{p:>10}" for p in PHASES + MEMORY) + f"{'runs':>7}"
 
 
 def _row(label: str, samples: list[tuple[float, ...]]) -> str:
-    medians = [1e3 * statistics.median(column) for column in zip(*samples)]
-    return f"{label:<44}" + "".join(f"{m:>10.1f}" for m in medians) + f"{len(samples):>7}"
+    *times, faults, hwm = (statistics.median(column) for column in zip(*samples))
+    return (f"{label:<44}" + "".join(f"{1e3 * t:>10.1f}" for t in times)
+            + f"{faults:>10.0f}{hwm:>10.2f}{len(samples):>7}")
 
 
 def main() -> int:
@@ -122,12 +143,12 @@ def main() -> int:
                     sample = phases(root, base, argv, stamps)
                     per_command[root].setdefault(name, []).append(sample)
     for root, samples in per_command.items():
-        print(f"{root}\n{_header('median ms')}")
+        print(f"{root}\n{_header('median ms, faults, MB')}")
         by_workload = {}
         for name, runs in samples.items():
             by_workload.setdefault(workload(name), []).extend(runs)
             print(_row(name, runs))
-        print(_header("median ms per process"))
+        print(_header("median per process"))
         for name, runs in by_workload.items():
             print(_row(name, runs))
         print()
