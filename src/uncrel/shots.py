@@ -101,7 +101,6 @@ def bootstrap_bounds(
     # One row per basis: column 0 holds the point estimate, in exact integer
     # division, and columns 1.. the replicates, so both go through one batched
     # evaluation and no estimate is rejected for lying outside the Bloch ball.
-    # The replicates are computed in place, in the row that holds them.
     rng = np.random.default_rng(seed)
     means = np.empty((3, resamples + 1))
     for row, up in zip(means, ups):
