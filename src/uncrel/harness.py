@@ -207,28 +207,27 @@ def run_verify(
     largest = max(n * dim * dim for dim, n in combos)
     block_trials = max(1, min(_BLOCK_TRIALS, _BLOCK_ENTRIES // largest))
     for start in range(0, trials, block_trials):
-        stop = min(start + block_trials, trials)
-        block = range(start, stop)
+        block = range(start, min(start + block_trials, trials))
         findings = []
         for position, (dim, n) in enumerate(combos):
             values = _block_values(seed, block, dim, n, use_paulis)
-            instances = range(start * len(combos) + position, stop * len(combos), len(combos))
-            findings += _digest_block(summary, values, block, instances, dim, n)
+            findings += _digest_block(summary, values, block, position, dim, n)
         _merge_findings(summary, findings)
     summary.total_instances = trials * len(combos)
     return summary
 
 
 def _digest_block(
-    summary: VerificationSummary, values: dict, block: range, instances: range, dim: int, n: int
+    summary: VerificationSummary, values: dict, block: range, position: int, dim: int, n: int
 ) -> list:
     """Count one block's reports into ``summary`` and return its findings.
 
-    A finding is ``((instance, rank, pair), kind, target, record)``: the
-    smallest slack and the earliest violations of each relation, and the
+    A finding is ``((trial, position, rank, pair), kind, target, record)``:
+    the smallest slack and the earliest violations of each relation, and the
     earliest examples of each note, the first of which carries the count of
-    all the block's hits of that note.  ``rank`` orders the findings of one
-    instance as its reports are ordered.  Each relation gets one verdict,
+    all the block's hits of that note.  ``position`` is the index of ``(dim,
+    n)`` in the campaign, and ``rank`` orders the findings of one instance
+    as its reports are ordered.  Each relation gets one verdict,
     one count and one minimum, and records are built only for the indices
     they name that may still enter the summary.
     """
@@ -251,7 +250,7 @@ def _digest_block(
             record = {"trial": block[b], "dim": dim, "n_observables": n,
                       "pair": list(pairs[p]) if rel.pairwise else None,
                       "lhs": float(lhs[b, p]), "rhs": float(rhs[b, p])}
-            findings.append(((instances[b], rank, p), kind, rel, record))
+            findings.append(((block[b], position, rank, p), kind, rel, record))
     rhs = {rel: entry[1] for rel, entry in values.items()}
     if n == 3:
         t2, t3 = rhs[Relation.TRIPLE_COMMUTATOR], rhs[Relation.TRIPLE_PAIRWISE]
@@ -265,7 +264,7 @@ def _digest_block(
             example = {"trial": block[b], "dim": dim, "n_observables": n}
             example.update((key, float(column[b])) for key, column in columns.items())
             count = 0 if j else found.size
-            findings.append(((instances[b], rank, 0), "note", (name, dim, count), example))
+            findings.append(((block[b], position, rank, 0), "note", (name, dim, count), example))
     return findings
 
 

@@ -151,8 +151,9 @@ _STOKES_RTOL = 4.0 * PSD_ATOL - 1e-14
 class StokesVector(_Frozen):
     """Light-polarization Stokes parameters ``(s0, s1, s2, s3)``.
 
-    ``s0`` is the total intensity and must be positive; the polarized part
-    cannot exceed it, so ``sum_i (s_i / s0)^2 <= 1`` within ``_STOKES_RTOL``.
+    Every field must be finite.  ``s0`` is the total intensity and must be
+    positive; the polarized part cannot exceed it, so ``sum_i (s_i /
+    s0)^2 <= 1`` within ``_STOKES_RTOL``.
     Only the ratios ``s_i / s0`` matter, here and downstream, so any overall
     intensity scale is accepted, and a vector is judged alike at every scale.
     """
@@ -168,6 +169,10 @@ class StokesVector(_Frozen):
         if rx * rx + ry * ry + rz * rz > 1.0 + _STOKES_RTOL:
             polarized = s1 * s1 + s2 * s2 + s3 * s3
             raise ValueError(f"polarized intensity {polarized!r} exceeds s0^2 = {s0 * s0!r}")
+        # A NaN passes every comparison above, and s0 = inf makes every ratio 0 or NaN.
+        for field, value in zip(self.__slots__, (s0, s1, s2, s3)):
+            if not -math.inf < value < math.inf:
+                raise ValueError(f"{field} must be finite, got {value!r}")
         self.s0, self.s1, self.s2, self.s3 = s0, s1, s2, s3
 
 

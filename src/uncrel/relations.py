@@ -139,14 +139,13 @@ def holds(lhs, rhs):
     return lhs - rhs >= -HOLDS_ATOL * np.maximum(1.0, np.abs(lhs))
 
 
-def _reports(relations, lhs, rhs, mids, pairs) -> list[BoundReport]:
-    """Reports from same-shape value arrays, judged together by :func:`holds`."""
-    verdicts = holds(lhs, rhs).tolist()
+def _reports(relation: Relation, lhs, rhs, mid=None, pairs=(None,)) -> list[BoundReport]:
+    """Reports of one relation, one per pair, from its values, judged by :func:`holds`."""
+    verdicts = np.ravel(holds(lhs, rhs)).tolist()
+    mids = repeat(None) if mid is None else np.ravel(mid).tolist()
     return [
-        BoundReport(rel, a, b, a - b, ok, mid, pair)
-        for rel, a, b, ok, mid, pair in zip(
-            relations, lhs.tolist(), rhs.tolist(), verdicts, mids, pairs
-        )
+        BoundReport(relation, a, b, a - b, ok, m, pair)
+        for a, b, ok, m, pair in zip(np.ravel(lhs).tolist(), np.ravel(rhs).tolist(), verdicts, mids, pairs)
     ]
 
 
@@ -304,7 +303,7 @@ def maccone_pati_orthogonal(
     if overlap > 1e-10:
         raise ValueError(f"psi_perp has overlap {overlap!r} with psi, expected orthogonal")
     values = instance_values(pair.stack, ket, psi_perp.amplitudes)[Relation.MACCONE_PATI_ORTHOGONAL]
-    return _reports([Relation.MACCONE_PATI_ORTHOGONAL], *values, [None], [None])[0]
+    return _reports(Relation.MACCONE_PATI_ORTHOGONAL, *values)[0]
 
 
 # -- batch evaluation ---------------------------------------------------------
@@ -337,29 +336,16 @@ def evaluate_all(
         companions = core.qubit_companions(array)
     values = instance_values(observables.stack, array, companions)
     n = observables.count
-    summed = [rel for rel in SUM_FORM_RELATIONS if rel in values]
-    reports = _reports(
-        summed,
-        np.full(len(summed), values[Relation.SONG][0]),
-        np.array([values[rel][1] for rel in summed]),
-        [values[rel][2].tolist() if len(values[rel]) > 2 else None for rel in summed],
-        repeat(None),
-    )
-    by_relation = dict(zip(summed, reports))
-    results: list[BoundReport | SkippedRelation] = [
-        by_relation.get(rel)
-        or SkippedRelation(rel, f"needs {'at least' if rel is Relation.CHEN_FEI else 'exactly'} "
-                           f"3 observables, got {n}")
-        for rel in SUM_FORM_RELATIONS
-    ]
-    if not include_pairwise:
-        return results
     pairs = list(combinations(range(n), 2))
-    for rel in PAIRWISE_RELATIONS:
+    results: list[BoundReport | SkippedRelation] = []
+    for rel in SUM_FORM_RELATIONS + (PAIRWISE_RELATIONS if include_pairwise else ()):
         if rel in _PURE_ONLY and not pure:
             results.append(SkippedRelation(rel, "defined for pure states only"))
         elif rel in values:
-            results.extend(_reports(repeat(rel), *values[rel], repeat(None), pairs))
-        else:
+            results.extend(_reports(rel, *values[rel], pairs=pairs if rel.pairwise else (None,)))
+        elif rel.pairwise:
             results.append(SkippedRelation(rel, "no canonical orthogonal state above dimension 2"))
+        else:
+            needs = "at least" if rel is Relation.CHEN_FEI else "exactly"
+            results.append(SkippedRelation(rel, f"needs {needs} 3 observables, got {n}"))
     return results

@@ -54,10 +54,9 @@ class RelationTally:
 
     __slots__ = ("evaluated", "violations", "min_slack", "min_slack_witness")
 
-    def __init__(self, evaluated: int = 0, violations: int = 0, min_slack: float = math.inf,
-                 min_slack_witness: dict | None = None) -> None:
-        self.evaluated, self.violations = evaluated, violations
-        self.min_slack, self.min_slack_witness = min_slack, min_slack_witness
+    def __init__(self) -> None:
+        self.evaluated, self.violations = 0, 0
+        self.min_slack, self.min_slack_witness = math.inf, None
 
     @property
     def held(self) -> int:
@@ -81,17 +80,12 @@ class VerificationSummary:
                  "violation_witnesses", "ratio_max_error", "notes")
 
     def __init__(self, trials: int, dims: tuple[int, ...], counts: tuple[int, ...], seed: int,
-                 use_paulis: bool, total_instances: int = 0,
-                 tallies: dict[Relation, RelationTally] | None = None,
-                 violation_witnesses: list[dict] | None = None, ratio_max_error: float = 0.0,
-                 notes: dict | None = None) -> None:
+                 use_paulis: bool) -> None:
         self.trials, self.dims, self.counts, self.seed = trials, dims, counts, seed
-        self.use_paulis, self.total_instances = use_paulis, total_instances
-        # A new dict or list per summary where none is given.
-        self.tallies = {} if tallies is None else tallies
-        self.violation_witnesses = [] if violation_witnesses is None else violation_witnesses
-        self.ratio_max_error = ratio_max_error
-        self.notes = {} if notes is None else notes
+        self.use_paulis, self.total_instances, self.ratio_max_error = use_paulis, 0, 0.0
+        self.tallies: dict[Relation, RelationTally] = {}
+        self.violation_witnesses: list[dict] = []
+        self.notes: dict = {}
 
     @property
     def has_violations(self) -> bool:
@@ -240,13 +234,9 @@ def _render_sweep(table: SweepTable, fmt: str, meta: dict) -> str:
         pieces = row.replace("\n", "\n    ").split("null")
         head, _, tail = _json_dump({"metadata": meta, "rows": [0]}).rpartition("0")
         sep = ",\n    "
-    plain = np.zeros(len(table.theta), dtype=bool)
-    odd = [_odd_cells(c) if fmt == "json" and c.dtype != bool else plain for c in columns]
     blocks = []
     for start in range(0, len(table.theta), _BLOCK_ROWS):
-        block = slice(start, start + _BLOCK_ROWS)
-        slots, cells = zip(*(_block_cells(column[block], odd_cells[block], fmt)
-                             for column, odd_cells in zip(columns, odd)))
+        slots, cells = zip(*(_block_cells(column[start:start + _BLOCK_ROWS], fmt) for column in columns))
         row = "".join([piece for pair in zip(pieces, slots) for piece in pair] + pieces[-1:])
         blocks += [sep, sep.join(map(row.__mod__, zip(*cells)))]
     # One join makes the only whole copy of the text: a second one, made after the
@@ -254,11 +244,12 @@ def _render_sweep(table: SweepTable, fmt: str, meta: dict) -> str:
     return "".join([head, *blocks[1:], tail])
 
 
-def _block_cells(column: np.ndarray, odd: np.ndarray, fmt: str) -> tuple[str, list]:
+def _block_cells(column: np.ndarray, fmt: str) -> tuple[str, list]:
     """The template slot and the cells of one block of one column.
 
     ``"%.12g"`` spells a float as :func:`_fmt` does, ``"%d"`` a CSV verdict
-    as 1 or 0, and :func:`_json_number` a JSON cell that ``odd`` flags.
+    as 1 or 0, and :func:`_json_number` a JSON cell that :func:`_odd_cells`
+    flags.
     """
     values = column.tolist()
     if column.dtype == bool:
@@ -267,10 +258,11 @@ def _block_cells(column: np.ndarray, odd: np.ndarray, fmt: str) -> tuple[str, li
     if (bits == bits[0]).all():  # one value, such as every error of an exact sweep
         text = "%.12g" % values[0]
         return "%s", [text if fmt == "csv" else _json_number(text)] * len(values)
-    if not odd.any():
+    odd = np.flatnonzero(_odd_cells(column)).tolist() if fmt == "json" else []
+    if not odd:
         return "%.12g", values
     texts = list(map("%.12g".__mod__, values))
-    for k in np.flatnonzero(odd).tolist():
+    for k in odd:
         texts[k] = _json_number(texts[k])
     return "%s", texts
 

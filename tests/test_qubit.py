@@ -450,6 +450,32 @@ def test_ints_beyond_the_float_range_are_refused_as_value_errors(make, args, fie
         make(*args)
 
 
+@pytest.mark.parametrize("args, field", [
+    ((math.inf, 1.0, 1.0, 1.0), "s0"),
+    ((math.inf, 0.0, 0.0, 0.0), "s0"),
+    ((math.inf, math.inf, 0.0, 0.0), "s0"),
+    ((1.0, math.nan, 0.0, 0.0), "s1"),
+    ((1.0, 0.0, math.nan, 0.0), "s2"),
+    ((1.0, 0.0, 0.0, math.nan), "s3"),
+], ids=["inf-s0", "inf-s0-unpolarized", "inf-s0-s1", "nan-s1", "nan-s2", "nan-s3"])
+def test_stokes_vector_refuses_non_finite_fields_by_name(args, field):
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got (inf|nan)$"):
+        StokesVector(*args)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((math.nan, 0.0, 0.0, 0.0), "s0 must be positive, got nan"),
+    ((-math.inf, 0.0, 0.0, 0.0), "s0 must be positive, got -inf"),
+    ((1.0, math.inf, 0.0, 0.0), "polarized intensity inf exceeds s0^2 = 1.0"),
+    ((1.0, 0.0, -math.inf, 0.0), "polarized intensity inf exceeds s0^2 = 1.0"),
+    ((math.inf, 10**400, 0.0, 0.0), "s1 / s0 is too large for a float"),
+], ids=["nan-s0", "minus-inf-s0", "inf-s1", "minus-inf-s2", "inf-s0-huge-int-s1"])
+def test_stokes_vector_non_finite_refusals_of_other_checks_keep_their_message(args, message):
+    with pytest.raises(ValueError) as refused:
+        StokesVector(*args)
+    assert str(refused.value) == message
+
+
 def test_stokes_vector_at_an_int_intensity_beyond_the_float_range_is_accepted():
     rho = stokes_to_density(StokesVector(10**400, 1, 0, 0))  # every ratio is 0
     np.testing.assert_array_equal(rho.matrix, np.eye(2) / 2.0)

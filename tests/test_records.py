@@ -78,12 +78,9 @@ SIGNATURES = [
                  "relations": (Relation.SONG,), "shots": ShotPlan()}),
     (SweepTable, {"theta": COLUMN, "phi": COLUMN, "lhs": COLUMN, "lhs_err": COLUMN,
                   "bounds": {}, "estimated": True}),
-    (RelationTally, {"evaluated": 5, "violations": 1, "min_slack": -0.5,
-                     "min_slack_witness": {"trial": 2}}),
+    (RelationTally, {}),
     (VerificationSummary, {"trials": 5, "dims": (2,), "counts": (3,), "seed": 1,
-                           "use_paulis": False, "total_instances": 5, "tallies": {},
-                           "violation_witnesses": [], "ratio_max_error": 0.5,
-                           "notes": {}}),
+                           "use_paulis": False}),
 ]
 
 

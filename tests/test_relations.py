@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -10,8 +11,10 @@ from uncrel import (
     DensityMatrix,
     Observable,
     ObservableSet,
+    PAIRWISE_RELATIONS,
     PureState,
     Relation,
+    SUM_FORM_RELATIONS,
     SkippedRelation,
     evaluate_all,
     maccone_pati_orthogonal,
@@ -490,6 +493,51 @@ def test_evaluate_all_skips_orthogonal_form_above_dim_two():
         and r.relation is Relation.MACCONE_PATI_DEVIATION
     ]
     assert len(deviation_pairs) == 3
+
+
+def _bits(value):
+    return None if value is None else float(value).hex()
+
+
+@pytest.mark.parametrize("include_pairwise", [False, True])
+@pytest.mark.parametrize("mixed", [False, True], ids=["pure", "mixed"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_evaluate_all_reports_in_relation_order_with_the_bits_of_instance_values(
+        dim, n, mixed, include_pairwise):
+    """Sum-form relations, then pairwise ones, each in its tuple's order; a
+    pairwise relation gives one report per pair in ``combinations`` order or
+    one skip; every value is its ``instance_values`` entry, bit for bit."""
+    obs, psi = random_instance(dim, n, seed=dim * 10 + n)
+    state = DensityMatrix(_random_density(dim, dim * 10 + n)) if mixed else psi
+    array = state.matrix if mixed else psi.amplitudes
+    pure_qubit = include_pairwise and not mixed and dim == 2
+    values = instance_values(obs.stack, array, qubit_companions(array) if pure_qubit else None)
+    pairs = list(combinations(range(n), 2))
+    expected = []
+    for rel in SUM_FORM_RELATIONS:
+        if rel is Relation.CHEN_FEI and n < 3:
+            expected.append((rel, f"needs at least 3 observables, got {n}"))
+        elif rel in (Relation.TRIPLE_SUM, Relation.TRIPLE_COMMUTATOR, Relation.TRIPLE_PAIRWISE) and n != 3:
+            expected.append((rel, f"needs exactly 3 observables, got {n}"))
+        else:
+            lhs, rhs, *mid = values[rel]
+            expected.append((rel, None, _bits(lhs), _bits(rhs), _bits(mid[0] if mid else None)))
+    for rel in PAIRWISE_RELATIONS if include_pairwise else ():
+        if mixed and rel is not Relation.ROBERTSON:
+            expected.append((rel, "defined for pure states only"))
+        elif rel is Relation.MACCONE_PATI_ORTHOGONAL and dim > 2:
+            expected.append((rel, "no canonical orthogonal state above dimension 2"))
+        else:
+            lhs, rhs = values[rel]
+            expected += [(rel, pair, _bits(a), _bits(b), None) for pair, a, b in zip(pairs, lhs, rhs)]
+    results = evaluate_all(obs, state, include_pairwise=include_pairwise)
+    got = [(r.relation, r.reason) if isinstance(r, SkippedRelation)
+           else (r.relation, r.pair, _bits(r.lhs), _bits(r.rhs), _bits(r.mid)) for r in results]
+    assert got == expected
+    for r in results:
+        if not isinstance(r, SkippedRelation):
+            assert (r.slack, r.holds) == (r.lhs - r.rhs, bool(holds(r.lhs, r.rhs)))
 
 
 def test_commutator_ratio_between_triple_bounds():

@@ -22,11 +22,12 @@ no trials or a negative seed; ``sweep``
 with a pairwise, repeated or empty choice of relations, a held angle out
 of range, one step, a step count that is no integer, no shots or fewer
 bootstrap replicates than a shot sweep takes; and
-``bounds`` on inputs of the wrong dimensions or counts and on a Stokes
-vector longer than its intensity (:data:`REFUSALS`), plus the 9-step phi
-sweep on the equator, a ``bounds`` query on Pauli observables shifted by
-1e4 times the identity, and ``bounds`` on a state 1e-10 past the
-Bloch-ball edge as a Stokes vector and as a density matrix
+``bounds`` on inputs of the wrong dimensions or counts, on a Stokes
+vector longer than its intensity, and on an infinite intensity, a NaN
+Stokes parameter and an infinite polar angle (:data:`REFUSALS`), plus the
+9-step phi sweep on the equator, a ``bounds`` query on Pauli observables
+shifted by 1e4 times the identity, and ``bounds`` on a state 1e-10 past
+the Bloch-ball edge as a Stokes vector and as a density matrix
 (:data:`EXACT_CASES`); it writes their input files.  The exit status is 0
 when every command is identical on both roots, else 1.
 """
@@ -35,6 +36,7 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -114,6 +116,13 @@ REFUSALS = {
     "verify-trials-0": (["verify", "--trials", "0"], {}),
     "verify-seed-negative": (["verify", "--seed", "-1"], {}),
     "sweep-resamples-50": (["sweep", "--mode", "theta", "--resamples", "50"], {}),
+    # json writes and reads these as the literals Infinity and NaN.
+    "bounds-stokes-infinite-s0": (
+        ["bounds", "--state-file", "inf-stokes.json"], {"inf-stokes.json": {"stokes": [math.inf, 1, 1, 1]}}),
+    "bounds-stokes-nan-s1": (
+        ["bounds", "--state-file", "nan-stokes.json"], {"nan-stokes.json": {"stokes": [1, math.nan, 0, 0]}}),
+    "bounds-bloch-infinite-theta": (
+        ["bounds", "--state-file", "inf-bloch.json"], {"inf-bloch.json": {"bloch": {"theta": math.inf}}}),
 }
 #: Commands whose bounds sit where round-off in the moment table shows: at a
 #: square-root kink, on observables shifted by the identity, and on a state a
